@@ -20,6 +20,7 @@ from .analysis import (
     run_analyzer,
 )
 from .evaluation import (
+    AnalysisMemo,
     CodeSample,
     EvalReport,
     SampleOutcome,
@@ -29,6 +30,7 @@ from .evaluation import (
     load_samples,
     per_cwe_breakdown,
     run_arm,
+    run_arms,
 )
 from .kb import (
     KeywordSet,
@@ -60,6 +62,7 @@ from .revision import (
 
 __all__ = [
     "AdapterConfig",
+    "AnalysisMemo",
     "CodeSample",
     "CweMap",
     "EvalReport",
@@ -96,6 +99,7 @@ __all__ = [
     "revise",
     "run_analyzer",
     "run_arm",
+    "run_arms",
     "save_index",
     "tokenize_code",
 ]

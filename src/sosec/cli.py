@@ -18,14 +18,14 @@ from .config import GlobalConfig, load_config
 from .errors import SosecError
 from .evaluation import (
     ARM_PROMPT_ONLY,
-    ARM_SOSECURE,
+    AnalysisMemo,
     compute_metrics,
     dual_tool_filter,
     filter_supported,
     load_samples,
     load_supported_cwes,
     render_report_text,
-    run_arm,
+    run_arms,
 )
 from .kb import KeywordSet, build_knowledge_base, load_kb_jsonl, parse_dump_rows, write_kb_jsonl
 from .retrieval import build_index, load_index, retrieve, save_index
@@ -34,6 +34,7 @@ from .revision import (
     PROVIDER_MOCK,
     PROVIDER_RECORDED,
     ProviderConfig,
+    make_provider,
     revise,
 )
 
@@ -253,38 +254,45 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
     supported = load_supported_cwes(args.supported_cwes or config.supported_cwes_path)
 
     index = load_index(args.index) if args.index else None
-    provider = _provider_config(config, args)
+    provider_config = _provider_config(config, args)
+    # one provider for the whole run, so its rate limits hold across workers;
+    # prompt_only makes no provider calls
+    provider = make_provider(provider_config) if set(arms) - {ARM_PROMPT_ONLY} else None
     k = args.k if args.k is not None else config.k
     budget = args.budget if args.budget is not None else config.budget
     workers = args.workers if args.workers is not None else config.workers
 
+    # analyzer results are shared by the filter and every arm of this run only
+    memo = AnalysisMemo()
     tally = Counter()
-    analyzed = dual_tool_filter(samples, adapter_list[0], adapter_list[1], cwe_map, tally=tally)
+    analyzed = dual_tool_filter(
+        samples, adapter_list[0], adapter_list[1], cwe_map, tally=tally, workers=workers, memo=memo
+    )
     analyzed = filter_supported(analyzed, supported)
 
-    outcomes = []
-    for arm in arms:
-        outcomes.extend(
-            run_arm(
-                analyzed,
-                arm,
-                provider,
-                index=index if arm == ARM_SOSECURE else None,
-                adapters=adapter_list,
-                cwe_map=cwe_map,
-                supported_cwes=supported,
-                k=k,
-                budget=budget,
-                workers=workers,
-                tally=tally,
-            )
-        )
+    outcomes = run_arms(
+        analyzed,
+        arms,
+        provider,
+        index=index,
+        # before and after are analyzed with the same two tools
+        adapters=adapter_list[:2],
+        cwe_map=cwe_map,
+        supported_cwes=supported,
+        k=k,
+        budget=budget,
+        workers=workers,
+        tally=tally,
+        memo=memo,
+    )
 
     baseline = args.baseline_arm or (ARM_PROMPT_ONLY if ARM_PROMPT_ONLY in arms else None)
     footnotes = []
     tallied = {key: count for key, count in tally.items() if count}
     if tallied:
         footnotes.append(f"excluded/tallied during the run: {tallied}")
+    if not outcomes:
+        raise SosecError(f"no sample was evaluated in every arm; excluded/tallied: {tallied}")
     report = compute_metrics(outcomes, baseline_arm=baseline, footnotes=footnotes)
 
     if args.out:

@@ -7,11 +7,13 @@ samples; all percentages are reported at one decimal.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import tempfile
+import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
@@ -26,7 +28,7 @@ from .analysis import (
     cwe_set,
     diff_cwe_sets,
 )
-from .errors import ConfigError, SosecError
+from .errors import ConfigError, PromptBudgetError, ProviderError, SosecError
 from .retrieval import RetrievalIndex, retrieve
 from .revision import DEFAULT_CHAR_BUDGET, revise
 
@@ -170,23 +172,78 @@ def load_supported_cwes(path: str | Path) -> set[str]:
     return supported
 
 
+class AnalysisMemo:
+    """Each adapter's findings per distinct piece of code, for one eval run.
+
+    Keyed by (adapter name, language, sha256 of the code). The first caller
+    for a key runs the adapter; callers that ask while it runs wait for that
+    result instead of starting another subprocess. An analyzer error is
+    stored like a result, so every caller sees the same outcome for the same
+    code. One memo serves one adapters config and one CWE map; make a new
+    one for each run.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._results: dict[tuple[str, str, str], Future] = {}
+
+    def findings(
+        self, adapter: AdapterConfig, language: str, code: str, cwe_map: CweMap
+    ) -> list[Finding]:
+        key = (adapter.name, language, hashlib.sha256(code.encode("utf-8")).hexdigest())
+        with self._lock:
+            future = self._results.get(key)
+            owner = future is None
+            if owner:
+                future = self._results[key] = Future()
+        if not owner:
+            return future.result()
+        try:
+            findings = _run_adapter(adapter, language, code, cwe_map)
+        except BaseException as exc:
+            future.set_exception(exc)  # waiters re-raise it; none is left blocked
+            raise
+        future.set_result(findings)
+        return findings
+
+
+def _run_adapter(
+    adapter: AdapterConfig, language: str, code: str, cwe_map: CweMap
+) -> list[Finding]:
+    """Write code to a scratch file and run one adapter on it."""
+    suffix = _SUFFIX_BY_LANGUAGE.get(language, ".txt")
+    with tempfile.TemporaryDirectory(prefix="sosec-") as workdir:
+        source = Path(workdir) / f"sample{suffix}"
+        source.write_text(code, encoding="utf-8")
+        return analyze_file(adapter, cwe_map, source)
+
+
 def analyze_code(
     code: str,
     language: str,
     adapters: Sequence[AdapterConfig],
     cwe_map: CweMap,
+    memo: AnalysisMemo | None = None,
 ) -> list[Finding]:
-    """Write code to a scratch file and run every applicable adapter on it."""
-    suffix = _SUFFIX_BY_LANGUAGE.get(language, ".txt")
+    """Findings of every applicable adapter on code, looked up in `memo`.
+
+    Without a memo, each adapter runs once for this call.
+    """
+    if memo is None:
+        memo = AnalysisMemo()
     findings: list[Finding] = []
-    with tempfile.TemporaryDirectory(prefix="sosec-") as workdir:
-        source = Path(workdir) / f"sample{suffix}"
-        source.write_text(code, encoding="utf-8")
-        for adapter in adapters:
-            if not adapter.supports_language(language):
-                continue
-            findings.extend(analyze_file(adapter, cwe_map, source))
+    for adapter in adapters:
+        if adapter.supports_language(language):
+            findings.extend(memo.findings(adapter, language, code, cwe_map))
     return findings
+
+
+def _map_samples(fn, items: Sequence, workers: int) -> list:
+    """fn over items in input order, on a pool of `workers` threads when more than one."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def dual_tool_filter(
@@ -195,6 +252,9 @@ def dual_tool_filter(
     adapter_b: AdapterConfig,
     cwe_map: CweMap,
     tally: Counter | None = None,
+    *,
+    workers: int = 1,
+    memo: AnalysisMemo | None = None,
 ) -> list[AnalyzedSample]:
     """Keep samples flagged by both analyzers on the original code.
 
@@ -203,18 +263,26 @@ def dual_tool_filter(
     """
     if tally is None:
         tally = Counter()
-    kept = []
-    for sample in samples:
+    if memo is None:
+        memo = AnalysisMemo()
+
+    def analyze(sample: CodeSample) -> AnalyzedSample | str:
         try:
-            findings_a = analyze_code(sample.code, sample.language, [adapter_a], cwe_map)
-            findings_b = analyze_code(sample.code, sample.language, [adapter_b], cwe_map)
+            findings_a = analyze_code(sample.code, sample.language, [adapter_a], cwe_map, memo)
+            findings_b = analyze_code(sample.code, sample.language, [adapter_b], cwe_map, memo)
         except SosecError:
-            tally["analyzer_errors"] += 1
-            continue
+            return "analyzer_errors"
         if findings_a and findings_b:
-            kept.append(AnalyzedSample(sample=sample, before=findings_a + findings_b))
+            return AnalyzedSample(sample=sample, before=findings_a + findings_b)
+        return "not_dual_flagged"
+
+    kept = []
+    # tally updates happen here, on one thread, so counters stay mergeable
+    for result in _map_samples(analyze, samples, workers):
+        if isinstance(result, str):
+            tally[result] += 1
         else:
-            tally["not_dual_flagged"] += 1
+            kept.append(result)
     return kept
 
 
@@ -234,9 +302,9 @@ def _cwe_label_note(sample: CodeSample) -> str:
     return _CWE_LABEL_NOTE.format(cwe=sample.labeled_cwe, name=suffix)
 
 
-def run_arm(
+def run_arms(
     analyzed: Sequence[AnalyzedSample],
-    arm: str,
+    arms: Sequence[str],
     provider,
     index: RetrievalIndex | None = None,
     *,
@@ -247,18 +315,25 @@ def run_arm(
     budget: int = DEFAULT_CHAR_BUDGET,
     workers: int = 1,
     tally: Counter | None = None,
+    memo: AnalysisMemo | None = None,
 ) -> list[SampleOutcome]:
-    """Run one experimental arm over pre-analyzed samples.
+    """Run experimental arms over pre-analyzed samples, paired by sample.
 
     prompt_only reuses the before findings unchanged; the other arms revise
     (with retrieved context only under sosecure) and re-analyze the revised
-    code. When a supported-CWE set is given, metrics see only those classes.
+    code with `adapters`. When a supported-CWE set is given, metrics see
+    only those classes. A sample on which any arm fails (the provider, the
+    prompt budget or an analyzer) is dropped from every arm and tallied
+    once, under the reason of the first arm that failed, so all arms are
+    compared on the same samples. Outcomes come arm by arm, each ordered by
+    sample_id.
     """
-    if arm not in ARMS:
-        raise ConfigError(f"unknown arm {arm!r}")
-    if arm == ARM_SOSECURE and index is None:
+    for arm in arms:
+        if arm not in ARMS:
+            raise ConfigError(f"unknown arm {arm!r}")
+    if ARM_SOSECURE in arms and index is None:
         raise ConfigError("sosecure arm requires a retrieval index")
-    if arm == ARM_CWE_LABEL:
+    if ARM_CWE_LABEL in arms:
         unlabeled = [a.sample.sample_id for a in analyzed if not a.sample.labeled_cwe]
         if unlabeled:
             raise ConfigError(
@@ -267,11 +342,13 @@ def run_arm(
             )
     if tally is None:
         tally = Counter()
+    if memo is None:
+        memo = AnalysisMemo()
 
     def restrict(cwes: set[str]) -> set[str]:
         return cwes & supported_cwes if supported_cwes is not None else cwes
 
-    def evaluate(item: AnalyzedSample) -> SampleOutcome | None:
+    def evaluate(item: AnalyzedSample, arm: str) -> SampleOutcome | str:
         sample = item.sample
         before = restrict(item.before_cwes)
         if arm == ARM_PROMPT_ONLY:
@@ -287,13 +364,20 @@ def run_arm(
             else:
                 hits = []
                 note = None
-            record = revise(
-                provider, sample.code, hits, sample_id=sample.sample_id, budget=budget, note=note
-            )
             try:
-                after_findings = analyze_code(record.revised_code, sample.language, adapters, cwe_map)
+                record = revise(
+                    provider, sample.code, hits, sample_id=sample.sample_id, budget=budget, note=note
+                )
+            except ProviderError:
+                return "provider_errors"
+            except PromptBudgetError:
+                return "prompt_budget_errors"
+            try:
+                after_findings = analyze_code(
+                    record.revised_code, sample.language, adapters, cwe_map, memo
+                )
             except SosecError:
-                return None
+                return "analyzer_errors"
             after = restrict(cwe_set(after_findings))
             unchanged = not record.changed
         return SampleOutcome(
@@ -305,19 +389,35 @@ def run_arm(
             unchanged=unchanged,
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, analyzed))
-    else:
-        results = [evaluate(item) for item in analyzed]
+    def evaluate_all(item: AnalyzedSample) -> list[SampleOutcome] | str:
+        outcomes = []
+        for arm in arms:
+            outcome = evaluate(item, arm)
+            if isinstance(outcome, str):
+                return outcome  # the sample is dropped from every arm; skip the rest
+            outcomes.append(outcome)
+        return outcomes
 
+    by_arm: dict[str, list[SampleOutcome]] = {arm: [] for arm in arms}
     # tally updates happen here, on one thread, so counters stay mergeable
-    errors = sum(1 for r in results if r is None)
-    if errors:
-        tally["analyzer_errors"] += errors
-    outcomes = [r for r in results if r is not None]
-    outcomes.sort(key=lambda o: o.sample_id)
-    return outcomes
+    for result in _map_samples(evaluate_all, analyzed, workers):
+        if isinstance(result, str):
+            tally[result] += 1
+            continue
+        for outcome in result:
+            by_arm[outcome.arm].append(outcome)
+    return [o for arm in by_arm for o in sorted(by_arm[arm], key=lambda o: o.sample_id)]
+
+
+def run_arm(
+    analyzed: Sequence[AnalyzedSample],
+    arm: str,
+    provider,
+    index: RetrievalIndex | None = None,
+    **kwargs,
+) -> list[SampleOutcome]:
+    """Run one experimental arm; see `run_arms` for the keyword arguments."""
+    return run_arms(analyzed, [arm], provider, index, **kwargs)
 
 
 def round_rate(value: float) -> float:

@@ -267,6 +267,7 @@ class LiveHttpProvider:
             raise ConfigError(f"live provider requires the {API_KEY_ENV} environment variable")
         self.config = config
         self.max_retries = config.max_retries
+        self.retry_base_delay = config.retry_base_delay
         self._session = session or requests.Session()
         self._headers = {"Authorization": f"Bearer {api_key}"}
         self._slots = threading.BoundedSemaphore(config.max_in_flight)

@@ -64,6 +64,22 @@ def stub_adapter_specs() -> dict[str, dict]:
     }
 
 
+def logged_adapter_specs(log_path: Path, fail_on: str = "", delay: float = 0.0) -> dict[str, dict]:
+    """stub_adapter_specs() run through logging_analyzer.py.
+
+    Every invocation appends one line to `log_path`; code containing a
+    non-empty `fail_on` makes the adapter exit with an error.
+    """
+    specs = stub_adapter_specs()
+    for name, spec in specs.items():
+        stub = spec["command"][1]
+        spec["command"] = [
+            sys.executable, str(FIXTURES / "logging_analyzer.py"),
+            str(log_path), name, stub, str(delay), fail_on, "{file}",
+        ]
+    return specs
+
+
 @pytest.fixture
 def fake_bandit_adapter() -> AdapterConfig:
     return AdapterConfig.from_dict("bandit", stub_adapter_specs()["bandit"])

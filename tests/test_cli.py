@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import json
+import sys
 
+from conftest import stub_adapter_specs
 from sosec import __version__
 from sosec.analysis import Finding
 from sosec.cli import main
+from sosec.config import default_data_path
 from sosec.kb import KnowledgeEntry
 from sosec.retrieval import RetrievalHit
-from sosec.revision import RevisionRecord
+from sosec.revision import RevisionRecord, build_revision_prompt, prompt_hash
 
 SHELL_CODE = "import subprocess\n\ndef run(cmd):\n    return subprocess.call(cmd, shell=True)\n"
 
@@ -174,3 +177,83 @@ def test_eval_with_missing_dataset_is_runtime_error(tmp_path, capsys):
 def test_eval_with_empty_arm_list_is_usage_error(tmp_path, fixtures_dir, capsys):
     rc = main(["eval", "--dataset", str(fixtures_dir / "dataset_10.jsonl"), "--arm", ","])
     assert rc == 1
+
+
+_SHLEX_SCANNER = """import json, sys
+code = open(sys.argv[-1], encoding="utf-8").read()
+results = [{"ruleId": "py/shlex-use", "level": "warning", "message": {"text": "shlex"},
+            "locations": [{"physicalLocation": {"artifactLocation": {"uri": sys.argv[-1]},
+                                                "region": {"startLine": 1}}}]}] if "shlex" in code else []
+json.dump({"version": "2.1.0", "runs": [{"results": results}]}, sys.stdout)
+"""
+
+
+def _first_samples(fixtures_dir, tmp_path, n):
+    dataset = tmp_path / "dataset.jsonl"
+    lines = (fixtures_dir / "dataset_10.jsonl").read_text(encoding="utf-8").splitlines()[:n]
+    dataset.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return dataset
+
+
+def test_eval_analyzes_after_with_the_filter_adapters_only(tmp_path, fixtures_dir, capsys):
+    # a third adapter that flags only revised code must not count as an introduced CWE
+    scanner = tmp_path / "shlex_scanner.py"
+    scanner.write_text(_SHLEX_SCANNER, encoding="utf-8")
+    specs = stub_adapter_specs()
+    specs["shlex"] = {"command": [sys.executable, str(scanner), "{file}"], "format": "sarif"}
+    adapters = tmp_path / "adapters.json"
+    adapters.write_text(json.dumps({"adapters": specs}), encoding="utf-8")
+    cwe_map = json.loads(default_data_path("cwe_map.json").read_text(encoding="utf-8"))
+    cwe_map["shlex"] = {"py/shlex-use": "CWE-89"}
+    cwe_map_path = tmp_path / "cwe_map.json"
+    cwe_map_path.write_text(json.dumps(cwe_map), encoding="utf-8")
+
+    rc = main(
+        [
+            "eval",
+            "--dataset", str(_first_samples(fixtures_dir, tmp_path, 3)),
+            "--arm", "revision_only",
+            "--adapters", str(adapters),
+            "--cwe-map", str(cwe_map_path),
+            "--format", "json",
+        ]
+    )
+    assert rc == 0
+    metrics = json.loads(capsys.readouterr().out)["per_arm"]["revision_only"]
+    assert metrics["fix_rate"] == 100.0
+    assert metrics["intro_rate"] == 0.0
+
+
+def test_eval_transcript_miss_costs_one_sample_in_every_arm(tmp_path, fixtures_dir, stub_adapters_file, capsys):
+    dataset = _first_samples(fixtures_dir, tmp_path, 4)
+    records = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
+    transcript = tmp_path / "transcript.jsonl"
+    with open(transcript, "w", encoding="utf-8") as fh:
+        for record in records:
+            if record["sample_id"] == "s003":
+                continue  # no response recorded for this sample's prompt
+            prompt = build_revision_prompt(record["code"], [], budget=8000).text
+            fh.write(json.dumps({"prompt_hash": prompt_hash(prompt),
+                                 "response": f"```python\n{record['code']}```"}) + "\n")
+
+    argv = [
+        "eval",
+        "--dataset", str(dataset),
+        "--arm", "prompt_only,revision_only",
+        "--provider", "recorded",
+        "--transcript", str(transcript),
+        "--adapters", str(stub_adapters_file),
+        "--format", "json",
+    ]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {arm: m["samples"] for arm, m in report["per_arm"].items()} == {
+        "prompt_only": 3, "revision_only": 3,
+    }
+    assert report["counts"] == {"samples": 3, "vulns_before": 3}
+    assert "'provider_errors': 1" in report["footnotes"][0]
+
+    # when no sample survives, the error names why
+    transcript.write_text("", encoding="utf-8")
+    assert main(argv) == 2
+    assert "'provider_errors': 4" in capsys.readouterr().err

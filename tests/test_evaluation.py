@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
-from conftest import make_entry
-from sosec.analysis import CweMap, FindingDiff, diff_cwe_sets
+from conftest import FIXTURES, logged_adapter_specs, make_entry, stub_adapter_specs
+from sosec.analysis import AdapterConfig, CweMap, FindingDiff, diff_cwe_sets
+from sosec.cli import main
 from sosec.config import default_data_path
-from sosec.errors import ConfigError
+from sosec.errors import AdapterError, ConfigError
 from sosec.evaluation import (
+    AnalysisMemo,
     AnalyzedSample,
     CodeSample,
     SampleOutcome,
@@ -23,7 +28,7 @@ from sosec.evaluation import (
     round_rate,
     run_arm,
 )
-from sosec.retrieval import build_index
+from sosec.retrieval import build_index, save_index
 from sosec.revision import DeterministicMockProvider
 
 SHELL_CODE = "import subprocess\n\ndef run(cmd):\n    return subprocess.call(cmd, shell=True)\n"
@@ -255,6 +260,146 @@ def test_run_arm_worker_pool_matches_sequential(fake_bandit_adapter, fake_codeql
         analyzed, "sosecure", DeterministicMockProvider(), index=_stub_index(), workers=4, **kwargs
     )
     assert [o.to_dict() for o in pooled] == [o.to_dict() for o in sequential]
+
+
+PICKLE_CODE = "import pickle\n\ndef load(blob):\n    return pickle.loads(blob)\n"
+
+
+def _eval_dataset(tmp_path) -> Path:
+    """Four dataset_10 samples, two exact copies, one the fixing mock leaves unchanged, two filtered out."""
+    lines = (FIXTURES / "dataset_10.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines[:4]]
+    extra = [
+        {**records[0], "sample_id": "s011"},
+        {**records[1], "sample_id": "s012"},
+        {"sample_id": "s013", "code": PICKLE_CODE, "labeled_cwe": "CWE-502"},
+        {"sample_id": "s014", "code": "import tempfile\npath = tempfile.mktemp()\n", "labeled_cwe": "CWE-377"},
+        {"sample_id": "s015", "code": "print('fine')\n", "labeled_cwe": "CWE-78"},
+    ]
+    return _write_dataset(tmp_path, [json.dumps(r) for r in records + extra])
+
+
+def _eval_argv(tmp_path, dataset, adapters_specs, arms, *extra):
+    adapters = tmp_path / "adapters.json"
+    adapters.write_text(json.dumps({"adapters": adapters_specs}), encoding="utf-8")
+    index = tmp_path / "kb.idx"
+    if not index.exists():
+        save_index(_stub_index(), index)
+    return [
+        "eval", "--dataset", str(dataset), "--arm", arms, "--index", str(index),
+        "--adapters", str(adapters), "--format", "json", *extra,
+    ]
+
+
+def _log_lines(log: Path) -> list[str]:
+    return log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+
+
+def test_eval_analyzes_each_distinct_code_once(tmp_path, capsys):
+    dataset = _eval_dataset(tmp_path)
+    log = tmp_path / "calls.log"
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"provider": {"kind": "deterministic_mock", "mock_behavior": "echo"}}),
+        encoding="utf-8",
+    )
+    argv = _eval_argv(
+        tmp_path, dataset, logged_adapter_specs(log), "prompt_only,revision_only,cwe_label,sosecure",
+        "--config", str(config), "--workers", "2",
+    )
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["counts"]["samples"] == 7  # s014 and s015 are not flagged by both tools
+
+    # echo revisions return the original code, so only the filter's pairs exist
+    codes = {json.loads(line)["code"] for line in dataset.read_text(encoding="utf-8").splitlines()}
+    calls = _log_lines(log)
+    assert len(calls) == len(set(calls)) == 2 * len(codes)
+
+
+def test_memo_starts_one_subprocess_for_concurrent_requests(tmp_path, cwe_map):
+    log = tmp_path / "calls.log"
+    adapter = AdapterConfig.from_dict("bandit", logged_adapter_specs(log, delay=0.3)["bandit"])
+    memo = AnalysisMemo()
+    threads_n = 8
+    barrier = threading.Barrier(threads_n)
+    results = []
+
+    def ask():
+        barrier.wait(timeout=10)
+        results.append(memo.findings(adapter, "python", SHELL_CODE, cwe_map))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask) for _ in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == threads_n
+    assert all(r == results[0] for r in results) and results[0]
+    assert len(_log_lines(log)) == 1
+
+
+def test_memo_stores_analyzer_errors(tmp_path, cwe_map):
+    log = tmp_path / "calls.log"
+    adapter = AdapterConfig.from_dict("bandit", logged_adapter_specs(log, fail_on="shell")["bandit"])
+    memo = AnalysisMemo()
+    for _ in range(2):
+        with pytest.raises(AdapterError):
+            memo.findings(adapter, "python", SHELL_CODE, cwe_map)
+    assert len(_log_lines(log)) == 1
+
+
+def test_eval_adapter_error_excludes_the_sample_from_every_arm(tmp_path, capsys):
+    records = [
+        {"sample_id": "a1", "code": SHELL_CODE, "labeled_cwe": "CWE-78"},
+        {"sample_id": "a2", "code": SHELL_CODE.replace("run(cmd)", "go(cmd)"), "labeled_cwe": "CWE-78"},
+        {"sample_id": "b1", "code": PICKLE_CODE, "labeled_cwe": "CWE-502"},
+        {"sample_id": "b2", "code": PICKLE_CODE.replace("load(", "read("), "labeled_cwe": "CWE-502"},
+    ]
+    dataset = _write_dataset(tmp_path, [json.dumps(r) for r in records])
+    log = tmp_path / "calls.log"
+    # the fixing mock adds `import shlex`, so analysis fails on every revision of a1 and a2
+    argv = _eval_argv(
+        tmp_path, dataset, logged_adapter_specs(log, fail_on="shlex"),
+        "prompt_only,revision_only,cwe_label",
+    )
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {arm: m["samples"] for arm, m in report["per_arm"].items()} == {
+        "prompt_only": 2, "revision_only": 2, "cwe_label": 2,
+    }
+    assert report["counts"] == {"samples": 2, "vulns_before": 2}
+    assert "'analyzer_errors': 2" in report["footnotes"][0]
+
+
+def test_eval_report_same_for_one_and_four_workers(tmp_path, capsys):
+    dataset = _eval_dataset(tmp_path)
+    argv = _eval_argv(tmp_path, dataset, stub_adapter_specs(), "prompt_only,revision_only,cwe_label,sosecure")
+    reports = []
+    for workers in ("1", "4"):
+        out = tmp_path / f"report-{workers}.json"
+        assert main(argv + ["--workers", workers, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["counts"]["samples"] == 7
+
+
+def test_second_eval_in_one_process_runs_the_analyzers_again(tmp_path, capsys):
+    dataset = _write_dataset(tmp_path, [json.dumps({"sample_id": "a", "code": SHELL_CODE})])
+    log = tmp_path / "calls.log"
+    argv = _eval_argv(tmp_path, dataset, logged_adapter_specs(log), "prompt_only,revision_only")
+    assert main(argv) == 0
+    first = _log_lines(log)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert first and _log_lines(log) == first + first
 
 
 def _outcome(sample_id, arm, before, after, unchanged):

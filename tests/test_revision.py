@@ -323,6 +323,21 @@ def test_live_provider_happy_path_and_transient_5xx(monkeypatch):
         provider.complete("prompt")
 
 
+def test_live_provider_retries_with_its_configured_delay(monkeypatch):
+    from sosec.revision import LiveHttpProvider
+
+    monkeypatch.setenv("SOSEC_API_KEY", "test-key")
+    config = ProviderConfig(
+        kind="live_http", endpoint="https://api.example/v1/chat", retry_base_delay=0.1
+    )
+    ok = _FakeResponse(200, {"choices": [{"message": {"content": "```\nx = 1\n```"}}]})
+    provider = LiveHttpProvider(config, session=_FakeSession([_FakeResponse(503), ok]))
+    delays = []
+    record = revise(provider, CODE, [], sleep=delays.append)
+    assert record.revised_code == "x = 1"
+    assert delays == [0.1]
+
+
 def test_live_provider_bounds_concurrent_requests(monkeypatch):
     import threading
     import time as time_module
