@@ -44,7 +44,6 @@ from .kb import (
 from .retrieval import (
     RetrievalHit,
     RetrievalIndex,
-    bm25_score,
     build_index,
     load_index,
     retrieve,
@@ -76,7 +75,6 @@ __all__ = [
     "RevisionRecord",
     "SampleOutcome",
     "analyze_file",
-    "bm25_score",
     "build_index",
     "build_knowledge_base",
     "build_revision_prompt",

@@ -26,6 +26,7 @@ from .evaluation import (
     load_supported_cwes,
     render_report_text,
     run_arms,
+    validate_arms,
 )
 from .kb import KeywordSet, build_knowledge_base, load_kb_jsonl, parse_dump_rows, write_kb_jsonl
 from .retrieval import build_index, load_index, retrieve, save_index
@@ -178,8 +179,8 @@ def _cmd_index(args, config: GlobalConfig) -> int:
     entries = load_kb_jsonl(args.kb)
     index = build_index(entries, k1=args.k1, b=args.b)
     save_index(index, args.out)
-    summary = {"out": args.out, "docs": index.num_docs, "terms": len(index.postings)}
-    _emit(args, summary, f"indexed {index.num_docs} entries ({len(index.postings)} terms) to {args.out}")
+    summary = {"out": args.out, "docs": len(index.entries), "terms": len(index.terms)}
+    _emit(args, summary, f"indexed {summary['docs']} entries ({summary['terms']} terms) to {args.out}")
     return 0
 
 
@@ -245,6 +246,8 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
     arms = [a.strip() for a in args.arm.split(",") if a.strip()]
     if not arms:
         raise UsageError("--arm names no arms")
+    # before any adapter runs: the dual-tool filter is the costly part of eval
+    validate_arms(arms, has_index=bool(args.index))
 
     adapters = load_adapters(args.adapters or config.adapters_path)
     adapter_list = list(adapters.values())

@@ -302,6 +302,18 @@ def _cwe_label_note(sample: CodeSample) -> str:
     return _CWE_LABEL_NOTE.format(cwe=sample.labeled_cwe, name=suffix)
 
 
+def validate_arms(arms: Sequence[str], has_index: bool) -> None:
+    """Reject unknown or repeated arm names, and sosecure without an index."""
+    for arm in arms:
+        if arm not in ARMS:
+            raise ConfigError(f"unknown arm {arm!r}")
+    repeated = sorted({arm for arm in arms if arms.count(arm) > 1})
+    if repeated:
+        raise ConfigError(f"arm named more than once: {', '.join(repeated)}")
+    if ARM_SOSECURE in arms and not has_index:
+        raise ConfigError("sosecure arm requires a retrieval index")
+
+
 def run_arms(
     analyzed: Sequence[AnalyzedSample],
     arms: Sequence[str],
@@ -328,11 +340,7 @@ def run_arms(
     compared on the same samples. Outcomes come arm by arm, each ordered by
     sample_id.
     """
-    for arm in arms:
-        if arm not in ARMS:
-            raise ConfigError(f"unknown arm {arm!r}")
-    if ARM_SOSECURE in arms and index is None:
-        raise ConfigError("sosecure arm requires a retrieval index")
+    validate_arms(arms, index is not None)
     if ARM_CWE_LABEL in arms:
         unlabeled = [a.sample.sample_id for a in analyzed if not a.sample.labeled_cwe]
         if unlabeled:

@@ -11,15 +11,27 @@ from __future__ import annotations
 import json
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigError
 from .kb import KnowledgeEntry
 
-INDEX_MAGIC = "SOSEC-IDX-v1"
+if TYPE_CHECKING:
+    import numpy as np
+
+# numpy is imported inside the functions that use it, not at module level:
+# `import sosec.cli` loads this module, and numpy would add about 0.17 s and
+# 10 MB to every CLI start, also for subcommands that never open an index.
+
+INDEX_MAGIC = "SOSEC-IDX-v2"
+_V1_PREFIX = b'{"magic": "SOSEC-IDX-v1"'
+# The posting arrays in file order, little-endian, right after the header
+# line. Only the last one is int32, so each starts 8-byte aligned within them.
+_ARRAYS = (("offsets", "<i8"), ("impacts", "<f8"), ("doc_ids", "<i4"))
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -69,17 +81,22 @@ def tokenize_code(text: str) -> list[str]:
     return tokens
 
 
-@dataclass
+@dataclass(eq=False)
 class RetrievalIndex:
-    """Inverted index with BM25 statistics over entry code blocks."""
+    """Inverted index whose postings carry their BM25 score.
+
+    The term in slot ``s`` occurs in documents ``doc_ids[offsets[s]:offsets[s + 1]]``
+    (ascending), and ``impacts`` holds idf(term) x tf-weight(term, doc) for
+    each of those postings, computed once by `build_index`. A document id is
+    a position in `entries`.
+    """
 
     k1: float
     b: float
-    num_docs: int
-    avg_doc_len: float
-    doc_len: list[int]
-    postings: dict[str, list[tuple[int, int]]]
-    doc_meta: dict[int, int]
+    terms: dict[str, int]
+    offsets: np.ndarray  # int64, len(terms) + 1
+    doc_ids: np.ndarray  # int32
+    impacts: np.ndarray  # float64
     entries: list[KnowledgeEntry] = field(repr=False)
 
 
@@ -100,6 +117,8 @@ def build_index(
     b: float = DEFAULT_B,
 ) -> RetrievalIndex:
     """Index entry code blocks; deterministic for a fixed entry order."""
+    import numpy as np
+
     if not entries:
         raise ConfigError("cannot build an index over zero documents")
     if k1 <= 0:
@@ -107,55 +126,44 @@ def build_index(
     if not 0.0 <= b <= 1.0:
         raise ConfigError(f"b must be within [0, 1], got {b}")
 
-    postings: dict[str, list[tuple[int, int]]] = {}
+    terms: dict[str, int] = {}
+    slots, docs, tfs = array("q"), array("q"), array("q")
     doc_len: list[int] = []
-    doc_meta: dict[int, int] = {}
     for doc_id, entry in enumerate(entries):
         tokens = tokenize_code(entry_document_text(entry))
         doc_len.append(len(tokens))
-        doc_meta[doc_id] = entry.answer_id
-        for term, tf in sorted(Counter(tokens).items()):
-            postings.setdefault(term, []).append((doc_id, tf))
+        for term, tf in Counter(tokens).items():
+            slots.append(terms.setdefault(term, len(terms)))
+            docs.append(doc_id)
+            tfs.append(tf)
 
+    slot_of = np.frombuffer(slots, dtype=np.int64)
+    # term-major order; the stable sort keeps each term's documents ascending
+    order = np.argsort(slot_of, kind="stable")
+    doc_ids = np.frombuffer(docs, dtype=np.int64)[order]
+    tf = np.frombuffer(tfs, dtype=np.int64)[order]
+    df = np.bincount(slot_of, minlength=len(terms))
+    offsets = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(df, out=offsets[1:])
+
+    n = len(entries)
+    # +1 inside the log keeps IDF (and therefore scores) strictly positive
+    # even for terms present in more than half the corpus.
+    idf = np.array([math.log((n - d + 0.5) / (d + 0.5) + 1.0) for d in df.tolist()])
+    avgdl = sum(doc_len) / n
+    dl = np.array(doc_len, dtype=np.int64)[doc_ids]
+    # Elementwise IEEE operations in the order scalar code would apply them,
+    # so every impact is bit-identical to scoring the posting on its own.
+    weight = tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
     return RetrievalIndex(
         k1=k1,
         b=b,
-        num_docs=len(entries),
-        avg_doc_len=sum(doc_len) / len(doc_len),
-        doc_len=doc_len,
-        postings=postings,
-        doc_meta=doc_meta,
+        terms=terms,
+        offsets=offsets,
+        doc_ids=doc_ids.astype(np.int32),
+        impacts=np.repeat(idf, df) * weight,
         entries=list(entries),
     )
-
-
-def _idf(index: RetrievalIndex, term: str) -> float:
-    # +1 inside the log keeps IDF (and therefore scores) strictly positive
-    # even for terms present in more than half the corpus.
-    df = len(index.postings.get(term, ()))
-    return math.log((index.num_docs - df + 0.5) / (df + 0.5) + 1.0)
-
-
-def _tf_weight(index: RetrievalIndex, tf: int, doc_id: int) -> float:
-    norm = index.k1 * (1.0 - index.b + index.b * index.doc_len[doc_id] / index.avg_doc_len)
-    return tf * (index.k1 + 1.0) / (tf + norm)
-
-
-def bm25_score(index: RetrievalIndex, query_tokens: Iterable[str], doc_id: int) -> float:
-    """BM25 score of one document for a tokenized query."""
-    if not 0 <= doc_id < index.num_docs:
-        raise ConfigError(f"unknown doc_id {doc_id} (index has {index.num_docs} docs)")
-    score = 0.0
-    for term in dict.fromkeys(query_tokens):
-        tf = 0
-        for posted_doc, posted_tf in index.postings.get(term, ()):
-            if posted_doc == doc_id:
-                tf = posted_tf
-                break
-        if tf == 0:
-            continue
-        score += _idf(index, term) * _tf_weight(index, tf, doc_id)
-    return score
 
 
 def retrieve(index: RetrievalIndex, code: str, k: int = DEFAULT_TOP_K) -> list[RetrievalHit]:
@@ -164,60 +172,103 @@ def retrieve(index: RetrievalIndex, code: str, k: int = DEFAULT_TOP_K) -> list[R
     Documents sharing no token with the query score zero and are excluded,
     so fewer than k hits may be returned.
     """
+    import numpy as np
+
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores: dict[int, float] = {}
+    scores = np.zeros(len(index.entries))
+    offsets = index.offsets
     for term in dict.fromkeys(tokenize_code(code)):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        idf = _idf(index, term)
-        for doc_id, tf in plist:
-            scores[doc_id] = scores.get(doc_id, 0.0) + idf * _tf_weight(index, tf, doc_id)
+        slot = index.terms.get(term)
+        if slot is not None:
+            lo, hi = offsets[slot], offsets[slot + 1]
+            # doc ids are unique within a term, so no posting is dropped
+            scores[index.doc_ids[lo:hi]] += index.impacts[lo:hi]
 
+    hit_docs = np.flatnonzero(scores > 0.0)
+    if len(hit_docs) > k:
+        hit_scores = scores[hit_docs]
+        kth = np.partition(hit_scores, len(hit_docs) - k)[len(hit_docs) - k]
+        hit_docs = hit_docs[hit_scores >= kth]  # every document tied at the cut stays
     ranked = sorted(
-        ((doc_id, score) for doc_id, score in scores.items() if score > 0.0),
-        key=lambda item: (-item[1], index.doc_meta[item[0]]),
+        zip(scores[hit_docs].tolist(), (index.entries[d] for d in hit_docs.tolist())),
+        key=lambda item: (-item[0], item[1].answer_id),
     )
     return [
-        RetrievalHit(entry=index.entries[doc_id], score=score, rank=rank)
-        for rank, (doc_id, score) in enumerate(ranked[:k], start=1)
+        RetrievalHit(entry=entry, score=score, rank=rank)
+        for rank, (score, entry) in enumerate(ranked[:k], start=1)
     ]
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
-    """Persist the index (entries included) as a versioned JSON file."""
-    obj = {
-        "magic": INDEX_MAGIC,
+    """Write the magic line, one JSON header line, then the posting arrays.
+
+    The header holds k1, b, the terms in slot order and the entries.
+    """
+    import numpy as np
+
+    header = {
         "k1": index.k1,
         "b": index.b,
-        "num_docs": index.num_docs,
-        "avg_doc_len": index.avg_doc_len,
-        "doc_len": index.doc_len,
-        "postings": {term: index.postings[term] for term in sorted(index.postings)},
-        "doc_meta": {str(doc_id): aid for doc_id, aid in sorted(index.doc_meta.items())},
+        "terms": sorted(index.terms, key=index.terms.__getitem__),
         "entries": [entry.to_dict() for entry in index.entries],
     }
-    Path(path).write_text(json.dumps(obj, ensure_ascii=False), encoding="utf-8")
+    with open(path, "wb") as fh:
+        fh.write(f"{INDEX_MAGIC}\n".encode())
+        fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
+        for name, dtype in _ARRAYS:
+            fh.write(np.ascontiguousarray(getattr(index, name), dtype=dtype).tobytes())
+
+
+def _read_header(fh, path) -> tuple[float, float, dict[str, int], list[KnowledgeEntry]]:
+    """Check the magic line, then parse the header line: k1, b, terms, entries."""
+    first = fh.readline(len(_V1_PREFIX))
+    if first != f"{INDEX_MAGIC}\n".encode():
+        if first == _V1_PREFIX:
+            raise ConfigError(
+                f"{path} is a SOSEC-IDX-v1 index file, which this version cannot read; "
+                "rebuild it with `sosec index`"
+            )
+        raise ConfigError(f"{path} is not a {INDEX_MAGIC} index file")
+    line = fh.readline()
+    if not line.endswith(b"\n"):
+        raise ConfigError(f"{path} is truncated: it ends in the header")
+    try:
+        header = json.loads(line)
+        terms = {term: slot for slot, term in enumerate(header["terms"])}
+        entries = [KnowledgeEntry.from_dict(e) for e in header["entries"]]
+        return header["k1"], header["b"], terms, entries
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path} has a corrupt index header: {exc}") from exc
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
+    """Read a file written by `save_index`; the arrays are views of the bytes after the header."""
+    import numpy as np
+
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            k1, b, terms, entries = _read_header(fh, path)
+            body = fh.read()
+    except OSError as exc:
         raise ConfigError(f"cannot read index file {path}: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("magic") != INDEX_MAGIC:
-        raise ConfigError(f"{path} is not a {INDEX_MAGIC} index file")
-    return RetrievalIndex(
-        k1=obj["k1"],
-        b=obj["b"],
-        num_docs=obj["num_docs"],
-        avg_doc_len=obj["avg_doc_len"],
-        doc_len=list(obj["doc_len"]),
-        postings={
-            term: [(doc_id, tf) for doc_id, tf in plist]
-            for term, plist in obj["postings"].items()
-        },
-        doc_meta={int(doc_id): aid for doc_id, aid in obj["doc_meta"].items()},
-        entries=[KnowledgeEntry.from_dict(e) for e in obj["entries"]],
-    )
+
+    arrays = {}
+    pos = 0
+    count = len(terms) + 1
+    for name, dtype in _ARRAYS:
+        size = np.dtype(dtype).itemsize * count
+        if len(body) - pos < size:
+            raise ConfigError(f"{path} is truncated: {name} needs {size} bytes at array offset {pos}")
+        arrays[name] = np.frombuffer(body, dtype=dtype, count=count, offset=pos)
+        pos += size
+        if name == "offsets":
+            offsets = arrays[name]
+            if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
+                raise ConfigError(f"{path} has corrupt posting offsets")
+            count = int(offsets[-1])
+    if pos != len(body):
+        raise ConfigError(f"{path} has {len(body) - pos} bytes after the posting arrays")
+    if count and not 0 <= int(arrays["doc_ids"].min()) <= int(arrays["doc_ids"].max()) < len(entries):
+        raise ConfigError(f"{path} has posting doc ids outside its {len(entries)} entries")
+    return RetrievalIndex(k1=k1, b=b, terms=terms, entries=entries, **arrays)

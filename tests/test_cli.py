@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import sys
 
-from conftest import stub_adapter_specs
+from conftest import logged_adapter_specs, stub_adapter_specs
 from sosec import __version__
 from sosec.analysis import Finding
 from sosec.cli import main
@@ -257,3 +257,25 @@ def test_eval_transcript_miss_costs_one_sample_in_every_arm(tmp_path, fixtures_d
     transcript.write_text("", encoding="utf-8")
     assert main(argv) == 2
     assert "'provider_errors': 4" in capsys.readouterr().err
+
+
+def test_eval_with_repeated_arm_is_rejected(fixtures_dir, stub_adapters_file, capsys):
+    rc = main([
+        "eval", "--dataset", str(fixtures_dir / "dataset_10.jsonl"),
+        "--arm", "revision_only,revision_only", "--adapters", str(stub_adapters_file),
+    ])
+    assert rc == 2
+    assert "revision_only" in capsys.readouterr().err
+
+
+def test_eval_rejects_unknown_arm_before_any_analyzer_runs(tmp_path, fixtures_dir, capsys):
+    log = tmp_path / "calls.log"
+    adapters = tmp_path / "adapters.json"
+    adapters.write_text(json.dumps({"adapters": logged_adapter_specs(log)}), encoding="utf-8")
+    rc = main([
+        "eval", "--dataset", str(fixtures_dir / "dataset_10.jsonl"),
+        "--arm", "bogus", "--adapters", str(adapters),
+    ])
+    assert rc == 2
+    assert "unknown arm 'bogus'" in capsys.readouterr().err
+    assert not log.exists()

@@ -27,6 +27,7 @@ from sosec.evaluation import (
     render_report_text,
     round_rate,
     run_arm,
+    run_arms,
 )
 from sosec.retrieval import build_index, save_index
 from sosec.revision import DeterministicMockProvider
@@ -248,6 +249,16 @@ def test_unknown_arm_rejected(fake_bandit_adapter, fake_codeql_adapter, cwe_map)
             [_analyzed("s1", ["CWE-78"])],
             "placebo",
             None,
+            **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
+        )
+
+
+def test_repeated_arm_rejected(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
+    with pytest.raises(ConfigError, match="prompt_only"):
+        run_arms(
+            [_analyzed("s1", ["CWE-78"])],
+            ["prompt_only", "revision_only", "prompt_only"],
+            DeterministicMockProvider(),
             **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
         )
 

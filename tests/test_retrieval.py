@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import json
+import math
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +14,6 @@ from conftest import bm25_brute_force, make_entry
 from sosec.errors import ConfigError
 from sosec.retrieval import (
     INDEX_MAGIC,
-    bm25_score,
     build_index,
     load_index,
     retrieve,
@@ -67,18 +72,27 @@ def _index_abc(k1=1.2, b=0.75):
     return build_index(entries, k1=k1, b=b)
 
 
+def _postings(index, term):
+    slot = index.terms[term]
+    lo, hi = index.offsets[slot], index.offsets[slot + 1]
+    return index.doc_ids[lo:hi].tolist(), index.impacts[lo:hi].tolist()
+
+
 def test_build_index_counts():
+    # corpus ["a b", "a a", "c"]: N=3, dl=[2, 2, 1], avgdl=5/3; "a" has df=2, tf=[1, 2]
     index = _index_abc()
-    assert index.num_docs == 3
-    assert index.avg_doc_len == pytest.approx(5 / 3)
-    assert index.postings["a"] == [(0, 1), (1, 2)]
-    assert index.doc_len == [2, 2, 1]
-    assert index.doc_meta == {0: 1, 1: 2, 2: 3}
+    assert [e.answer_id for e in index.entries] == [1, 2, 3]
+    doc_ids, impacts = _postings(index, "a")
+    assert doc_ids == [0, 1]
+    idf = math.log((3 - 2 + 0.5) / (2 + 0.5) + 1.0)
+    norm = 1.2 * (1.0 - 0.75 + 0.75 * 2 / (5 / 3))
+    assert impacts == pytest.approx([idf * 1 * 2.2 / (1 + norm), idf * 2 * 2.2 / (2 + norm)], abs=1e-12)
 
 
 def test_build_index_singleton_average():
+    # dl == avgdl == 3 makes every tf-weight exactly (k1 + 1) / (1 + k1) = 1
     index = build_index([make_entry(1, ["x y z"])])
-    assert index.avg_doc_len == 3.0
+    assert index.impacts.tolist() == pytest.approx([math.log(0.5 / 1.5 + 1.0)] * 3, abs=1e-12)
 
 
 def test_build_index_empty_corpus_rejected():
@@ -92,24 +106,18 @@ def test_build_index_parameter_validation(k1, b):
         build_index([make_entry(1, ["a"])], k1=k1, b=b)
 
 
-def test_bm25_score_no_overlap_is_zero():
-    assert bm25_score(_index_abc(), ["z"], 0) == 0.0
-
-
 def test_bm25_score_worked_example():
     # corpus ["a b", "a a", "c"], query [c], doc 2: dl=1, avgdl=5/3, df=1, N=3
-    score = bm25_score(_index_abc(), ["c"], 2)
-    assert score == pytest.approx(1.1727306286009773, abs=1e-9)
+    hits = retrieve(_index_abc(), "c")
+    assert [h.entry.answer_id for h in hits] == [3]
+    assert hits[0].score == pytest.approx(1.1727306286009773, abs=1e-9)
 
 
 def test_bm25_score_tf_monotonicity():
-    index = _index_abc()
-    assert bm25_score(index, ["a"], 1) > bm25_score(index, ["a"], 0)
-
-
-def test_bm25_score_unknown_doc_rejected():
-    with pytest.raises(ConfigError):
-        bm25_score(_index_abc(), ["a"], 7)
+    # answers 1 and 2 have the same length; "a" occurs once in 1 and twice in 2
+    hits = retrieve(_index_abc(), "a")
+    assert [h.entry.answer_id for h in hits] == [2, 1]
+    assert hits[0].score > hits[1].score
 
 
 def test_retrieve_excludes_zero_score_documents():
@@ -208,10 +216,10 @@ def test_index_persistence_round_trip(tmp_path):
     path = tmp_path / "kb.idx"
     save_index(index, path)
     loaded = load_index(path)
-    assert path.read_text(encoding="utf-8").find(INDEX_MAGIC) >= 0
-    assert loaded.num_docs == index.num_docs
-    assert loaded.postings == index.postings
-    assert loaded.doc_meta == index.doc_meta
+    assert path.read_bytes().startswith(INDEX_MAGIC.encode() + b"\n")
+    assert loaded.terms == index.terms
+    for name in ("offsets", "doc_ids", "impacts"):
+        assert getattr(loaded, name).tolist() == getattr(index, name).tolist()
     assert loaded.entries == index.entries
     original = [(h.entry.answer_id, h.score) for h in retrieve(index, "shell=True", k=2)]
     reloaded = [(h.entry.answer_id, h.score) for h in retrieve(loaded, "shell=True", k=2)]
@@ -230,3 +238,82 @@ def test_load_index_rejects_garbage(tmp_path):
     path.write_text("not json at all", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_index(path)
+
+
+def test_top_k_cut_through_a_tie_keeps_the_lowest_answer_ids():
+    entries = [make_entry(aid, ["same text"]) for aid in range(9, 0, -1)]
+    hits = retrieve(build_index(entries), "same", k=3)
+    assert [h.entry.answer_id for h in hits] == [1, 2, 3]
+    assert [h.rank for h in hits] == [1, 2, 3]
+
+
+def test_load_index_rejects_v1_file_with_rebuild_hint(tmp_path):
+    path = tmp_path / "old.idx"
+    path.write_text(json.dumps({"magic": "SOSEC-IDX-v1", "k1": 1.2, "b": 0.75, "postings": {}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="rebuild it with `sosec index`"):
+        load_index(path)
+
+
+def test_load_index_rejects_truncated_arrays(tmp_path):
+    path = tmp_path / "kb.idx"
+    save_index(_index_abc(), path)
+    data = path.read_bytes()
+    arrays_start = data.index(b"\n", len(INDEX_MAGIC) + 1) + 1
+    for cut in range(arrays_start, len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(ConfigError):
+            load_index(path)
+
+
+def test_retrieve_from_threads_sharing_one_index(tmp_path):
+    rng = random.Random(11)
+    entries = [make_entry(i, [" ".join(rng.choice("abcdefgh") for _ in range(12))]) for i in range(200)]
+    path = tmp_path / "kb.idx"
+    save_index(build_index(entries), path)
+    index = load_index(path)
+    queries = [" ".join(rng.choice("abcdefgh") for _ in range(4)) for _ in range(20)]
+
+    def ranks():
+        return [[(h.entry.answer_id, h.score) for h in retrieve(index, q, k=5)] for q in queries]
+
+    expected = ranks()
+    results = [None] * 8
+
+    def worker(slot):
+        results[slot] = ranks()
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == [expected] * 8
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = f"import sys; sys.path.insert(0, {str(src)!r}); import sosec.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_retrieve_scores_equal_the_per_posting_sum_exactly():
+    # the scalar BM25 loop, operation for operation: build-time impacts must not move a bit
+    rng = random.Random(99)
+    vocab = [f"tok{i}" for i in range(30)]
+    docs = [[rng.choice(vocab) for _ in range(rng.randint(1, 25))] for _ in range(40)]
+    k1, b = 1.2, 0.75
+    index = build_index([make_entry(i, [" ".join(doc)]) for i, doc in enumerate(docs)], k1=k1, b=b)
+    n, avgdl = len(docs), sum(len(d) for d in docs) / len(docs)
+    for _ in range(20):
+        query = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+        scores: dict[int, float] = {}
+        for term in dict.fromkeys(query):
+            holders = [i for i, doc in enumerate(docs) if term in doc]
+            idf = math.log((n - len(holders) + 0.5) / (len(holders) + 0.5) + 1.0)
+            for i in holders:
+                tf = docs[i].count(term)
+                norm = k1 * (1.0 - b + b * len(docs[i]) / avgdl)
+                scores[i] = scores.get(i, 0.0) + idf * (tf * (k1 + 1.0) / (tf + norm))
+        got = {h.entry.answer_id: h.score for h in retrieve(index, " ".join(query), k=n)}
+        assert got == scores
