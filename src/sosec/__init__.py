@@ -25,11 +25,8 @@ from .evaluation import (
     EvalReport,
     SampleOutcome,
     compute_metrics,
-    dual_tool_filter,
-    filter_supported,
     load_samples,
     per_cwe_breakdown,
-    run_arm,
     run_arms,
 )
 from .kb import (
@@ -80,10 +77,8 @@ __all__ = [
     "build_revision_prompt",
     "compute_metrics",
     "diff_findings",
-    "dual_tool_filter",
     "extract_code_blocks",
     "extract_revised_code",
-    "filter_supported",
     "is_security_relevant",
     "is_unchanged",
     "load_index",
@@ -96,7 +91,6 @@ __all__ = [
     "retrieve",
     "revise",
     "run_analyzer",
-    "run_arm",
     "run_arms",
     "save_index",
     "tokenize_code",

@@ -18,10 +18,7 @@ from .config import GlobalConfig, load_config
 from .errors import SosecError
 from .evaluation import (
     ARM_PROMPT_ONLY,
-    AnalysisMemo,
     compute_metrics,
-    dual_tool_filter,
-    filter_supported,
     load_samples,
     load_supported_cwes,
     render_report_text,
@@ -209,7 +206,7 @@ def _cmd_revise(args, config: GlobalConfig) -> int:
     index = load_index(args.index)
     code = Path(args.code).read_text(encoding="utf-8")
     hits = retrieve(index, code, k=args.k if args.k is not None else config.k)
-    provider = _provider_config(config, args)
+    provider = make_provider(_provider_config(config, args))
     record = revise(
         provider,
         code,
@@ -246,7 +243,7 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
     arms = [a.strip() for a in args.arm.split(",") if a.strip()]
     if not arms:
         raise UsageError("--arm names no arms")
-    # before any adapter runs: the dual-tool filter is the costly part of eval
+    # before any adapter runs: analysis is the costly part of eval
     validate_arms(arms, has_index=bool(args.index))
 
     adapters = load_adapters(args.adapters or config.adapters_path)
@@ -265,20 +262,13 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
     budget = args.budget if args.budget is not None else config.budget
     workers = args.workers if args.workers is not None else config.workers
 
-    # analyzer results are shared by the filter and every arm of this run only
-    memo = AnalysisMemo()
     tally = Counter()
-    analyzed = dual_tool_filter(
-        samples, adapter_list[0], adapter_list[1], cwe_map, tally=tally, workers=workers, memo=memo
-    )
-    analyzed = filter_supported(analyzed, supported)
-
     outcomes = run_arms(
-        analyzed,
+        samples,
         arms,
         provider,
         index=index,
-        # before and after are analyzed with the same two tools
+        # the dual-tool filter, before and after all use the same two tools
         adapters=adapter_list[:2],
         cwe_map=cwe_map,
         supported_cwes=supported,
@@ -286,7 +276,6 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
         budget=budget,
         workers=workers,
         tally=tally,
-        memo=memo,
     )
 
     baseline = args.baseline_arm or (ARM_PROMPT_ONLY if ARM_PROMPT_ONLY in arms else None)

@@ -20,8 +20,6 @@ def default_data_path(name: str) -> Path:
 
 @dataclass
 class GlobalConfig:
-    kb_path: str | None = None
-    index_path: str | None = None
     keyword_path: str = str(default_data_path("keywords.txt"))
     cwe_map_path: str = str(default_data_path("cwe_map.json"))
     supported_cwes_path: str = str(default_data_path("supported_cwes.txt"))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 import tempfile
 import threading
 from collections import Counter
@@ -20,6 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis import (
+    CWE_RE,
     AdapterConfig,
     CweMap,
     Finding,
@@ -40,8 +40,6 @@ ARM_REVISION_ONLY = "revision_only"
 ARM_CWE_LABEL = "cwe_label"
 ARM_SOSECURE = "sosecure"
 ARMS = (ARM_PROMPT_ONLY, ARM_REVISION_ONLY, ARM_CWE_LABEL, ARM_SOSECURE)
-
-CWE_PATTERN = re.compile(r"^CWE-[0-9]+$")
 
 _SUFFIX_BY_LANGUAGE = {"python": ".py", "c": ".c", "other": ".txt"}
 
@@ -75,18 +73,6 @@ class CodeSample:
     language: str = "python"
     prompt: str | None = None
     labeled_cwe: str | None = None
-
-
-@dataclass
-class AnalyzedSample:
-    """A sample together with the findings on its original code."""
-
-    sample: CodeSample
-    before: list[Finding]
-
-    @property
-    def before_cwes(self) -> set[str]:
-        return cwe_set(self.before)
 
 
 @dataclass
@@ -125,7 +111,7 @@ def _validate_sample(obj: dict) -> CodeSample:
     if language not in LANGUAGES:
         raise ValueError(f"unknown language {language!r}")
     labeled_cwe = obj.get("labeled_cwe")
-    if labeled_cwe is not None and not CWE_PATTERN.match(str(labeled_cwe)):
+    if labeled_cwe is not None and not CWE_RE.match(str(labeled_cwe)):
         raise ValueError(f"labeled_cwe {labeled_cwe!r} does not match CWE-NNN")
     prompt = obj.get("prompt")
     if prompt is not None and not isinstance(prompt, str):
@@ -164,7 +150,7 @@ def load_supported_cwes(path: str | Path) -> set[str]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if not CWE_PATTERN.match(line):
+        if not CWE_RE.match(line):
             raise ConfigError(f"{path}: malformed CWE {line!r}")
         supported.add(line)
     if not supported:
@@ -173,24 +159,24 @@ def load_supported_cwes(path: str | Path) -> set[str]:
 
 
 class AnalysisMemo:
-    """Each adapter's findings per distinct piece of code, for one eval run.
+    """Every adapter's findings per distinct piece of code, for one eval run.
 
-    Keyed by (adapter name, language, sha256 of the code). The first caller
-    for a key runs the adapter; callers that ask while it runs wait for that
-    result instead of starting another subprocess. An analyzer error is
-    stored like a result, so every caller sees the same outcome for the same
-    code. One memo serves one adapters config and one CWE map; make a new
-    one for each run.
+    Keyed by (language, sha256 of the code). The first caller for a key
+    writes the code to one scratch file and runs every adapter on it; callers
+    that ask while it runs wait for that result instead of starting more
+    subprocesses. An analyzer error is stored like a result, so every caller
+    sees the same outcome for the same code. Make a new memo for each run.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, adapters: Sequence[AdapterConfig], cwe_map: CweMap) -> None:
+        self._adapters = list(adapters)
+        self._cwe_map = cwe_map
         self._lock = threading.Lock()
-        self._results: dict[tuple[str, str, str], Future] = {}
+        self._results: dict[tuple[str, str], Future] = {}
 
-    def findings(
-        self, adapter: AdapterConfig, language: str, code: str, cwe_map: CweMap
-    ) -> list[Finding]:
-        key = (adapter.name, language, hashlib.sha256(code.encode("utf-8")).hexdigest())
+    def findings(self, language: str, code: str) -> list[list[Finding]]:
+        """One findings list per adapter, in order; empty for an adapter that skips `language`."""
+        key = (language, hashlib.sha256(code.encode("utf-8")).hexdigest())
         with self._lock:
             future = self._results.get(key)
             owner = future is None
@@ -199,101 +185,24 @@ class AnalysisMemo:
         if not owner:
             return future.result()
         try:
-            findings = _run_adapter(adapter, language, code, cwe_map)
+            findings = self._analyze(language, code)
         except BaseException as exc:
             future.set_exception(exc)  # waiters re-raise it; none is left blocked
             raise
         future.set_result(findings)
         return findings
 
-
-def _run_adapter(
-    adapter: AdapterConfig, language: str, code: str, cwe_map: CweMap
-) -> list[Finding]:
-    """Write code to a scratch file and run one adapter on it."""
-    suffix = _SUFFIX_BY_LANGUAGE.get(language, ".txt")
-    with tempfile.TemporaryDirectory(prefix="sosec-") as workdir:
-        source = Path(workdir) / f"sample{suffix}"
-        source.write_text(code, encoding="utf-8")
-        return analyze_file(adapter, cwe_map, source)
-
-
-def analyze_code(
-    code: str,
-    language: str,
-    adapters: Sequence[AdapterConfig],
-    cwe_map: CweMap,
-    memo: AnalysisMemo | None = None,
-) -> list[Finding]:
-    """Findings of every applicable adapter on code, looked up in `memo`.
-
-    Without a memo, each adapter runs once for this call.
-    """
-    if memo is None:
-        memo = AnalysisMemo()
-    findings: list[Finding] = []
-    for adapter in adapters:
-        if adapter.supports_language(language):
-            findings.extend(memo.findings(adapter, language, code, cwe_map))
-    return findings
-
-
-def _map_samples(fn, items: Sequence, workers: int) -> list:
-    """fn over items in input order, on a pool of `workers` threads when more than one."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def dual_tool_filter(
-    samples: Sequence[CodeSample],
-    adapter_a: AdapterConfig,
-    adapter_b: AdapterConfig,
-    cwe_map: CweMap,
-    tally: Counter | None = None,
-    *,
-    workers: int = 1,
-    memo: AnalysisMemo | None = None,
-) -> list[AnalyzedSample]:
-    """Keep samples flagged by both analyzers on the original code.
-
-    Samples on which an analyzer errors out are excluded and tallied, not
-    silently counted against either side.
-    """
-    if tally is None:
-        tally = Counter()
-    if memo is None:
-        memo = AnalysisMemo()
-
-    def analyze(sample: CodeSample) -> AnalyzedSample | str:
-        try:
-            findings_a = analyze_code(sample.code, sample.language, [adapter_a], cwe_map, memo)
-            findings_b = analyze_code(sample.code, sample.language, [adapter_b], cwe_map, memo)
-        except SosecError:
-            return "analyzer_errors"
-        if findings_a and findings_b:
-            return AnalyzedSample(sample=sample, before=findings_a + findings_b)
-        return "not_dual_flagged"
-
-    kept = []
-    # tally updates happen here, on one thread, so counters stay mergeable
-    for result in _map_samples(analyze, samples, workers):
-        if isinstance(result, str):
-            tally[result] += 1
-        else:
-            kept.append(result)
-    return kept
-
-
-def filter_supported(
-    analyzed: Sequence[AnalyzedSample],
-    supported_cwes: set[str],
-) -> list[AnalyzedSample]:
-    """Keep samples whose before-CWE set intersects the supported set."""
-    if not supported_cwes:
-        raise ConfigError("supported CWE set is empty")
-    return [a for a in analyzed if a.before_cwes & supported_cwes]
+    def _analyze(self, language: str, code: str) -> list[list[Finding]]:
+        suffix = _SUFFIX_BY_LANGUAGE.get(language, ".txt")
+        with tempfile.TemporaryDirectory(prefix="sosec-") as workdir:
+            source = Path(workdir) / f"sample{suffix}"
+            source.write_text(code, encoding="utf-8")
+            return [
+                analyze_file(adapter, self._cwe_map, source)
+                if adapter.supports_language(language)
+                else []
+                for adapter in self._adapters
+            ]
 
 
 def _cwe_label_note(sample: CodeSample) -> str:
@@ -315,34 +224,39 @@ def validate_arms(arms: Sequence[str], has_index: bool) -> None:
 
 
 def run_arms(
-    analyzed: Sequence[AnalyzedSample],
+    samples: Sequence[CodeSample],
     arms: Sequence[str],
     provider,
     index: RetrievalIndex | None = None,
     *,
     adapters: Sequence[AdapterConfig],
     cwe_map: CweMap,
-    supported_cwes: set[str] | None = None,
+    supported_cwes: set[str],
     k: int = 5,
     budget: int = DEFAULT_CHAR_BUDGET,
     workers: int = 1,
     tally: Counter | None = None,
-    memo: AnalysisMemo | None = None,
 ) -> list[SampleOutcome]:
-    """Run experimental arms over pre-analyzed samples, paired by sample.
+    """Filter the samples and run the experimental arms, in one pass per sample.
 
-    prompt_only reuses the before findings unchanged; the other arms revise
-    (with retrieved context only under sosecure) and re-analyze the revised
-    code with `adapters`. When a supported-CWE set is given, metrics see
-    only those classes. A sample on which any arm fails (the provider, the
-    prompt budget or an analyzer) is dropped from every arm and tallied
-    once, under the reason of the first arm that failed, so all arms are
-    compared on the same samples. Outcomes come arm by arm, each ordered by
-    sample_id.
+    Each sample's original code is analyzed with every adapter. The sample
+    is dropped and tallied as `not_dual_flagged` unless every adapter flags
+    it, or as `analyzer_errors` if an analyzer fails; it is dropped
+    untallied if none of its CWEs is in `supported_cwes`, and metrics see
+    only those classes. Then every arm runs: prompt_only reuses the before
+    findings unchanged; the other arms revise (with retrieved context only
+    under sosecure) and re-analyze the revised code with the same adapters.
+    A sample on which any arm fails (the provider, the prompt budget or an
+    analyzer) is dropped from every arm and tallied once, under the reason
+    of the first arm that failed, so all arms are compared on the same
+    samples. Samples run on a pool of `workers` threads; outcomes come arm
+    by arm, each ordered by sample_id.
     """
     validate_arms(arms, index is not None)
+    if not supported_cwes:
+        raise ConfigError("supported CWE set is empty")
     if ARM_CWE_LABEL in arms:
-        unlabeled = [a.sample.sample_id for a in analyzed if not a.sample.labeled_cwe]
+        unlabeled = [s.sample_id for s in samples if not s.labeled_cwe]
         if unlabeled:
             raise ConfigError(
                 "cwe_label arm requires labeled_cwe on every sample; missing on: "
@@ -350,15 +264,12 @@ def run_arms(
             )
     if tally is None:
         tally = Counter()
-    if memo is None:
-        memo = AnalysisMemo()
+    memo = AnalysisMemo(adapters, cwe_map)
 
-    def restrict(cwes: set[str]) -> set[str]:
-        return cwes & supported_cwes if supported_cwes is not None else cwes
+    def supported(per_adapter: list[list[Finding]]) -> set[str]:
+        return cwe_set(f for findings in per_adapter for f in findings) & supported_cwes
 
-    def evaluate(item: AnalyzedSample, arm: str) -> SampleOutcome | str:
-        sample = item.sample
-        before = restrict(item.before_cwes)
+    def evaluate(sample: CodeSample, before: set[str], arm: str) -> SampleOutcome | str:
         if arm == ARM_PROMPT_ONLY:
             after = set(before)
             unchanged = True
@@ -381,12 +292,9 @@ def run_arms(
             except PromptBudgetError:
                 return "prompt_budget_errors"
             try:
-                after_findings = analyze_code(
-                    record.revised_code, sample.language, adapters, cwe_map, memo
-                )
+                after = supported(memo.findings(sample.language, record.revised_code))
             except SosecError:
                 return "analyzer_errors"
-            after = restrict(cwe_set(after_findings))
             unchanged = not record.changed
         return SampleOutcome(
             sample_id=sample.sample_id,
@@ -397,35 +305,39 @@ def run_arms(
             unchanged=unchanged,
         )
 
-    def evaluate_all(item: AnalyzedSample) -> list[SampleOutcome] | str:
+    def evaluate_all(sample: CodeSample) -> list[SampleOutcome] | str:
+        try:
+            per_adapter = memo.findings(sample.language, sample.code)
+        except SosecError:
+            return "analyzer_errors"
+        if not all(per_adapter):
+            return "not_dual_flagged"
+        before = supported(per_adapter)
+        if not before:
+            return []  # outside the supported CWE set: dropped, not tallied
         outcomes = []
         for arm in arms:
-            outcome = evaluate(item, arm)
+            outcome = evaluate(sample, before, arm)
             if isinstance(outcome, str):
                 return outcome  # the sample is dropped from every arm; skip the rest
             outcomes.append(outcome)
         return outcomes
 
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(evaluate_all, samples))
+    else:
+        results = [evaluate_all(sample) for sample in samples]
+
     by_arm: dict[str, list[SampleOutcome]] = {arm: [] for arm in arms}
     # tally updates happen here, on one thread, so counters stay mergeable
-    for result in _map_samples(evaluate_all, analyzed, workers):
+    for result in results:
         if isinstance(result, str):
             tally[result] += 1
             continue
         for outcome in result:
             by_arm[outcome.arm].append(outcome)
     return [o for arm in by_arm for o in sorted(by_arm[arm], key=lambda o: o.sample_id)]
-
-
-def run_arm(
-    analyzed: Sequence[AnalyzedSample],
-    arm: str,
-    provider,
-    index: RetrievalIndex | None = None,
-    **kwargs,
-) -> list[SampleOutcome]:
-    """Run one experimental arm; see `run_arms` for the keyword arguments."""
-    return run_arms(analyzed, [arm], provider, index, **kwargs)
 
 
 def round_rate(value: float) -> float:

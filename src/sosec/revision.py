@@ -331,17 +331,12 @@ def revise(
 ) -> RevisionRecord:
     """Run one inference-time revision and record the outcome.
 
-    ``provider`` may be a ProviderConfig or a provider instance. Transient
+    ``provider`` is a provider instance (see `make_provider`). Transient
     transport failures are retried with exponential backoff; a response
     without a fenced code block keeps the original code (parse_ok=False).
     """
-    if isinstance(provider, ProviderConfig):
-        retries = provider.max_retries
-        base_delay = provider.retry_base_delay
-        provider = make_provider(provider)
-    else:
-        retries = getattr(provider, "max_retries", 0)
-        base_delay = getattr(provider, "retry_base_delay", 0.5)
+    retries = getattr(provider, "max_retries", 0)
+    base_delay = getattr(provider, "retry_base_delay", 0.5)
 
     prompt = build_revision_prompt(code, hits, budget=budget, note=note)
     prompt_text = prompt.text

@@ -169,6 +169,13 @@ def test_invalid_config_file_is_runtime_error(tmp_path, capsys):
     assert "k" in capsys.readouterr().err
 
 
+def test_config_file_with_removed_path_key_is_runtime_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"kb_path": "kb.jsonl"}), encoding="utf-8")
+    assert main(["version", "--config", str(config)]) == 2
+    assert "unknown key 'kb_path'" in capsys.readouterr().err
+
+
 def test_eval_with_missing_dataset_is_runtime_error(tmp_path, capsys):
     rc = main(["eval", "--dataset", str(tmp_path / "none.jsonl"), "--arm", "prompt_only"])
     assert rc == 2
@@ -278,4 +285,20 @@ def test_eval_rejects_unknown_arm_before_any_analyzer_runs(tmp_path, fixtures_di
     ])
     assert rc == 2
     assert "unknown arm 'bogus'" in capsys.readouterr().err
+    assert not log.exists()
+
+
+def test_eval_rejects_missing_cwe_label_before_any_analyzer_runs(tmp_path, fixtures_dir, capsys):
+    dataset = _first_samples(fixtures_dir, tmp_path, 3)
+    records = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]
+    del records[1]["labeled_cwe"]
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    log = tmp_path / "calls.log"
+    adapters = tmp_path / "adapters.json"
+    adapters.write_text(json.dumps({"adapters": logged_adapter_specs(log)}), encoding="utf-8")
+    rc = main([
+        "eval", "--dataset", str(dataset), "--arm", "cwe_label", "--adapters", str(adapters),
+    ])
+    assert rc == 2
+    assert "missing on: s002" in capsys.readouterr().err
     assert not log.exists()

@@ -3,11 +3,14 @@ from __future__ import annotations
 import json
 import random
 import sys
+import tempfile
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import sosec
 from conftest import FIXTURES, logged_adapter_specs, make_entry, stub_adapter_specs
 from sosec.analysis import AdapterConfig, CweMap, FindingDiff, diff_cwe_sets
 from sosec.cli import main
@@ -15,18 +18,14 @@ from sosec.config import default_data_path
 from sosec.errors import AdapterError, ConfigError
 from sosec.evaluation import (
     AnalysisMemo,
-    AnalyzedSample,
     CodeSample,
     SampleOutcome,
     compute_metrics,
-    dual_tool_filter,
-    filter_supported,
     load_samples,
     load_supported_cwes,
     per_cwe_breakdown,
     render_report_text,
     round_rate,
-    run_arm,
     run_arms,
 )
 from sosec.retrieval import build_index, save_index
@@ -112,36 +111,39 @@ def test_dual_tool_filter_keeps_only_dual_flagged(
         _sample("codeql_only", "import random\ntoken = random.random()\n"),
         _sample("neither", "print('fine')\n"),
     ]
-    kept = dual_tool_filter(samples, fake_bandit_adapter, fake_codeql_adapter, cwe_map)
-    assert [a.sample.sample_id for a in kept] == ["both"]
+    tally = Counter()
+    kept = run_arms(
+        samples, ["prompt_only"], None,
+        **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map, tally=tally),
+    )
+    assert [o.sample_id for o in kept] == ["both"]
     assert kept[0].before_cwes == {"CWE-78"}
+    assert tally == {"not_dual_flagged": 3}
 
 
 def test_dual_tool_filter_tallies_analyzer_errors(fake_codeql_adapter, cwe_map):
-    from collections import Counter
-
-    from sosec.analysis import AdapterConfig
-
     broken = AdapterConfig(name="ghost", command=["no-such-binary-qq", "{file}"], format="sarif")
     tally = Counter()
-    kept = dual_tool_filter([_sample("s", SHELL_CODE)], broken, fake_codeql_adapter, cwe_map, tally=tally)
+    kept = run_arms(
+        [_sample("s", SHELL_CODE)], ["prompt_only"], None,
+        **_arm_kwargs(broken, fake_codeql_adapter, cwe_map, tally=tally),
+    )
     assert kept == []
     assert tally["analyzer_errors"] == 1
 
 
-def _analyzed(sample_id, cwes, code=SHELL_CODE, **kwargs):
-    from sosec.analysis import Finding
-
-    findings = [Finding("t", f"r{i}", cwe, "high", "m", "f.py", 1) for i, cwe in enumerate(cwes)]
-    return AnalyzedSample(sample=_sample(sample_id, code, **kwargs), before=findings)
-
-
-def test_filter_supported():
-    analyzed = [_analyzed("keep", ["CWE-78"]), _analyzed("drop", ["CWE-999"])]
-    kept = filter_supported(analyzed, {"CWE-78", "CWE-89"})
-    assert [a.sample.sample_id for a in kept] == ["keep"]
+def test_filter_supported(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
+    # both tools flag PICKLE_CODE, as CWE-502 only
+    samples = [_sample("keep", SHELL_CODE), _sample("drop", PICKLE_CODE)]
+    kwargs = _arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map)
+    tally = Counter()
+    kept = run_arms(
+        samples, ["prompt_only"], None, tally=tally, **{**kwargs, "supported_cwes": {"CWE-78", "CWE-89"}}
+    )
+    assert [o.sample_id for o in kept] == ["keep"]
+    assert not tally  # dropped silently
     with pytest.raises(ConfigError):
-        filter_supported(analyzed, set())
+        run_arms(samples, ["prompt_only"], None, **{**kwargs, "supported_cwes": set()})
 
 
 def _stub_index():
@@ -168,9 +170,9 @@ def _arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map, **extra):
 
 
 def test_prompt_only_arm_reuses_before_findings(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
-    analyzed = [_analyzed("s1", ["CWE-78"])]
-    (outcome,) = run_arm(
-        analyzed, "prompt_only", None, **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map)
+    analyzed = [_sample("s1", SHELL_CODE)]
+    (outcome,) = run_arms(
+        analyzed, ["prompt_only"], None, **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map)
     )
     assert outcome.after_cwes == outcome.before_cwes == {"CWE-78"}
     assert outcome.unchanged is True
@@ -180,10 +182,10 @@ def test_prompt_only_arm_reuses_before_findings(fake_bandit_adapter, fake_codeql
 def test_sosecure_arm_with_fixing_mock_fixes_everything(
     fake_bandit_adapter, fake_codeql_adapter, cwe_map
 ):
-    analyzed = [_analyzed("s1", ["CWE-78"]), _analyzed("s2", ["CWE-78"])]
-    outcomes = run_arm(
+    analyzed = [_sample("s1", SHELL_CODE), _sample("s2", SHELL_CODE)]
+    outcomes = run_arms(
         analyzed,
-        "sosecure",
+        ["sosecure"],
         DeterministicMockProvider(),
         index=_stub_index(),
         **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
@@ -195,19 +197,19 @@ def test_sosecure_arm_with_fixing_mock_fixes_everything(
 
 def test_sosecure_arm_requires_index(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
     with pytest.raises(ConfigError):
-        run_arm(
-            [_analyzed("s1", ["CWE-78"])],
-            "sosecure",
+        run_arms(
+            [_sample("s1", SHELL_CODE)],
+            ["sosecure"],
             DeterministicMockProvider(),
             **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
         )
 
 
 def test_revision_only_arm_with_echo_mock(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
-    analyzed = [_analyzed("s1", ["CWE-78"])]
-    (outcome,) = run_arm(
+    analyzed = [_sample("s1", SHELL_CODE)]
+    (outcome,) = run_arms(
         analyzed,
-        "revision_only",
+        ["revision_only"],
         DeterministicMockProvider(behavior="echo"),
         **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
     )
@@ -219,9 +221,9 @@ def test_cwe_label_arm_requires_labels_and_injects_them(
     fake_bandit_adapter, fake_codeql_adapter, cwe_map
 ):
     with pytest.raises(ConfigError) as exc_info:
-        run_arm(
-            [_analyzed("nolabel", ["CWE-78"])],
-            "cwe_label",
+        run_arms(
+            [_sample("nolabel", SHELL_CODE)],
+            ["cwe_label"],
             DeterministicMockProvider(),
             **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
         )
@@ -234,9 +236,9 @@ def test_cwe_label_arm_requires_labels_and_injects_them(
             prompts.append(prompt)
             return super().complete(prompt)
 
-    run_arm(
-        [_analyzed("s1", ["CWE-78"], labeled_cwe="CWE-78")],
-        "cwe_label",
+    run_arms(
+        [_sample("s1", SHELL_CODE, labeled_cwe="CWE-78")],
+        ["cwe_label"],
         _SpyProvider(),
         **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
     )
@@ -245,9 +247,9 @@ def test_cwe_label_arm_requires_labels_and_injects_them(
 
 def test_unknown_arm_rejected(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
     with pytest.raises(ConfigError):
-        run_arm(
-            [_analyzed("s1", ["CWE-78"])],
-            "placebo",
+        run_arms(
+            [_sample("s1", SHELL_CODE)],
+            ["placebo"],
             None,
             **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
         )
@@ -256,7 +258,7 @@ def test_unknown_arm_rejected(fake_bandit_adapter, fake_codeql_adapter, cwe_map)
 def test_repeated_arm_rejected(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
     with pytest.raises(ConfigError, match="prompt_only"):
         run_arms(
-            [_analyzed("s1", ["CWE-78"])],
+            [_sample("s1", SHELL_CODE)],
             ["prompt_only", "revision_only", "prompt_only"],
             DeterministicMockProvider(),
             **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
@@ -264,11 +266,11 @@ def test_repeated_arm_rejected(fake_bandit_adapter, fake_codeql_adapter, cwe_map
 
 
 def test_run_arm_worker_pool_matches_sequential(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
-    analyzed = [_analyzed(f"s{i:02d}", ["CWE-78"]) for i in range(6)]
+    analyzed = [_sample(f"s{i:02d}", SHELL_CODE) for i in range(6)]
     kwargs = _arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map)
-    sequential = run_arm(analyzed, "sosecure", DeterministicMockProvider(), index=_stub_index(), **kwargs)
-    pooled = run_arm(
-        analyzed, "sosecure", DeterministicMockProvider(), index=_stub_index(), workers=4, **kwargs
+    sequential = run_arms(analyzed, ["sosecure"], DeterministicMockProvider(), index=_stub_index(), **kwargs)
+    pooled = run_arms(
+        analyzed, ["sosecure"], DeterministicMockProvider(), index=_stub_index(), workers=4, **kwargs
     )
     assert [o.to_dict() for o in pooled] == [o.to_dict() for o in sequential]
 
@@ -328,17 +330,47 @@ def test_eval_analyzes_each_distinct_code_once(tmp_path, capsys):
     assert len(calls) == len(set(calls)) == 2 * len(codes)
 
 
+def test_eval_makes_one_scratch_dir_per_distinct_code(tmp_path, capsys, monkeypatch):
+    dataset = _eval_dataset(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"provider": {"kind": "deterministic_mock", "mock_behavior": "echo"}}),
+        encoding="utf-8",
+    )
+    argv = _eval_argv(
+        tmp_path, dataset, stub_adapter_specs(), "prompt_only,revision_only,cwe_label,sosecure",
+        "--config", str(config),
+    )
+    made = []
+    real = tempfile.TemporaryDirectory
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("sosec.evaluation.tempfile.TemporaryDirectory", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    # echo revisions return the original code: one scratch dir serves both adapters
+    codes = {json.loads(line)["code"] for line in dataset.read_text(encoding="utf-8").splitlines()}
+    assert len(made) == len(codes)
+
+
+def test_package_exports_resolve():
+    assert [name for name in sosec.__all__ if not hasattr(sosec, name)] == []
+
+
 def test_memo_starts_one_subprocess_for_concurrent_requests(tmp_path, cwe_map):
     log = tmp_path / "calls.log"
     adapter = AdapterConfig.from_dict("bandit", logged_adapter_specs(log, delay=0.3)["bandit"])
-    memo = AnalysisMemo()
+    memo = AnalysisMemo([adapter], cwe_map)
     threads_n = 8
     barrier = threading.Barrier(threads_n)
     results = []
 
     def ask():
         barrier.wait(timeout=10)
-        results.append(memo.findings(adapter, "python", SHELL_CODE, cwe_map))
+        results.append(memo.findings("python", SHELL_CODE))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -352,17 +384,17 @@ def test_memo_starts_one_subprocess_for_concurrent_requests(tmp_path, cwe_map):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(results) == threads_n
-    assert all(r == results[0] for r in results) and results[0]
+    assert all(r == results[0] for r in results) and results[0][0]
     assert len(_log_lines(log)) == 1
 
 
 def test_memo_stores_analyzer_errors(tmp_path, cwe_map):
     log = tmp_path / "calls.log"
     adapter = AdapterConfig.from_dict("bandit", logged_adapter_specs(log, fail_on="shell")["bandit"])
-    memo = AnalysisMemo()
+    memo = AnalysisMemo([adapter], cwe_map)
     for _ in range(2):
         with pytest.raises(AdapterError):
-            memo.findings(adapter, "python", SHELL_CODE, cwe_map)
+            memo.findings("python", SHELL_CODE)
     assert len(_log_lines(log)) == 1
 
 

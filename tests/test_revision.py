@@ -250,7 +250,7 @@ def test_transcript_provider_round_trip(tmp_path):
         encoding="utf-8",
     )
     config = ProviderConfig(kind="recorded_transcript", transcript_path=str(transcript))
-    record = revise(config, CODE, [])
+    record = revise(make_provider(config), CODE, [])
     assert record.revised_code == "safe = 1"
     assert record.changed is True
 
