@@ -14,7 +14,6 @@ from .analysis import (
     Finding,
     FindingDiff,
     analyze_file,
-    diff_findings,
     parse_bandit_json,
     parse_sarif,
     run_analyzer,
@@ -76,7 +75,6 @@ __all__ = [
     "build_knowledge_base",
     "build_revision_prompt",
     "compute_metrics",
-    "diff_findings",
     "extract_code_blocks",
     "extract_revised_code",
     "is_security_relevant",

@@ -13,9 +13,9 @@ import json
 import re
 import shutil
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import AdapterError, ConfigError, SosecError, ToolMissingError
 
@@ -31,24 +31,16 @@ _BANDIT_SEVERITIES = {"HIGH": "high", "MEDIUM": "medium", "LOW": "low"}
 
 
 @dataclass(frozen=True)
-class RawFinding:
-    tool: str
-    rule_id: str
-    severity: str
-    message: str
-    file: str
-    line: int
-
-
-@dataclass(frozen=True)
 class Finding:
+    """One analyzer result; `cwe` is None until mapped, and stays None for an unmapped rule."""
+
     tool: str
     rule_id: str
-    cwe: str | None
     severity: str
     message: str
     file: str
     line: int
+    cwe: str | None = None
 
     def __post_init__(self):
         if self.cwe is not None and not CWE_RE.match(self.cwe):
@@ -73,13 +65,6 @@ class FindingDiff:
     fixed: set[str]
     persisted: set[str]
     introduced: set[str]
-
-    def to_dict(self) -> dict:
-        return {
-            "fixed": sorted(self.fixed),
-            "persisted": sorted(self.persisted),
-            "introduced": sorted(self.introduced),
-        }
 
 
 class CweMap:
@@ -159,8 +144,8 @@ def load_adapters(path: str | Path) -> dict[str, AdapterConfig]:
     return {name: AdapterConfig.from_dict(name, entry) for name, entry in adapters.items()}
 
 
-def parse_sarif(text: str, tool: str) -> list[RawFinding]:
-    """Parse a SARIF 2.1.0 log into raw findings."""
+def parse_sarif(text: str, tool: str) -> list[Finding]:
+    """Parse a SARIF 2.1.0 log into findings with no CWE yet."""
     try:
         obj = json.loads(text)
         runs = obj["runs"]
@@ -176,7 +161,7 @@ def parse_sarif(text: str, tool: str) -> list[RawFinding]:
                 file = physical.get("artifactLocation", {}).get("uri", "")
                 line = physical.get("region", {}).get("startLine", 1)
             findings.append(
-                RawFinding(
+                Finding(
                     tool=tool,
                     rule_id=result.get("ruleId", ""),
                     severity=_SARIF_LEVELS.get(result.get("level", ""), "unknown"),
@@ -188,8 +173,8 @@ def parse_sarif(text: str, tool: str) -> list[RawFinding]:
     return findings
 
 
-def parse_bandit_json(text: str, tool: str) -> list[RawFinding]:
-    """Parse a Bandit-style JSON report into raw findings."""
+def parse_bandit_json(text: str, tool: str) -> list[Finding]:
+    """Parse a Bandit-style JSON report into findings with no CWE yet."""
     try:
         obj = json.loads(text)
         results = obj["results"]
@@ -198,7 +183,7 @@ def parse_bandit_json(text: str, tool: str) -> list[RawFinding]:
     findings = []
     for result in results:
         findings.append(
-            RawFinding(
+            Finding(
                 tool=tool,
                 rule_id=result.get("test_id", ""),
                 severity=_BANDIT_SEVERITIES.get(result.get("issue_severity", ""), "unknown"),
@@ -213,7 +198,7 @@ def parse_bandit_json(text: str, tool: str) -> list[RawFinding]:
 _PARSERS = {FORMAT_SARIF: parse_sarif, FORMAT_BANDIT_JSON: parse_bandit_json}
 
 
-def run_analyzer(adapter: AdapterConfig, source_file: str | Path) -> list[RawFinding]:
+def run_analyzer(adapter: AdapterConfig, source_file: str | Path) -> list[Finding]:
     """Invoke one analyzer on a file and parse its report from stdout."""
     source_file = Path(source_file)
     if not source_file.is_file():
@@ -239,23 +224,15 @@ def run_analyzer(adapter: AdapterConfig, source_file: str | Path) -> list[RawFin
         ) from exc
 
 
-def normalize_finding(raw: RawFinding, cwe_map: CweMap) -> Finding:
+def normalize_finding(finding: Finding, cwe_map: CweMap) -> Finding:
     """Attach the mapped CWE; unmapped rules keep cwe=None."""
-    return Finding(
-        tool=raw.tool,
-        rule_id=raw.rule_id,
-        cwe=cwe_map.lookup(raw.tool, raw.rule_id),
-        severity=raw.severity,
-        message=raw.message,
-        file=raw.file,
-        line=raw.line,
-    )
+    return replace(finding, cwe=cwe_map.lookup(finding.tool, finding.rule_id))
 
 
 def analyze_file(
     adapter: AdapterConfig, cwe_map: CweMap, source_file: str | Path
 ) -> list[Finding]:
-    return [normalize_finding(raw, cwe_map) for raw in run_analyzer(adapter, source_file)]
+    return [normalize_finding(f, cwe_map) for f in run_analyzer(adapter, source_file)]
 
 
 def cwe_set(findings: Iterable[Finding]) -> set[str]:
@@ -269,8 +246,3 @@ def diff_cwe_sets(before: set[str], after: set[str]) -> FindingDiff:
         persisted=before & after,
         introduced=after - before,
     )
-
-
-def diff_findings(before: Sequence[Finding], after: Sequence[Finding]) -> FindingDiff:
-    """Diff two finding lists at CWE-set granularity."""
-    return diff_cwe_sets(cwe_set(before), cwe_set(after))

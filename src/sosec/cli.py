@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -68,7 +69,7 @@ def _build_parser() -> _Parser:
     _add_common_flags(p)
     p.add_argument("--posts", required=True)
     p.add_argument("--comments", required=True)
-    p.add_argument("--keywords")
+    p.add_argument("--keywords", dest="keyword_path")
     p.add_argument("--out", required=True)
     p.add_argument("--min-upvote", type=int, default=1)
 
@@ -83,53 +84,59 @@ def _build_parser() -> _Parser:
     _add_common_flags(p)
     p.add_argument("--index", required=True)
     p.add_argument("--code", required=True)
-    p.add_argument("-k", type=int, default=None)
+    p.add_argument("-k", type=int)
 
     p = sub.add_parser("revise", help="revise a code file with retrieved context")
     _add_common_flags(p, format_default="json")  # the revision record is the output
     p.add_argument("--index", required=True)
     p.add_argument("--code", required=True)
-    p.add_argument("-k", type=int, default=None)
-    p.add_argument("--provider", choices=sorted(_PROVIDER_ALIASES), default="mock")
+    p.add_argument("-k", type=int)
+    p.add_argument("--provider", choices=sorted(_PROVIDER_ALIASES))
     p.add_argument("--transcript")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int)
 
     p = sub.add_parser("analyze", help="run one analyzer adapter on a file")
     _add_common_flags(p)
     p.add_argument("--file", required=True)
     p.add_argument("--adapter", required=True)
-    p.add_argument("--cwe-map", dest="cwe_map")
-    p.add_argument("--adapters")
+    p.add_argument("--cwe-map", dest="cwe_map_path")
+    p.add_argument("--adapters", dest="adapters_path")
 
     p = sub.add_parser("eval", help="run arms over a dataset and report metrics")
     _add_common_flags(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--arm", required=True, help="comma-separated arm names")
     p.add_argument("--index")
-    p.add_argument("--provider", choices=sorted(_PROVIDER_ALIASES), default="mock")
+    p.add_argument("--provider", choices=sorted(_PROVIDER_ALIASES))
     p.add_argument("--transcript")
     p.add_argument("--out")
-    p.add_argument("--adapters")
-    p.add_argument("--cwe-map", dest="cwe_map")
-    p.add_argument("--supported-cwes", dest="supported_cwes")
+    p.add_argument("--adapters", dest="adapters_path")
+    p.add_argument("--cwe-map", dest="cwe_map_path")
+    p.add_argument("--supported-cwes", dest="supported_cwes_path")
     p.add_argument("--baseline-arm", dest="baseline_arm")
-    p.add_argument("-k", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("-k", type=int)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--workers", type=int)
 
     return parser
 
 
-def _provider_config(config: GlobalConfig, args) -> ProviderConfig:
-    kind = _PROVIDER_ALIASES[args.provider]
-    provider = config.provider
-    if provider.kind != kind:
-        provider = ProviderConfig(kind=kind)
-    if args.transcript:
-        provider.transcript_path = args.transcript
-    if kind == PROVIDER_RECORDED and not provider.transcript_path:
+def _layer_flags(config: GlobalConfig, flags: dict) -> GlobalConfig:
+    """Set each given flag over the config field its dest names, then validate.
+
+    The config file's provider section applies unless --provider names another kind.
+    """
+    for f in fields(config):
+        if f.name != "provider" and flags.get(f.name) is not None:
+            setattr(config, f.name, flags[f.name])
+    kind = _PROVIDER_ALIASES.get(flags.get("provider"))
+    if kind is not None and kind != config.provider.kind:
+        config.provider = ProviderConfig(kind=kind)
+    if flags.get("transcript"):
+        config.provider.transcript_path = flags["transcript"]
+    if kind == PROVIDER_RECORDED and not config.provider.transcript_path:
         raise UsageError("--provider recorded requires --transcript")
-    return provider
+    return config.validate()
 
 
 def _emit(args, payload, text: str) -> None:
@@ -145,7 +152,7 @@ def _cmd_version(args, config) -> int:
 
 
 def _cmd_build_kb(args, config: GlobalConfig) -> int:
-    keywords = KeywordSet.from_file(args.keywords or config.keyword_path)
+    keywords = KeywordSet.from_file(config.keyword_path)
     posts_tally, comments_tally, kb_tally = Counter(), Counter(), Counter()
     with open(args.posts, "rb") as posts_fh, open(args.comments, "rb") as comments_fh:
         entries = build_knowledge_base(
@@ -194,7 +201,7 @@ def _hit_payload(hit) -> dict:
 def _cmd_retrieve(args, config: GlobalConfig) -> int:
     index = load_index(args.index)
     code = Path(args.code).read_text(encoding="utf-8")
-    hits = retrieve(index, code, k=args.k if args.k is not None else config.k)
+    hits = retrieve(index, code, k=config.k)
     text = "\n".join(
         f"{h.rank:>2}. score={h.score:.4f}  {h.entry.url}" for h in hits
     ) or "no entries share tokens with the query"
@@ -205,14 +212,14 @@ def _cmd_retrieve(args, config: GlobalConfig) -> int:
 def _cmd_revise(args, config: GlobalConfig) -> int:
     index = load_index(args.index)
     code = Path(args.code).read_text(encoding="utf-8")
-    hits = retrieve(index, code, k=args.k if args.k is not None else config.k)
-    provider = make_provider(_provider_config(config, args))
+    hits = retrieve(index, code, k=config.k)
+    provider = make_provider(config.provider)
     record = revise(
         provider,
         code,
         hits,
         sample_id=Path(args.code).name,
-        budget=args.budget if args.budget is not None else config.budget,
+        budget=config.budget,
     )
     text = (
         f"changed={record.changed} parse_ok={record.parse_ok} "
@@ -223,12 +230,12 @@ def _cmd_revise(args, config: GlobalConfig) -> int:
 
 
 def _cmd_analyze(args, config: GlobalConfig) -> int:
-    adapters = load_adapters(args.adapters or config.adapters_path)
+    adapters = load_adapters(config.adapters_path)
     if args.adapter not in adapters:
         raise SosecError(
             f"unknown adapter {args.adapter!r}; configured: {', '.join(sorted(adapters))}"
         )
-    cwe_map = CweMap.from_file(args.cwe_map or config.cwe_map_path)
+    cwe_map = CweMap.from_file(config.cwe_map_path)
     findings = analyze_file(adapters[args.adapter], cwe_map, args.file)
     text = "\n".join(
         f"{f.file}:{f.line} [{f.severity}] {f.rule_id} ({f.cwe or 'unmapped'}): {f.message}"
@@ -246,21 +253,17 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
     # before any adapter runs: analysis is the costly part of eval
     validate_arms(arms, has_index=bool(args.index))
 
-    adapters = load_adapters(args.adapters or config.adapters_path)
+    adapters = load_adapters(config.adapters_path)
     adapter_list = list(adapters.values())
     if len(adapter_list) < 2:
         raise SosecError("eval needs two configured adapters for the dual-tool filter")
-    cwe_map = CweMap.from_file(args.cwe_map or config.cwe_map_path)
-    supported = load_supported_cwes(args.supported_cwes or config.supported_cwes_path)
+    cwe_map = CweMap.from_file(config.cwe_map_path)
+    supported = load_supported_cwes(config.supported_cwes_path)
 
     index = load_index(args.index) if args.index else None
-    provider_config = _provider_config(config, args)
     # one provider for the whole run, so its rate limits hold across workers;
     # prompt_only makes no provider calls
-    provider = make_provider(provider_config) if set(arms) - {ARM_PROMPT_ONLY} else None
-    k = args.k if args.k is not None else config.k
-    budget = args.budget if args.budget is not None else config.budget
-    workers = args.workers if args.workers is not None else config.workers
+    provider = make_provider(config.provider) if set(arms) - {ARM_PROMPT_ONLY} else None
 
     tally = Counter()
     outcomes = run_arms(
@@ -272,9 +275,9 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
         adapters=adapter_list[:2],
         cwe_map=cwe_map,
         supported_cwes=supported,
-        k=k,
-        budget=budget,
-        workers=workers,
+        k=config.k,
+        budget=config.budget,
+        workers=config.workers,
         tally=tally,
     )
 
@@ -312,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError(parser.format_usage() + "sosec: error: a subcommand is required")
-        config = load_config(args.config)
+        config = _layer_flags(load_config(args.config), vars(args))
         return _COMMANDS[args.command](args, config)
     except UsageError as exc:
         print(exc, file=sys.stderr)

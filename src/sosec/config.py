@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -30,6 +30,12 @@ class GlobalConfig:
     workers: int = 1
 
     def validate(self) -> "GlobalConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("k", "budget", "workers") and type(value) is not int:  # bool is refused too
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.name.endswith("_path") and not isinstance(value, str):
+                raise ConfigError(f"{f.name} must be a string, got {value!r}")
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.budget < MIN_BUDGET:
@@ -40,10 +46,13 @@ class GlobalConfig:
 
 
 def load_config(path: str | Path | None = None) -> GlobalConfig:
-    """Read a JSON config file on top of packaged defaults."""
+    """Read a JSON config file on top of packaged defaults.
+
+    The result is not validated yet: call `validate()` once any flags are set over it.
+    """
     config = GlobalConfig()
     if path is None:
-        return config.validate()
+        return config
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -61,4 +70,4 @@ def load_config(path: str | Path | None = None) -> GlobalConfig:
         if not hasattr(config, key):
             raise ConfigError(f"config file {path}: unknown key {key!r}")
         setattr(config, key, value)
-    return config.validate()
+    return config

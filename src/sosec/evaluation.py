@@ -81,18 +81,11 @@ class SampleOutcome:
     arm: str
     before_cwes: set[str]
     after_cwes: set[str]
-    diff: FindingDiff
     unchanged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "arm": self.arm,
-            "before_cwes": sorted(self.before_cwes),
-            "after_cwes": sorted(self.after_cwes),
-            "diff": self.diff.to_dict(),
-            "unchanged": self.unchanged,
-        }
+    @property
+    def diff(self) -> FindingDiff:
+        return diff_cwe_sets(self.before_cwes, self.after_cwes)
 
 
 def _validate_sample(obj: dict) -> CodeSample:
@@ -301,7 +294,6 @@ def run_arms(
             arm=arm,
             before_cwes=before,
             after_cwes=after,
-            diff=diff_cwe_sets(before, after),
             unchanged=unchanged,
         )
 

@@ -59,7 +59,6 @@ class RevisionPrompt:
     context_sections: list[str]
     code_section: str
     output_contract: str
-    char_budget: int
 
     @property
     def text(self) -> str:
@@ -150,7 +149,6 @@ def build_revision_prompt(
         context_sections=sections,
         code_section=code_section,
         output_contract=contract,
-        char_budget=budget,
     )
     while len(prompt.text) > budget and prompt.context_sections:
         prompt.context_sections.pop()

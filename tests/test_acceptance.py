@@ -12,7 +12,7 @@ import time
 from collections import Counter
 
 from conftest import bm25_brute_force, make_entry, stub_adapter_specs
-from sosec.analysis import RawFinding, diff_cwe_sets, parse_bandit_json, parse_sarif
+from sosec.analysis import Finding, parse_bandit_json, parse_sarif
 from sosec.cli import main
 from sosec.config import default_data_path
 from sosec.evaluation import SampleOutcome, compute_metrics
@@ -34,7 +34,6 @@ def _outcome(sample_id, arm, before, after, unchanged):
         arm=arm,
         before_cwes=set(before),
         after_cwes=set(after),
-        diff=diff_cwe_sets(set(before), set(after)),
         unchanged=unchanged,
     )
 
@@ -325,19 +324,19 @@ def test_parser_bit_exactness(fixtures_dir):
 
     sarif_text = (fixtures_dir / "codeql_sample.sarif").read_text(encoding="utf-8")
     assert parse_sarif(sarif_text, "codeql") == [
-        RawFinding("codeql", "py/command-line-injection", "high",
+        Finding("codeql", "py/command-line-injection", "high",
                    "This command line depends on a user-provided value.", "app.py", 7),
-        RawFinding("codeql", "py/weak-cryptographic-algorithm", "medium",
+        Finding("codeql", "py/weak-cryptographic-algorithm", "medium",
                    "Use of a broken or weak cryptographic algorithm.", "crypto.py", 12),
-        RawFinding("codeql", "experimental/custom-rule", "low",
+        Finding("codeql", "experimental/custom-rule", "low",
                    "Experimental heuristic tripped.", "app.py", 1),
     ]
 
     bandit_text = (fixtures_dir / "bandit_sample.json").read_text(encoding="utf-8")
     assert parse_bandit_json(bandit_text, "bandit") == [
-        RawFinding("bandit", "B602", "high",
+        Finding("bandit", "B602", "high",
                    "subprocess call with shell=True identified, security issue.", "app.py", 7),
-        RawFinding("bandit", "B999", "low",
+        Finding("bandit", "B999", "low",
                    "A custom plugin rule fired.", "app.py", 3),
     ]
 

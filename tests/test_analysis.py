@@ -10,11 +10,9 @@ from sosec.analysis import (
     AdapterConfig,
     CweMap,
     Finding,
-    RawFinding,
     analyze_file,
     cwe_set,
     diff_cwe_sets,
-    diff_findings,
     normalize_finding,
     parse_bandit_json,
     parse_sarif,
@@ -24,7 +22,7 @@ from sosec.config import default_data_path
 from sosec.errors import AdapterError, ConfigError, SosecError, ToolMissingError
 
 EXPECTED_SARIF_RAW = [
-    RawFinding(
+    Finding(
         tool="codeql",
         rule_id="py/command-line-injection",
         severity="high",
@@ -32,7 +30,7 @@ EXPECTED_SARIF_RAW = [
         file="app.py",
         line=7,
     ),
-    RawFinding(
+    Finding(
         tool="codeql",
         rule_id="py/weak-cryptographic-algorithm",
         severity="medium",
@@ -40,7 +38,7 @@ EXPECTED_SARIF_RAW = [
         file="crypto.py",
         line=12,
     ),
-    RawFinding(
+    Finding(
         tool="codeql",
         rule_id="experimental/custom-rule",
         severity="low",
@@ -51,7 +49,7 @@ EXPECTED_SARIF_RAW = [
 ]
 
 EXPECTED_BANDIT_RAW = [
-    RawFinding(
+    Finding(
         tool="bandit",
         rule_id="B602",
         severity="high",
@@ -59,7 +57,7 @@ EXPECTED_BANDIT_RAW = [
         file="app.py",
         line=7,
     ),
-    RawFinding(
+    Finding(
         tool="bandit",
         rule_id="B999",
         severity="low",
@@ -125,15 +123,15 @@ def test_cwe_map_rejects_non_object(tmp_path):
 
 
 def test_normalize_unmapped_rule_keeps_cwe_absent(cwe_map):
-    raw = RawFinding("bandit", "B000", "low", "msg", "f.py", 2)
+    raw = Finding("bandit", "B000", "low", "msg", "f.py", 2)
     assert normalize_finding(raw, cwe_map).cwe is None
 
 
 def test_finding_validates_cwe_pattern_and_line():
     with pytest.raises(ConfigError):
-        Finding("t", "r", "78", "low", "m", "f.py", 1)
+        Finding("t", "r", "low", "m", "f.py", 1, cwe="78")
     with pytest.raises(ConfigError):
-        Finding("t", "r", "CWE-78", "low", "m", "f.py", 0)
+        Finding("t", "r", "low", "m", "f.py", 0, cwe="CWE-78")
 
 
 def _write_source(tmp_path, text: str):
@@ -146,7 +144,7 @@ def test_run_analyzer_flags_shell_true(tmp_path, fake_bandit_adapter):
     source = _write_source(tmp_path, "import subprocess\nsubprocess.call(cmd, shell=True)\n")
     findings = run_analyzer(fake_bandit_adapter, source)
     assert findings == [
-        RawFinding(
+        Finding(
             tool="bandit",
             rule_id="B602",
             severity="high",
@@ -232,24 +230,24 @@ def test_adapter_config_validation():
 
 
 def _finding(cwe):
-    return Finding("t", "r", cwe, "high", "m", "f.py", 1)
+    return Finding("t", "r", "high", "m", "f.py", 1, cwe=cwe)
 
 
 def test_diff_full_fix():
-    diff = diff_findings([_finding("CWE-78")], [])
+    diff = diff_cwe_sets(cwe_set([_finding("CWE-78")]), cwe_set([]))
     assert diff.fixed == {"CWE-78"}
     assert diff.persisted == set()
     assert diff.introduced == set()
 
 
 def test_diff_persisted():
-    diff = diff_findings([_finding("CWE-78")], [_finding("CWE-78")])
+    diff = diff_cwe_sets(cwe_set([_finding("CWE-78")]), cwe_set([_finding("CWE-78")]))
     assert diff.persisted == {"CWE-78"}
     assert diff.fixed == set() and diff.introduced == set()
 
 
 def test_diff_swap():
-    diff = diff_findings([_finding("CWE-78")], [_finding("CWE-89")])
+    diff = diff_cwe_sets(cwe_set([_finding("CWE-78")]), cwe_set([_finding("CWE-89")]))
     assert diff.fixed == {"CWE-78"}
     assert diff.introduced == {"CWE-89"}
 

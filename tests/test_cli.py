@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import sys
 
+import pytest
+
 from conftest import logged_adapter_specs, stub_adapter_specs
 from sosec import __version__
 from sosec.analysis import Finding
@@ -59,6 +61,22 @@ def test_recorded_without_transcript_flag_is_usage_error(tmp_path, capsys, fixtu
         ["revise", "--index", str(kb_index), "--code", str(code), "--provider", "recorded"]
     )
     assert rc == 1
+
+
+def test_config_file_provider_applies_without_provider_flag(tmp_path, capsys, fixtures_dir):
+    kb_index = tmp_path / "kb.idx"
+    _build_index_fixture(tmp_path, fixtures_dir, kb_index, capsys)
+    code = tmp_path / "snippet.py"
+    code.write_text(SHELL_CODE, encoding="utf-8")
+    missing = tmp_path / "missing.jsonl"
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"provider": {"kind": "recorded_transcript", "transcript_path": str(missing)}}),
+        encoding="utf-8",
+    )
+    rc = main(["revise", "--index", str(kb_index), "--code", str(code), "--config", str(config)])
+    assert rc == 2
+    assert str(missing) in capsys.readouterr().err
 
 
 def _build_index_fixture(tmp_path, fixtures_dir, index_path, capsys):
@@ -126,6 +144,25 @@ def test_analyze_json_round_trips_findings(tmp_path, stub_adapters_file, capsys)
     assert findings[0].cwe == "CWE-78"
 
 
+def test_analyze_json_keeps_finding_key_order(tmp_path, stub_adapters_file, capsys):
+    source = tmp_path / "app.py"
+    source.write_text(SHELL_CODE, encoding="utf-8")
+    rc = main(
+        [
+            "analyze",
+            "--file", str(source),
+            "--adapter", "codeql",
+            "--adapters", str(stub_adapters_file),
+            "--format", "json",
+        ]
+    )
+    assert rc == 0
+    findings = json.loads(capsys.readouterr().out)
+    assert findings
+    for finding in findings:
+        assert list(finding) == ["tool", "rule_id", "cwe", "severity", "message", "file", "line"]
+
+
 def test_analyze_unknown_adapter_is_runtime_error(tmp_path, stub_adapters_file, capsys):
     source = tmp_path / "app.py"
     source.write_text("x = 1\n", encoding="utf-8")
@@ -162,11 +199,49 @@ def test_config_file_sets_k_and_flags_override(tmp_path, fixtures_dir, capsys):
     assert len(json.loads(capsys.readouterr().out)) == 1
 
 
+def test_flag_replaces_an_out_of_range_config_value(tmp_path, fixtures_dir, capsys):
+    # the merged config is checked, so a flag that wins over a bad file value is enough
+    index_path = tmp_path / "kb.idx"
+    _build_index_fixture(tmp_path, fixtures_dir, index_path, capsys)
+    code = tmp_path / "query.py"
+    code.write_text(SHELL_CODE, encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": 0}), encoding="utf-8")
+    argv = ["retrieve", "--index", str(index_path), "--code", str(code), "--config", str(config), "--format", "json"]
+    assert main(argv + ["-k", "1"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 1
+
+
 def test_invalid_config_file_is_runtime_error(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"k": 0}), encoding="utf-8")
     assert main(["version", "--config", str(config)]) == 2
     assert "k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [("k", "5", "an integer"), ("workers", 2.5, "an integer"), ("budget", True, "an integer"),
+     ("adapters_path", 5, "a string")],
+)
+def test_config_file_with_wrong_value_type_is_runtime_error(tmp_path, capsys, key, value, kind):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert main(["version", "--config", str(config)]) == 2
+    assert f"{key} must be {kind}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["retrieve", "--index", "kb.idx", "--code", "snippet.py", "-k", "0"], "k must be >= 1, got 0"),
+        (["eval", "--dataset", "data.jsonl", "--arm", "prompt_only", "--workers", "0"],
+         "workers must be >= 1, got 0"),
+    ],
+)
+def test_flags_pass_the_config_checks(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_config_file_with_removed_path_key_is_runtime_error(tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 
 import sosec
 from conftest import FIXTURES, logged_adapter_specs, make_entry, stub_adapter_specs
-from sosec.analysis import AdapterConfig, CweMap, FindingDiff, diff_cwe_sets
+from sosec.analysis import AdapterConfig, CweMap, FindingDiff
 from sosec.cli import main
 from sosec.config import default_data_path
 from sosec.errors import AdapterError, ConfigError
@@ -272,7 +272,7 @@ def test_run_arm_worker_pool_matches_sequential(fake_bandit_adapter, fake_codeql
     pooled = run_arms(
         analyzed, ["sosecure"], DeterministicMockProvider(), index=_stub_index(), workers=4, **kwargs
     )
-    assert [o.to_dict() for o in pooled] == [o.to_dict() for o in sequential]
+    assert pooled == sequential
 
 
 PICKLE_CODE = "import pickle\n\ndef load(blob):\n    return pickle.loads(blob)\n"
@@ -451,7 +451,6 @@ def _outcome(sample_id, arm, before, after, unchanged):
         arm=arm,
         before_cwes=set(before),
         after_cwes=set(after),
-        diff=diff_cwe_sets(set(before), set(after)),
         unchanged=unchanged,
     )
 
