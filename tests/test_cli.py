@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 
@@ -93,6 +94,24 @@ def _build_index_fixture(tmp_path, fixtures_dir, index_path, capsys):
     rc = main(["index", "--kb", str(kb_path), "--out", str(index_path)])
     assert rc == 0
     capsys.readouterr()  # drop the build logs
+
+
+# sha256 of the knowledge base that build-kb writes for the 20-row fixture dump
+FIXTURE_KB_SHA256 = "f8968af3e5aef8f29083b548598cc4cbd1854be7bc0ca0aef5c3c392e29d53eb"
+
+
+def test_build_kb_fixture_bytes_are_golden(tmp_path, fixtures_dir, capsys):
+    kb_path = tmp_path / "kb.jsonl"
+    rc = main(
+        [
+            "build-kb",
+            "--posts", str(fixtures_dir / "posts_20.xml"),
+            "--comments", str(fixtures_dir / "comments_20.xml"),
+            "--out", str(kb_path),
+        ]
+    )
+    assert rc == 0
+    assert hashlib.sha256(kb_path.read_bytes()).hexdigest() == FIXTURE_KB_SHA256
 
 
 def test_pipeline_build_kb_index_retrieve_revise(tmp_path, fixtures_dir, capsys):
