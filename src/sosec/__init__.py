@@ -32,8 +32,8 @@ from .kb import (
     KeywordSet,
     KnowledgeEntry,
     build_knowledge_base,
-    extract_code_blocks,
     is_security_relevant,
+    parse_answer_body,
     parse_dump_rows,
     passes_quality_gate,
 )
@@ -75,12 +75,12 @@ __all__ = [
     "build_knowledge_base",
     "build_revision_prompt",
     "compute_metrics",
-    "extract_code_blocks",
     "extract_revised_code",
     "is_security_relevant",
     "is_unchanged",
     "load_index",
     "load_samples",
+    "parse_answer_body",
     "parse_bandit_json",
     "parse_dump_rows",
     "parse_sarif",

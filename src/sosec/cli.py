@@ -169,12 +169,14 @@ def _cmd_build_kb(args, config: GlobalConfig) -> int:
         "posts_skipped": posts_tally["skipped"],
         "comments_skipped": comments_tally["skipped"],
         "duplicate_answers": kb_tally["duplicate_answers"],
+        "unparseable_bodies": kb_tally["unparseable_bodies"],
     }
     _emit(
         args,
         summary,
         f"wrote {len(entries)} entries to {args.out} "
-        f"(skipped {summary['posts_skipped']} post rows, {summary['comments_skipped']} comment rows)",
+        f"(skipped {summary['posts_skipped']} post rows, {summary['comments_skipped']} comment rows, "
+        f"{summary['unparseable_bodies']} unparseable answer bodies)",
     )
     return 0
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -11,6 +12,21 @@ from .errors import ConfigError
 from .revision import PROVIDER_MOCK, ProviderConfig
 
 MIN_BUDGET = 1000
+
+_OPTIONAL_STR = (str, type(None))
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", _OPTIONAL_STR: "a string or null"}
+
+
+def _check(name: str, value, kind, least: float | None = None) -> None:
+    """Raise ConfigError unless `value` is a `kind` (bool is no number) and not below `least`."""
+    if kind is float:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    else:
+        ok = type(value) is int if kind is int else isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 def default_data_path(name: str) -> Path:
@@ -31,17 +47,20 @@ class GlobalConfig:
 
     def validate(self) -> "GlobalConfig":
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name in ("k", "budget", "workers") and type(value) is not int:  # bool is refused too
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.name.endswith("_path") and not isinstance(value, str):
-                raise ConfigError(f"{f.name} must be a string, got {value!r}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.budget < MIN_BUDGET:
-            raise ConfigError(f"budget must be >= {MIN_BUDGET}, got {self.budget}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+            if f.name.endswith("_path"):
+                _check(f.name, getattr(self, f.name), str)
+        _check("k", self.k, int, 1)
+        _check("budget", self.budget, int, MIN_BUDGET)
+        _check("workers", self.workers, int, 1)
+        provider = self.provider
+        _check("provider.max_retries", provider.max_retries, int, 0)
+        _check("provider.max_in_flight", provider.max_in_flight, int, 1)
+        for name in ("temperature", "retry_base_delay", "min_request_interval"):
+            _check(f"provider.{name}", getattr(provider, name), float, 0)
+        for name in ("kind", "mock_behavior"):
+            _check(f"provider.{name}", getattr(provider, name), str)
+        for name in ("endpoint", "model_name", "transcript_path"):
+            _check(f"provider.{name}", getattr(provider, name), _OPTIONAL_STR)
         return self
 
 

@@ -1,7 +1,7 @@
 """Knowledge-base construction from Stack Exchange data-dump XML.
 
-Filters answers to those that discuss security, carry at least one community
-upvote (on the answer or a comment), and contain code, then emits them as
+Filters answers to those that carry at least one community upvote (on the
+answer or a comment), contain code and discuss security, then emits them as
 normalized JSONL entries that the retrieval index is built from.
 """
 
@@ -98,23 +98,15 @@ class KeywordSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "KeywordSet":
-        phrases = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            phrases.append(line)
-        keywords = cls.from_iterable(phrases)
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        keywords = cls.from_iterable(line for line in lines if not line.strip().startswith("#"))
         if not keywords.keywords:
             raise ConfigError(f"keyword file {path} contains no phrases")
         return keywords
 
 
 def _parse_tags(raw: str) -> list[str]:
-    angle = _TAG_ANGLE_RE.findall(raw)
-    if angle:
-        return angle
-    return [t for t in raw.split("|") if t]
+    return _TAG_ANGLE_RE.findall(raw) or [t for t in raw.split("|") if t]
 
 
 def _post_from_attrs(attrs: dict[str, str]) -> RawPost | None:
@@ -225,16 +217,18 @@ def passes_quality_gate(
     min_upvote: int = 1,
 ) -> bool:
     """True iff the answer or at least one of its comments is upvoted."""
-    if answer_score >= min_upvote:
-        return True
-    return any(score >= min_upvote for score in comment_scores)
+    return answer_score >= min_upvote or any(score >= min_upvote for score in comment_scores)
 
 
-class _CodeBlockExtractor(HTMLParser):
-    """Collects <pre><code> blocks and sufficiently long inline <code> spans."""
+_BLOCK_TAGS = {"p", "pre", "div", "li", "ul", "ol", "br", "blockquote", "h1", "h2", "h3"}
+
+
+class _BodyParser(HTMLParser):
+    """Collects an answer body's text and its code in one walk over its tokens."""
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
+        self.parts: list[str] = []
         self.blocks: list[str] = []
         self._pre_depth = 0
         self._code_depth = 0
@@ -242,6 +236,8 @@ class _CodeBlockExtractor(HTMLParser):
         self._buffer: list[str] = []
 
     def handle_starttag(self, tag, attrs):
+        if tag in _BLOCK_TAGS:
+            self.parts.append(" ")
         if tag == "pre":
             self._pre_depth += 1
         elif tag == "code":
@@ -251,6 +247,8 @@ class _CodeBlockExtractor(HTMLParser):
             self._code_depth += 1
 
     def handle_endtag(self, tag):
+        if tag in _BLOCK_TAGS:
+            self.parts.append(" ")
         if tag == "pre":
             self._pre_depth = max(0, self._pre_depth - 1)
         elif tag == "code" and self._code_depth > 0:
@@ -261,50 +259,24 @@ class _CodeBlockExtractor(HTMLParser):
                     self.blocks.append(text)
 
     def handle_data(self, data):
+        self.parts.append(data)
         if self._code_depth > 0:
             self._buffer.append(data)
 
 
-_BLOCK_TAGS = {"p", "pre", "div", "li", "ul", "ol", "br", "blockquote", "h1", "h2", "h3"}
+def parse_answer_body(body_html: str) -> tuple[str, list[str]] | None:
+    """Return a body's whitespace-normalized text and its code snippets in document order.
 
-
-class _TextExtractor(HTMLParser):
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.parts: list[str] = []
-
-    def handle_starttag(self, tag, attrs):
-        if tag in _BLOCK_TAGS:
-            self.parts.append(" ")
-
-    def handle_endtag(self, tag):
-        if tag in _BLOCK_TAGS:
-            self.parts.append(" ")
-
-    def handle_data(self, data):
-        self.parts.append(data)
-
-
-def extract_code_blocks(body_html: str) -> list[str]:
-    """Return code snippets from an answer body in document order."""
-    extractor = _CodeBlockExtractor()
+    Code is every <pre><code> block and every inline <code> span of at least
+    MIN_INLINE_CODE_CHARS characters. None means the HTML parser raised.
+    """
+    parser = _BodyParser()
     try:
-        extractor.feed(body_html)
-        extractor.close()
+        parser.feed(body_html)
+        parser.close()
     except Exception:
-        return []
-    return extractor.blocks
-
-
-def strip_html(body_html: str) -> str:
-    """Flatten an HTML body to whitespace-normalized plain text."""
-    extractor = _TextExtractor()
-    try:
-        extractor.feed(body_html)
-        extractor.close()
-    except Exception:
-        return ""
-    return " ".join("".join(extractor.parts).split())
+        return None
+    return " ".join("".join(parser.parts).split()), parser.blocks
 
 
 def answer_url(answer_id: int) -> str:
@@ -320,19 +292,24 @@ def build_knowledge_base(
 ) -> list[KnowledgeEntry]:
     """Join answers with their comments and keep the security-relevant ones.
 
-    An answer is kept when it matches a keyword (in its text or a comment),
-    passes the upvote gate, and contains at least one code block. Comments
-    referencing unknown posts are ignored; on duplicate answer ids the later
-    occurrence wins. Output is sorted by ascending answer id.
+    An answer is kept when it passes the upvote gate, contains at least one
+    code block, and matches a keyword (in its text or a comment). The gates
+    run cheapest first, so a body is parsed only once its upvote gate passes.
+    A body the HTML parser gives up on is dropped and tallied as
+    ``unparseable_bodies``. Comments referencing unknown posts are ignored;
+    on duplicate answer ids the later occurrence wins. Output is sorted by
+    ascending answer id.
     """
+    if not keywords.keywords:
+        raise ConfigError("keyword set is empty")
     if tally is None:
         tally = Counter()
 
     # Comments are grouped up front so the (much larger) posts stream can be
     # consumed one row at a time.
-    comments_by_post: dict[int, list[RawComment]] = {}
+    comments_by_post: dict[int, list[tuple[str, int]]] = {}
     for comment in comments:
-        comments_by_post.setdefault(comment.post_id, []).append(comment)
+        comments_by_post.setdefault(comment.post_id, []).append((comment.text, comment.score))
 
     question_tags: dict[int, list[str]] = {}
     entries: dict[int, KnowledgeEntry] = {}
@@ -343,14 +320,16 @@ def build_knowledge_base(
             continue
 
         attached = comments_by_post.get(post.id, [])
-        excerpt = strip_html(post.body)
-        comment_texts = [c.text for c in attached]
-        if not is_security_relevant(excerpt, comment_texts, keywords):
+        if not passes_quality_gate(post.score, [s for _, s in attached], min_upvote):
             continue
-        if not passes_quality_gate(post.score, [c.score for c in attached], min_upvote):
+        parsed = parse_answer_body(post.body)
+        if parsed is None:
+            tally["unparseable_bodies"] += 1
             continue
-        code_blocks = extract_code_blocks(post.body)
+        excerpt, code_blocks = parsed
         if not code_blocks:
+            continue
+        if not is_security_relevant(excerpt, [t for t, _ in attached], keywords):
             continue
 
         if post.id in entries:
@@ -361,7 +340,7 @@ def build_knowledge_base(
             answer_score=post.score,
             answer_excerpt=excerpt,
             code_blocks=code_blocks,
-            comments=[(c.text, c.score) for c in attached],
+            comments=attached,
             tags=question_tags.get(post.parent_id or 0, []),
             url=answer_url(post.id),
         )
@@ -369,14 +348,11 @@ def build_knowledge_base(
     return [entries[answer_id] for answer_id in sorted(entries)]
 
 
-def dump_kb_jsonl(entries: Iterable[KnowledgeEntry]) -> str:
-    """Serialize entries as JSONL with a stable key order."""
-    lines = [json.dumps(e.to_dict(), ensure_ascii=False) for e in entries]
-    return "".join(line + "\n" for line in lines)
-
-
 def write_kb_jsonl(entries: Iterable[KnowledgeEntry], path: str | Path) -> None:
-    Path(path).write_text(dump_kb_jsonl(entries), encoding="utf-8")
+    """Write entries as JSONL with a stable key order, one line at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for entry in entries:
+            fh.write(json.dumps(entry.to_dict(), ensure_ascii=False) + "\n")
 
 
 def load_kb_jsonl(path: str | Path) -> list[KnowledgeEntry]:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sosec import kb
 from sosec.analysis import AdapterConfig
 from sosec.kb import KnowledgeEntry, answer_url
 
@@ -42,6 +43,21 @@ def make_entry(
 @pytest.fixture
 def entry_factory():
     return make_entry
+
+
+def raise_in_body_parser_on(monkeypatch, marker: str) -> None:
+    """Make the answer-body HTML parser raise on bodies that contain `marker`.
+
+    Which real markup makes html.parser raise differs across Python versions.
+    """
+    feed = kb._BodyParser.feed
+
+    def flaky_feed(self, data):
+        if marker in data:
+            raise AssertionError("unexpected markup")
+        feed(self, data)
+
+    monkeypatch.setattr(kb._BodyParser, "feed", flaky_feed)
 
 
 def stub_adapter_specs() -> dict[str, dict]:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import logged_adapter_specs, stub_adapter_specs
+from conftest import logged_adapter_specs, raise_in_body_parser_on, stub_adapter_specs
 from sosec import __version__
 from sosec.analysis import Finding
 from sosec.cli import main
@@ -112,6 +112,23 @@ def test_build_kb_fixture_bytes_are_golden(tmp_path, fixtures_dir, capsys):
     )
     assert rc == 0
     assert hashlib.sha256(kb_path.read_bytes()).hexdigest() == FIXTURE_KB_SHA256
+
+
+def test_build_kb_reports_unparseable_bodies(tmp_path, fixtures_dir, capsys, monkeypatch):
+    raise_in_body_parser_on(monkeypatch, "Sorting is built in")  # answer 103, upvoted
+    rc = main(
+        [
+            "build-kb",
+            "--posts", str(fixtures_dir / "posts_20.xml"),
+            "--comments", str(fixtures_dir / "comments_20.xml"),
+            "--out", str(tmp_path / "kb.jsonl"),
+            "--format", "json",
+        ]
+    )
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["unparseable_bodies"] == 1
+    assert summary["entries"] == 7
 
 
 def test_pipeline_build_kb_index_retrieve_revise(tmp_path, fixtures_dir, capsys):
@@ -229,6 +246,34 @@ def test_flag_replaces_an_out_of_range_config_value(tmp_path, fixtures_dir, caps
     argv = ["retrieve", "--index", str(index_path), "--code", str(code), "--config", str(config), "--format", "json"]
     assert main(argv + ["-k", "1"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("kind", 5), ("mock_behavior", None), ("endpoint", 9), ("model_name", ["m"]), ("transcript_path", 1),
+     ("temperature", "0"), ("retry_base_delay", True), ("min_request_interval", -1.0),
+     ("max_retries", 2.0), ("max_retries", -1), ("max_in_flight", "4"), ("max_in_flight", False),
+     ("max_in_flight", 0)],
+)
+def test_config_file_with_bad_provider_value_is_runtime_error(tmp_path, fixtures_dir, capsys, monkeypatch,
+                                                              key, value):
+    index_path = tmp_path / "kb.idx"
+    _build_index_fixture(tmp_path, fixtures_dir, index_path, capsys)
+    code = tmp_path / "snippet.py"
+    code.write_text(SHELL_CODE, encoding="utf-8")
+    provider = {"kind": "live_http", "endpoint": "http://localhost:9/v1", key: value}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": provider}), encoding="utf-8")
+    monkeypatch.setenv("SOSEC_API_KEY", "x")
+
+    def no_request(*args, **kwargs):
+        raise AssertionError("a request was made")
+
+    monkeypatch.setattr("requests.Session.request", no_request)
+    assert main(["revise", "--config", str(config), "--index", str(index_path), "--code", str(code)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sosec: error:")
+    assert f"provider.{key} must be" in err
 
 
 def test_invalid_config_file_is_runtime_error(tmp_path, capsys):

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import raise_in_body_parser_on
 from sosec.config import default_data_path
 from sosec.errors import ConfigError, DumpParseError
 from sosec.kb import (
@@ -12,13 +13,11 @@ from sosec.kb import (
     RawComment,
     RawPost,
     build_knowledge_base,
-    dump_kb_jsonl,
-    extract_code_blocks,
     is_security_relevant,
     load_kb_jsonl,
+    parse_answer_body,
     parse_dump_rows,
     passes_quality_gate,
-    strip_html,
     write_kb_jsonl,
 )
 
@@ -129,29 +128,52 @@ def test_quality_gate_min_upvote_override():
 
 
 def test_extract_single_pre_code_block():
-    assert extract_code_blocks("<p>use</p><pre><code>x = 1\n</code></pre>") == ["x = 1"]
+    assert parse_answer_body("<p>use</p><pre><code>x = 1\n</code></pre>")[1] == ["x = 1"]
 
 
 def test_extract_blocks_in_document_order():
     html = "<pre><code>first()\n</code></pre><p>then</p><pre><code>second()\n</code></pre>"
-    assert extract_code_blocks(html) == ["first()", "second()"]
+    assert parse_answer_body(html)[1] == ["first()", "second()"]
 
 
 def test_long_inline_code_span_retained():
     html = "<p>call <code>subprocess.call(cmd, shell=True)</code></p>"
-    assert extract_code_blocks(html) == ["subprocess.call(cmd, shell=True)"]
+    assert parse_answer_body(html)[1] == ["subprocess.call(cmd, shell=True)"]
 
 
 def test_short_inline_code_span_excluded():
-    assert extract_code_blocks("<p>set <code>x</code> to 1</p>") == []
+    assert parse_answer_body("<p>set <code>x</code> to 1</p>")[1] == []
 
 
 def test_unparseable_html_degrades_to_no_blocks():
-    assert extract_code_blocks("<pre><code>never closed") == []
+    assert parse_answer_body("<pre><code>never closed")[1] == []
 
 
 def test_strip_html_collapses_whitespace():
-    assert strip_html("<p>a  b</p>\n<p>c</p>") == "a b c"
+    assert parse_answer_body("<p>a  b</p>\n<p>c</p>")[0] == "a b c"
+
+
+def test_parse_answer_body_returns_text_and_code_in_one_call():
+    body = "<p>use <code>subprocess.run(args)</code> or <code>x</code></p><pre><code>x = 1\n</code></pre>"
+    assert parse_answer_body(body) == ("use subprocess.run(args) or x x = 1", ["subprocess.run(args)", "x = 1"])
+
+
+def test_unparseable_bodies_are_dropped_and_tallied(monkeypatch):
+    raise_in_body_parser_on(monkeypatch, "BROKEN")
+    keywords = KeywordSet.from_iterable(["command injection"])
+    code = "<pre><code>a = call()\n</code></pre>"
+    posts = [
+        RawPost(1, "question", None, 5, "<p>q</p>", []),
+        RawPost(10, "answer", 1, 2, "<p>command injection</p>" + code),
+        RawPost(11, "answer", 1, 2, "<p>command injection BROKEN</p>" + code),
+        # the upvote gate fails first, so this body is never parsed
+        RawPost(12, "answer", 1, 0, "<p>command injection BROKEN</p>" + code),
+    ]
+    tally = Counter()
+    entries = build_knowledge_base(posts, [], keywords, tally=tally)
+    assert parse_answer_body(posts[2].body) is None
+    assert [e.answer_id for e in entries] == [10]
+    assert tally["unparseable_bodies"] == 1
 
 
 def _kb_from_fixture(fixtures_dir, keywords=None, min_upvote=1, tally=None):
@@ -241,9 +263,14 @@ def test_keyword_superset_never_shrinks_output(fixtures_dir):
     assert 111 in super_ids  # "comprehension" now matches
 
 
+def _written_jsonl(entries, path):
+    write_kb_jsonl(entries, path)
+    return path.read_text(encoding="utf-8")
+
+
 def test_jsonl_is_deterministic_and_round_trips(fixtures_dir, tmp_path):
-    first = dump_kb_jsonl(_kb_from_fixture(fixtures_dir))
-    second = dump_kb_jsonl(_kb_from_fixture(fixtures_dir))
+    first = _written_jsonl(_kb_from_fixture(fixtures_dir), tmp_path / "first.jsonl")
+    second = _written_jsonl(_kb_from_fixture(fixtures_dir), tmp_path / "second.jsonl")
     assert first == second
 
     entries = _kb_from_fixture(fixtures_dir)
