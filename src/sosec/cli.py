@@ -185,7 +185,7 @@ def _cmd_index(args, config: GlobalConfig) -> int:
     entries = load_kb_jsonl(args.kb)
     index = build_index(entries, k1=args.k1, b=args.b)
     save_index(index, args.out)
-    summary = {"out": args.out, "docs": len(index.entries), "terms": len(index.terms)}
+    summary = {"out": args.out, "docs": len(entries), "terms": len(index.terms)}
     _emit(args, summary, f"indexed {summary['docs']} entries ({summary['terms']} terms) to {args.out}")
     return 0
 

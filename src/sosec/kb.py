@@ -85,6 +85,10 @@ class KnowledgeEntry:
             url=obj["url"],
         )
 
+    def to_jsonl(self) -> str:
+        """The entry's line in a KB JSONL file, newline included, keys in a stable order."""
+        return json.dumps(self.to_dict(), ensure_ascii=False) + "\n"
+
 
 @dataclass(frozen=True)
 class KeywordSet:
@@ -352,7 +356,7 @@ def write_kb_jsonl(entries: Iterable[KnowledgeEntry], path: str | Path) -> None:
     """Write entries as JSONL with a stable key order, one line at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         for entry in entries:
-            fh.write(json.dumps(entry.to_dict(), ensure_ascii=False) + "\n")
+            fh.write(entry.to_jsonl())
 
 
 def load_kb_jsonl(path: str | Path) -> list[KnowledgeEntry]:

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import uuid
+import weakref
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -27,11 +30,19 @@ if TYPE_CHECKING:
 # `import sosec.cli` loads this module, and numpy would add about 0.17 s and
 # 10 MB to every CLI start, also for subcommands that never open an index.
 
-INDEX_MAGIC = "SOSEC-IDX-v2"
-_V1_PREFIX = b'{"magic": "SOSEC-IDX-v1"'
-# The posting arrays in file order, little-endian, right after the header
-# line. Only the last one is int32, so each starts 8-byte aligned within them.
-_ARRAYS = (("offsets", "<i8"), ("impacts", "<f8"), ("doc_ids", "<i4"))
+INDEX_MAGIC = "SOSEC-IDX-v3"
+# The first bytes `_read_header` sees of a file in a format this version refuses.
+_OLD_FORMATS = {b'{"magic": "SOSEC-IDX-v1"': "SOSEC-IDX-v1", b"SOSEC-IDX-v2\n": "SOSEC-IDX-v2"}
+# The arrays in file order, little-endian, right after the header, which is
+# padded so that they start 8-byte aligned. Only the last one is int32, so
+# each of them starts aligned. The entry lines follow them.
+_ARRAYS = (
+    ("offsets", "<i8"),
+    ("entry_offsets", "<i8"),
+    ("answer_ids", "<i8"),
+    ("impacts", "<f8"),
+    ("doc_ids", "<i4"),
+)
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
@@ -81,14 +92,32 @@ def tokenize_code(text: str) -> list[str]:
     return tokens
 
 
+class _EntryFile:
+    """The entry lines of a loaded index file, read with `os.pread` on a descriptor of its own.
+
+    `pread` takes the position as an argument, so threads can share one
+    descriptor. The descriptor is closed when the object is collected.
+    """
+
+    def __init__(self, path: str | Path, fd: int, start: int):
+        self.path = str(path)
+        self._start = start
+        self._fd = os.dup(fd)
+        weakref.finalize(self, os.close, self._fd)
+
+    def __getitem__(self, span: slice) -> bytes:
+        return os.pread(self._fd, span.stop - span.start, self._start + span.start)
+
+
 @dataclass(eq=False)
 class RetrievalIndex:
     """Inverted index whose postings carry their BM25 score.
 
     The term in slot ``s`` occurs in documents ``doc_ids[offsets[s]:offsets[s + 1]]``
     (ascending), and ``impacts`` holds idf(term) x tf-weight(term, doc) for
-    each of those postings, computed once by `build_index`. A document id is
-    a position in `entries`.
+    each of those postings, computed once by `build_index`. Document ``d`` is
+    the KB entry with answer id ``answer_ids[d]``, whose JSONL line is
+    ``blob[entry_offsets[d]:entry_offsets[d + 1]]``; `entry` decodes it.
     """
 
     k1: float
@@ -97,7 +126,23 @@ class RetrievalIndex:
     offsets: np.ndarray  # int64, len(terms) + 1
     doc_ids: np.ndarray  # int32
     impacts: np.ndarray  # float64
-    entries: list[KnowledgeEntry] = field(repr=False)
+    answer_ids: np.ndarray  # int64, one per document
+    entry_offsets: np.ndarray  # int64, documents + 1
+    blob: bytes | _EntryFile = field(repr=False)
+
+    def entry(self, doc_id: int) -> KnowledgeEntry:
+        """Decode the KB entry of one document."""
+        line = self.blob[int(self.entry_offsets[doc_id]) : int(self.entry_offsets[doc_id + 1])]
+        try:
+            return KnowledgeEntry.from_dict(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            where = getattr(self.blob, "path", "the index")
+            raise ConfigError(f"{where} has a corrupt entry line for document {doc_id}: {exc}") from exc
+
+    @property
+    def entries(self) -> list[KnowledgeEntry]:
+        """Every entry, decoded. For tests and library callers: queries decode only their hits."""
+        return [self.entry(doc_id) for doc_id in range(len(self.answer_ids))]
 
 
 @dataclass
@@ -125,6 +170,13 @@ def build_index(
         raise ConfigError(f"k1 must be positive, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise ConfigError(f"b must be within [0, 1], got {b}")
+
+    answer_ids = [entry.answer_id for entry in entries]
+    if not all(type(aid) is int and -(2**63) <= aid < 2**63 for aid in answer_ids):
+        raise ConfigError("every answer id must be an integer that fits in 64 bits")
+    lines = [entry.to_jsonl().encode("utf-8") for entry in entries]
+    entry_offsets = np.zeros(len(lines) + 1, dtype=np.int64)
+    np.cumsum([len(line) for line in lines], out=entry_offsets[1:])
 
     terms: dict[str, int] = {}
     slots, docs, tfs = array("q"), array("q"), array("q")
@@ -162,7 +214,9 @@ def build_index(
         offsets=offsets,
         doc_ids=doc_ids.astype(np.int32),
         impacts=np.repeat(idf, df) * weight,
-        entries=list(entries),
+        answer_ids=np.array(answer_ids, dtype=np.int64),
+        entry_offsets=entry_offsets,
+        blob=b"".join(lines),
     )
 
 
@@ -176,7 +230,7 @@ def retrieve(index: RetrievalIndex, code: str, k: int = DEFAULT_TOP_K) -> list[R
 
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = np.zeros(len(index.entries))
+    scores = np.zeros(len(index.answer_ids))
     offsets = index.offsets
     for term in dict.fromkeys(tokenize_code(code)):
         slot = index.terms.get(term)
@@ -191,19 +245,22 @@ def retrieve(index: RetrievalIndex, code: str, k: int = DEFAULT_TOP_K) -> list[R
         kth = np.partition(hit_scores, len(hit_docs) - k)[len(hit_docs) - k]
         hit_docs = hit_docs[hit_scores >= kth]  # every document tied at the cut stays
     ranked = sorted(
-        zip(scores[hit_docs].tolist(), (index.entries[d] for d in hit_docs.tolist())),
-        key=lambda item: (-item[0], item[1].answer_id),
+        zip(scores[hit_docs].tolist(), index.answer_ids[hit_docs].tolist(), hit_docs.tolist()),
+        key=lambda item: (-item[0], item[1]),
     )
     return [
-        RetrievalHit(entry=entry, score=score, rank=rank)
-        for rank, (score, entry) in enumerate(ranked[:k], start=1)
+        RetrievalHit(entry=index.entry(doc_id), score=score, rank=rank)
+        for rank, (score, _, doc_id) in enumerate(ranked[:k], start=1)
     ]
 
 
 def save_index(index: RetrievalIndex, path: str | Path) -> None:
-    """Write the magic line, one JSON header line, then the posting arrays.
+    """Write the magic line, one JSON header line, the arrays, then the entry lines.
 
-    The header holds k1, b, the terms in slot order and the entries.
+    The header holds k1, b, the terms in slot order and the entry count. The
+    file is written under a temporary name in the same directory and then
+    renamed over `path`, so a reader never sees it half written, and an index
+    loaded from the old file keeps reading the old file.
     """
     import numpy as np
 
@@ -211,22 +268,31 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
         "k1": index.k1,
         "b": index.b,
         "terms": sorted(index.terms, key=index.terms.__getitem__),
-        "entries": [entry.to_dict() for entry in index.entries],
+        "entries": len(index.answer_ids),
     }
-    with open(path, "wb") as fh:
-        fh.write(f"{INDEX_MAGIC}\n".encode())
-        fh.write(json.dumps(header, ensure_ascii=False).encode("utf-8") + b"\n")
-        for name, dtype in _ARRAYS:
-            fh.write(np.ascontiguousarray(getattr(index, name), dtype=dtype).tobytes())
+    head = f"{INDEX_MAGIC}\n".encode() + json.dumps(header, ensure_ascii=False).encode("utf-8")
+    head += b" " * (-(len(head) + 1) % 8) + b"\n"
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(head)
+            for name, dtype in _ARRAYS:
+                fh.write(np.ascontiguousarray(getattr(index, name), dtype=dtype).tobytes())
+            fh.write(index.blob[0 : int(index.entry_offsets[-1])])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _read_header(fh, path) -> tuple[float, float, dict[str, int], list[KnowledgeEntry]]:
-    """Check the magic line, then parse the header line: k1, b, terms, entries."""
-    first = fh.readline(len(_V1_PREFIX))
+def _read_header(fh, path) -> tuple[float, float, dict[str, int], int]:
+    """Check the magic line, then parse the header line: k1, b, terms, entry count."""
+    first = fh.readline(max(map(len, _OLD_FORMATS)))
     if first != f"{INDEX_MAGIC}\n".encode():
-        if first == _V1_PREFIX:
+        if first in _OLD_FORMATS:
             raise ConfigError(
-                f"{path} is a SOSEC-IDX-v1 index file, which this version cannot read; "
+                f"{path} is a {_OLD_FORMATS[first]} index file, which this version cannot read; "
                 "rebuild it with `sosec index`"
             )
         raise ConfigError(f"{path} is not a {INDEX_MAGIC} index file")
@@ -236,39 +302,50 @@ def _read_header(fh, path) -> tuple[float, float, dict[str, int], list[Knowledge
     try:
         header = json.loads(line)
         terms = {term: slot for slot, term in enumerate(header["terms"])}
-        entries = [KnowledgeEntry.from_dict(e) for e in header["entries"]]
-        return header["k1"], header["b"], terms, entries
+        count = header["entries"]
+        if type(count) is not int or count < 0:
+            raise ValueError(f"entry count {count!r} is not a count")
+        return header["k1"], header["b"], terms, count
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path} has a corrupt index header: {exc}") from exc
 
 
 def load_index(path: str | Path) -> RetrievalIndex:
-    """Read a file written by `save_index`; the arrays are views of the bytes after the header."""
+    """Read a file written by `save_index`: the header and the arrays, but no entry line.
+
+    The index keeps a descriptor of the file and reads the line of each
+    entry a query returns, when it returns it.
+    """
     import numpy as np
 
     try:
         with open(path, "rb") as fh:
-            k1, b, terms, entries = _read_header(fh, path)
-            body = fh.read()
+            k1, b, terms, count = _read_header(fh, path)
+            file_size = os.fstat(fh.fileno()).st_size
+            counts = {"offsets": len(terms) + 1, "entry_offsets": count + 1, "answer_ids": count}
+            arrays = {}
+            for name, dtype in _ARRAYS:
+                length = counts[name]
+                size = np.dtype(dtype).itemsize * length
+                if file_size - fh.tell() < size:
+                    raise ConfigError(f"{path} is truncated: {name} needs {size} bytes at file offset {fh.tell()}")
+                values = np.empty(length, dtype=dtype)
+                fh.readinto(values)
+                if name in ("offsets", "entry_offsets") and (values[0] != 0 or np.any(values[1:] < values[:-1])):
+                    raise ConfigError(f"{path} has corrupt {name}")
+                if name == "offsets":  # impacts and doc_ids hold one value per posting
+                    counts["impacts"] = counts["doc_ids"] = int(values[-1])
+                arrays[name] = values
+            blob_size = file_size - fh.tell()
+            if blob_size != arrays["entry_offsets"][-1]:
+                raise ConfigError(
+                    f"{path} has {blob_size} bytes of entry lines, but its entry offsets end at {arrays['entry_offsets'][-1]}"
+                )
+            blob = _EntryFile(path, fh.fileno(), fh.tell())
     except OSError as exc:
         raise ConfigError(f"cannot read index file {path}: {exc}") from exc
 
-    arrays = {}
-    pos = 0
-    count = len(terms) + 1
-    for name, dtype in _ARRAYS:
-        size = np.dtype(dtype).itemsize * count
-        if len(body) - pos < size:
-            raise ConfigError(f"{path} is truncated: {name} needs {size} bytes at array offset {pos}")
-        arrays[name] = np.frombuffer(body, dtype=dtype, count=count, offset=pos)
-        pos += size
-        if name == "offsets":
-            offsets = arrays[name]
-            if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
-                raise ConfigError(f"{path} has corrupt posting offsets")
-            count = int(offsets[-1])
-    if pos != len(body):
-        raise ConfigError(f"{path} has {len(body) - pos} bytes after the posting arrays")
-    if count and not 0 <= int(arrays["doc_ids"].min()) <= int(arrays["doc_ids"].max()) < len(entries):
-        raise ConfigError(f"{path} has posting doc ids outside its {len(entries)} entries")
-    return RetrievalIndex(k1=k1, b=b, terms=terms, entries=entries, **arrays)
+    doc_ids = arrays["doc_ids"]
+    if len(doc_ids) and not 0 <= int(doc_ids.min()) <= int(doc_ids.max()) < count:
+        raise ConfigError(f"{path} has posting doc ids outside its {count} entries")
+    return RetrievalIndex(k1=k1, b=b, terms=terms, blob=blob, **arrays)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -8,10 +9,12 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import bm25_brute_force, make_entry
 from sosec.errors import ConfigError
+from sosec.kb import KnowledgeEntry, write_kb_jsonl
 from sosec.retrieval import (
     INDEX_MAGIC,
     build_index,
@@ -247,9 +250,17 @@ def test_top_k_cut_through_a_tie_keeps_the_lowest_answer_ids():
     assert [h.rank for h in hits] == [1, 2, 3]
 
 
-def test_load_index_rejects_v1_file_with_rebuild_hint(tmp_path):
+@pytest.mark.parametrize(
+    "content",
+    [
+        json.dumps({"magic": "SOSEC-IDX-v1", "k1": 1.2, "b": 0.75, "postings": {}}),
+        "SOSEC-IDX-v2\n" + json.dumps({"k1": 1.2, "b": 0.75, "terms": ["a"], "entries": []}) + "\n",
+    ],
+    ids=["v1", "v2"],
+)
+def test_load_index_rejects_old_formats_with_rebuild_hint(tmp_path, content):
     path = tmp_path / "old.idx"
-    path.write_text(json.dumps({"magic": "SOSEC-IDX-v1", "k1": 1.2, "b": 0.75, "postings": {}}), encoding="utf-8")
+    path.write_text(content, encoding="utf-8")
     with pytest.raises(ConfigError, match="rebuild it with `sosec index`"):
         load_index(path)
 
@@ -263,6 +274,108 @@ def test_load_index_rejects_truncated_arrays(tmp_path):
         path.write_bytes(data[:cut])
         with pytest.raises(ConfigError):
             load_index(path)
+
+
+def test_index_file_ends_with_the_kb_jsonl_lines_of_its_entries(tmp_path):
+    entries = [make_entry(5, ["x = 1"], excerpt="naïve → ok", comments=[("ü", 2)]), make_entry(9, ["y"])]
+    save_index(build_index(entries), tmp_path / "kb.idx")
+    write_kb_jsonl(entries, tmp_path / "kb.jsonl")
+    assert (tmp_path / "kb.idx").read_bytes().endswith((tmp_path / "kb.jsonl").read_bytes())
+
+
+def _saved_abc(tmp_path):
+    """An index file of `_index_abc`, its bytes, and the file offset of entry_offsets."""
+    path = tmp_path / "kb.idx"
+    index = _index_abc()
+    save_index(index, path)
+    data = path.read_bytes()
+    arrays_start = data.index(b"\n", len(INDEX_MAGIC) + 1) + 1
+    assert arrays_start % 8 == 0
+    return path, data, arrays_start + 8 * (len(index.terms) + 1)
+
+
+def test_load_index_rejects_non_monotone_entry_offsets(tmp_path):
+    path, data, at = _saved_abc(tmp_path)
+    entry_offsets = np.frombuffer(data, dtype="<i8", count=4, offset=at).copy()
+    entry_offsets[1] = entry_offsets[2] + 1
+    path.write_bytes(data[:at] + entry_offsets.tobytes() + data[at + 32 :])
+    with pytest.raises(ConfigError, match="corrupt entry_offsets"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("change", ["shorter", "longer"])
+def test_load_index_rejects_entry_lines_not_matching_their_offsets(tmp_path, change):
+    path, data, _ = _saved_abc(tmp_path)
+    path.write_bytes(data[:-1] if change == "shorter" else data + b"\n")
+    with pytest.raises(ConfigError, match="bytes of entry lines"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_load_index_rejects_an_entry_count_the_arrays_disagree_with(tmp_path, count):
+    path, data, _ = _saved_abc(tmp_path)
+    assert data.count(b'"entries": 3') == 1
+    path.write_bytes(data.replace(b'"entries": 3', f'"entries": {count}'.encode()))
+    with pytest.raises(ConfigError):
+        load_index(path)
+
+
+def test_load_index_decodes_no_entry_and_retrieve_only_the_hits(tmp_path, monkeypatch):
+    rng = random.Random(5)
+    entries = [make_entry(i, [" ".join(rng.choice("abcdefgh") for _ in range(6))]) for i in range(40)]
+    entries[17] = make_entry(17, ["needle = haystack"])
+    path = tmp_path / "kb.idx"
+    save_index(build_index(entries), path)
+    decoded = []
+    from_dict = KnowledgeEntry.from_dict
+
+    def counting_from_dict(obj):
+        decoded.append(obj["answer_id"])
+        return from_dict(obj)
+
+    monkeypatch.setattr(KnowledgeEntry, "from_dict", staticmethod(counting_from_dict))
+    index = load_index(path)
+    assert decoded == []
+    hits = retrieve(index, "a b c d", k=3)
+    assert len(hits) == 3
+    assert decoded == [h.entry.answer_id for h in hits]
+
+    other_hits = [(h.entry.answer_id, h.score) for h in retrieve(index, "a b", k=3)]
+    line = entries[17].to_jsonl().encode()
+    data = path.read_bytes()
+    assert data.count(line) == 1
+    path.write_bytes(data.replace(line, b"[" + line[1:]))
+    index = load_index(path)
+    assert [(h.entry.answer_id, h.score) for h in retrieve(index, "a b", k=3)] == other_hits
+    with pytest.raises(ConfigError, match="kb.idx has a corrupt entry line"):
+        retrieve(index, "needle", k=3)
+
+
+def test_save_index_replaces_the_file_and_leaves_a_loaded_index_working(tmp_path):
+    path = tmp_path / "kb.idx"
+    save_index(_index_abc(), path)
+    loaded = load_index(path)
+    before = [(h.entry.answer_id, h.score) for h in retrieve(loaded, "a b c", k=3)]
+    other = build_index([make_entry(50, ["a z"]), make_entry(60, ["c c c"])])
+    save_index(other, path)
+    assert [(h.entry.answer_id, h.score) for h in retrieve(loaded, "a b c", k=3)] == before
+    assert [h.entry.answer_id for h in retrieve(load_index(path), "a b c", k=3)] == [60, 50]
+
+    class FailingBlob:
+        def __getitem__(self, span):
+            raise OSError("disk full")
+
+    saved = path.read_bytes()
+    with pytest.raises(OSError, match="disk full"):
+        save_index(dataclasses.replace(other, blob=FailingBlob()), path)
+    assert path.read_bytes() == saved
+    assert [p.name for p in tmp_path.iterdir()] == ["kb.idx"]
+
+
+@pytest.mark.parametrize("answer_id", ["5", 5.0, True, 2**63])
+def test_build_index_rejects_answer_ids_that_are_not_int64(answer_id):
+    with pytest.raises(ConfigError, match="answer id"):
+        build_index([make_entry(answer_id, ["a"])])
 
 
 def test_retrieve_from_threads_sharing_one_index(tmp_path):
