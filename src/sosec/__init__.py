@@ -19,10 +19,10 @@ from .analysis import (
     run_analyzer,
 )
 from .evaluation import (
-    AnalysisMemo,
     CodeSample,
     EvalReport,
     SampleOutcome,
+    analyze_code,
     compute_metrics,
     load_samples,
     per_cwe_breakdown,
@@ -57,7 +57,6 @@ from .revision import (
 
 __all__ = [
     "AdapterConfig",
-    "AnalysisMemo",
     "CodeSample",
     "CweMap",
     "EvalReport",
@@ -70,6 +69,7 @@ __all__ = [
     "RetrievalIndex",
     "RevisionRecord",
     "SampleOutcome",
+    "analyze_code",
     "analyze_file",
     "build_index",
     "build_knowledge_base",

@@ -10,6 +10,7 @@ ill-defined.
 from __future__ import annotations
 
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -98,6 +99,19 @@ class CweMap:
         return self.entries.get((tool, rule_id))
 
 
+def _list_of(kind: type):
+    return lambda value: isinstance(value, list) and all(type(v) is kind for v in value)
+
+
+# adapters-config entry key -> (check, what the value must be)
+_ENTRY_CHECKS = {
+    "command": (_list_of(str), "a list of strings"),
+    "timeout": (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a positive number"),
+    "ok_returncodes": (_list_of(int), "a list of integers"),
+    "languages": (lambda v: v is None or _list_of(str)(v), "a list of strings or null"),
+}
+
+
 @dataclass
 class AdapterConfig:
     """How to invoke one analyzer and read its report."""
@@ -117,6 +131,12 @@ class AdapterConfig:
 
     @classmethod
     def from_dict(cls, name: str, obj: dict) -> "AdapterConfig":
+        """Read one adapters-config entry; a value of the wrong type raises ConfigError."""
+        if not isinstance(obj, dict):
+            raise ConfigError(f"adapter {name}: entry must be a JSON object, got {obj!r}")
+        for key, (ok, what) in _ENTRY_CHECKS.items():
+            if key in obj and not ok(obj[key]):
+                raise ConfigError(f"adapter {name}: {key} must be {what}, got {obj[key]!r}")
         try:
             return cls(
                 name=name,
@@ -138,9 +158,11 @@ def load_adapters(path: str | Path) -> dict[str, AdapterConfig]:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read adapters config {path}: {exc}") from exc
-    adapters = obj.get("adapters", obj)
+    adapters = obj.get("adapters") if isinstance(obj, dict) else None
     if not isinstance(adapters, dict) or not adapters:
-        raise ConfigError(f"adapters config {path} defines no adapters")
+        raise ConfigError(
+            f'adapters config {path} defines no adapters; expected {{"adapters": {{name: entry}}}}'
+        )
     return {name: AdapterConfig.from_dict(name, entry) for name, entry in adapters.items()}
 
 

@@ -322,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (SosecError, OSError) as exc:
+    except (SosecError, OSError, UnicodeDecodeError) as exc:
         print(f"sosec: error: {exc}", file=sys.stderr)
         return 2
 

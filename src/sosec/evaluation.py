@@ -7,14 +7,13 @@ samples; all percentages are reported at one decimal.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import tempfile
-import threading
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -120,18 +119,24 @@ def _validate_sample(obj: dict) -> CodeSample:
 
 
 def load_samples(path: str | Path) -> list[CodeSample]:
-    """Load a JSONL dataset, rejecting malformed lines with their numbers."""
+    """Load a JSONL dataset, rejecting malformed lines and repeated sample ids by line number."""
     samples = []
     problems = []
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                samples.append(_validate_sample(json.loads(line)))
-            except (json.JSONDecodeError, ValueError) as exc:
+                sample = _validate_sample(json.loads(line))
+            except ValueError as exc:
                 problems.append(f"line {line_no}: {exc}")
+                continue
+            seen = first_line.setdefault(sample.sample_id, line_no)
+            if seen != line_no:
+                problems.append(f"line {line_no}: sample_id {sample.sample_id!r} repeats line {seen}")
+            samples.append(sample)
     if problems:
         raise ConfigError(f"{path}: invalid dataset lines: " + "; ".join(problems))
     return samples
@@ -151,51 +156,22 @@ def load_supported_cwes(path: str | Path) -> set[str]:
     return supported
 
 
-class AnalysisMemo:
-    """Every adapter's findings per distinct piece of code, for one eval run.
+def analyze_code(
+    adapters: Sequence[AdapterConfig], cwe_map: CweMap, language: str, code: str
+) -> list[list[Finding]]:
+    """One findings list per adapter, in order; empty for an adapter that skips `language`.
 
-    Keyed by (language, sha256 of the code). The first caller for a key
-    writes the code to one scratch file and runs every adapter on it; callers
-    that ask while it runs wait for that result instead of starting more
-    subprocesses. An analyzer error is stored like a result, so every caller
-    sees the same outcome for the same code. Make a new memo for each run.
+    The code is written to one scratch file, in its own temporary directory,
+    and every adapter runs on that file. Raises SosecError if an analyzer fails.
     """
-
-    def __init__(self, adapters: Sequence[AdapterConfig], cwe_map: CweMap) -> None:
-        self._adapters = list(adapters)
-        self._cwe_map = cwe_map
-        self._lock = threading.Lock()
-        self._results: dict[tuple[str, str], Future] = {}
-
-    def findings(self, language: str, code: str) -> list[list[Finding]]:
-        """One findings list per adapter, in order; empty for an adapter that skips `language`."""
-        key = (language, hashlib.sha256(code.encode("utf-8")).hexdigest())
-        with self._lock:
-            future = self._results.get(key)
-            owner = future is None
-            if owner:
-                future = self._results[key] = Future()
-        if not owner:
-            return future.result()
-        try:
-            findings = self._analyze(language, code)
-        except BaseException as exc:
-            future.set_exception(exc)  # waiters re-raise it; none is left blocked
-            raise
-        future.set_result(findings)
-        return findings
-
-    def _analyze(self, language: str, code: str) -> list[list[Finding]]:
-        suffix = _SUFFIX_BY_LANGUAGE.get(language, ".txt")
-        with tempfile.TemporaryDirectory(prefix="sosec-") as workdir:
-            source = Path(workdir) / f"sample{suffix}"
-            source.write_text(code, encoding="utf-8")
-            return [
-                analyze_file(adapter, self._cwe_map, source)
-                if adapter.supports_language(language)
-                else []
-                for adapter in self._adapters
-            ]
+    suffix = _SUFFIX_BY_LANGUAGE.get(language, ".txt")
+    with tempfile.TemporaryDirectory(prefix="sosec-") as workdir:
+        source = Path(workdir) / f"sample{suffix}"
+        source.write_text(code, encoding="utf-8")
+        return [
+            analyze_file(adapter, cwe_map, source) if adapter.supports_language(language) else []
+            for adapter in adapters
+        ]
 
 
 def _cwe_label_note(sample: CodeSample) -> str:
@@ -216,6 +192,31 @@ def validate_arms(arms: Sequence[str], has_index: bool) -> None:
         raise ConfigError("sosecure arm requires a retrieval index")
 
 
+def _findings_or_none(
+    adapters: Sequence[AdapterConfig], cwe_map: CweMap, key: tuple[str, str]
+) -> list[list[Finding]] | None:
+    """`analyze_code` on a (language, code) key; None if an analyzer fails."""
+    try:
+        return analyze_code(adapters, cwe_map, *key)
+    except SosecError:
+        return None
+
+
+def _revise_for_arm(provider, index, k: int, budget: int, arm: str, sample: CodeSample):
+    """The arm's RevisionRecord for `sample`, or the tally reason it could not be revised."""
+    hits, note = [], None
+    if arm == ARM_SOSECURE:
+        hits = retrieve(index, sample.code, k=k)
+    elif arm == ARM_CWE_LABEL:
+        note = _cwe_label_note(sample)
+    try:
+        return revise(provider, sample.code, hits, sample_id=sample.sample_id, budget=budget, note=note)
+    except ProviderError:
+        return "provider_errors"
+    except PromptBudgetError:
+        return "prompt_budget_errors"
+
+
 def run_arms(
     samples: Sequence[CodeSample],
     arms: Sequence[str],
@@ -230,20 +231,24 @@ def run_arms(
     workers: int = 1,
     tally: Counter | None = None,
 ) -> list[SampleOutcome]:
-    """Filter the samples and run the experimental arms, in one pass per sample.
+    """Filter the samples and run the experimental arms, phase by phase.
 
-    Each sample's original code is analyzed with every adapter. The sample
-    is dropped and tallied as `not_dual_flagged` unless every adapter flags
-    it, or as `analyzer_errors` if an analyzer fails; it is dropped
+    First every distinct original code is analyzed with every adapter. A
+    sample is dropped and tallied as `not_dual_flagged` unless every adapter
+    flags it, or as `analyzer_errors` if an analyzer fails; it is dropped
     untallied if none of its CWEs is in `supported_cwes`, and metrics see
-    only those classes. Then every arm runs: prompt_only reuses the before
-    findings unchanged; the other arms revise (with retrieved context only
-    under sosecure) and re-analyze the revised code with the same adapters.
-    A sample on which any arm fails (the provider, the prompt budget or an
-    analyzer) is dropped from every arm and tallied once, under the reason
-    of the first arm that failed, so all arms are compared on the same
-    samples. Samples run on a pool of `workers` threads; outcomes come arm
-    by arm, each ordered by sample_id.
+    only those classes. Then the arms run in order: prompt_only reuses the
+    before findings unchanged; each other arm revises every sample still in
+    the run (with retrieved context only under sosecure), then analyzes the
+    revised codes not analyzed yet. A sample on which an arm fails (the
+    provider, the prompt budget or an analyzer) is dropped from every arm,
+    is not sent to later arms, and is tallied once, in sample order, under
+    that arm's reason; so all arms are compared on the same samples.
+
+    Analysis and revision run on a pool of `workers` threads. Only the
+    calling thread reads or writes the results, so each distinct
+    (language, code) is analyzed once per call. Outcomes come arm by arm,
+    each ordered by sample_id.
     """
     validate_arms(arms, index is not None)
     if not supported_cwes:
@@ -257,79 +262,64 @@ def run_arms(
             )
     if tally is None:
         tally = Counter()
-    memo = AnalysisMemo(adapters, cwe_map)
+    # keyed by (language, code); None where an analyzer failed
+    results: dict[tuple[str, str], list[list[Finding]] | None] = {}
+    before: dict[int, set[str]] = {}  # sample position -> supported CWEs, for filtered-in samples
+    dropped: dict[int, str] = {}  # sample position -> reason of the first failure
+    by_arm: dict[str, list[tuple[int, SampleOutcome]]] = {arm: [] for arm in arms}
 
     def supported(per_adapter: list[list[Finding]]) -> set[str]:
         return cwe_set(f for findings in per_adapter for f in findings) & supported_cwes
 
-    def evaluate(sample: CodeSample, before: set[str], arm: str) -> SampleOutcome | str:
-        if arm == ARM_PROMPT_ONLY:
-            after = set(before)
-            unchanged = True
-        else:
-            if arm == ARM_SOSECURE:
-                hits = retrieve(index, sample.code, k=k)
-                note = None
-            elif arm == ARM_CWE_LABEL:
-                hits = []
-                note = _cwe_label_note(sample)
-            else:
-                hits = []
-                note = None
-            try:
-                record = revise(
-                    provider, sample.code, hits, sample_id=sample.sample_id, budget=budget, note=note
-                )
-            except ProviderError:
-                return "provider_errors"
-            except PromptBudgetError:
-                return "prompt_budget_errors"
-            try:
-                after = supported(memo.findings(sample.language, record.revised_code))
-            except SosecError:
-                return "analyzer_errors"
-            unchanged = not record.changed
-        return SampleOutcome(
-            sample_id=sample.sample_id,
-            arm=arm,
-            before_cwes=before,
-            after_cwes=after,
-            unchanged=unchanged,
-        )
+    with ThreadPoolExecutor(max_workers=workers) as pool:
 
-    def evaluate_all(sample: CodeSample) -> list[SampleOutcome] | str:
-        try:
-            per_adapter = memo.findings(sample.language, sample.code)
-        except SosecError:
-            return "analyzer_errors"
-        if not all(per_adapter):
-            return "not_dual_flagged"
-        before = supported(per_adapter)
-        if not before:
-            return []  # outside the supported CWE set: dropped, not tallied
-        outcomes = []
+        def analyze(keys: list[tuple[str, str]]) -> None:
+            new = [key for key in dict.fromkeys(keys) if key not in results]
+            results.update(zip(new, pool.map(partial(_findings_or_none, adapters, cwe_map), new)))
+
+        analyze([(sample.language, sample.code) for sample in samples])
+        for i, sample in enumerate(samples):
+            per_adapter = results[(sample.language, sample.code)]
+            if per_adapter is None:
+                dropped[i] = "analyzer_errors"
+            elif not all(per_adapter):
+                dropped[i] = "not_dual_flagged"
+            elif cwes := supported(per_adapter):
+                before[i] = cwes
+            # else outside the supported CWE set: dropped, not tallied
+
         for arm in arms:
-            outcome = evaluate(sample, before, arm)
-            if isinstance(outcome, str):
-                return outcome  # the sample is dropped from every arm; skip the rest
-            outcomes.append(outcome)
-        return outcomes
+            live = [i for i in before if i not in dropped]
+            if arm == ARM_PROMPT_ONLY:
+                for i in live:
+                    outcome = SampleOutcome(samples[i].sample_id, arm, before[i], set(before[i]), True)
+                    by_arm[arm].append((i, outcome))
+                continue
+            revise_arm = partial(_revise_for_arm, provider, index, k, budget, arm)
+            records = list(zip(live, pool.map(revise_arm, [samples[i] for i in live])))
+            analyze([(samples[i].language, r.revised_code) for i, r in records if not isinstance(r, str)])
+            for i, record in records:
+                if isinstance(record, str):
+                    dropped[i] = record
+                    continue
+                per_adapter = results[(samples[i].language, record.revised_code)]
+                if per_adapter is None:
+                    dropped[i] = "analyzer_errors"
+                    continue
+                outcome = SampleOutcome(
+                    samples[i].sample_id, arm, before[i], supported(per_adapter), not record.changed
+                )
+                by_arm[arm].append((i, outcome))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate_all, samples))
-    else:
-        results = [evaluate_all(sample) for sample in samples]
-
-    by_arm: dict[str, list[SampleOutcome]] = {arm: [] for arm in arms}
-    # tally updates happen here, on one thread, so counters stay mergeable
-    for result in results:
-        if isinstance(result, str):
-            tally[result] += 1
-            continue
-        for outcome in result:
-            by_arm[outcome.arm].append(outcome)
-    return [o for arm in by_arm for o in sorted(by_arm[arm], key=lambda o: o.sample_id)]
+    for i in sorted(dropped):
+        tally[dropped[i]] += 1
+    return [
+        outcome
+        for arm in arms
+        for outcome in sorted(
+            (o for i, o in by_arm[arm] if i not in dropped), key=lambda o: o.sample_id
+        )
+    ]
 
 
 def round_rate(value: float) -> float:
@@ -356,10 +346,6 @@ class ArmMetrics:
             "delta_fix_vs_baseline": self.delta_fix_vs_baseline,
         }
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "ArmMetrics":
-        return cls(**obj)
-
 
 @dataclass
 class EvalReport:
@@ -375,15 +361,6 @@ class EvalReport:
             "counts": self.counts,
             "footnotes": list(self.footnotes),
         }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EvalReport":
-        return cls(
-            per_arm={arm: ArmMetrics.from_dict(m) for arm, m in obj["per_arm"].items()},
-            per_cwe={cwe: dict(stat) for cwe, stat in obj["per_cwe"].items()},
-            counts=dict(obj["counts"]),
-            footnotes=list(obj["footnotes"]),
-        )
 
 
 def per_cwe_breakdown(outcomes: Sequence[SampleOutcome]) -> dict[str, dict[str, int]]:

@@ -139,11 +139,6 @@ class RetrievalIndex:
             where = getattr(self.blob, "path", "the index")
             raise ConfigError(f"{where} has a corrupt entry line for document {doc_id}: {exc}") from exc
 
-    @property
-    def entries(self) -> list[KnowledgeEntry]:
-        """Every entry, decoded. For tests and library callers: queries decode only their hits."""
-        return [self.entry(doc_id) for doc_id in range(len(self.answer_ids))]
-
 
 @dataclass
 class RetrievalHit:

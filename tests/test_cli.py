@@ -320,6 +320,63 @@ def test_eval_with_missing_dataset_is_runtime_error(tmp_path, capsys):
     assert rc == 2
 
 
+def test_eval_with_repeated_sample_id_is_runtime_error(tmp_path, fixtures_dir, capsys):
+    lines = (fixtures_dir / "dataset_10.jsonl").read_text(encoding="utf-8").splitlines()[:3]
+    lines[2] = json.dumps({**json.loads(lines[2]), "sample_id": json.loads(lines[0])["sample_id"]})
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert main(["eval", "--dataset", str(dataset), "--arm", "prompt_only"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sosec: error:")
+    assert "line 3: sample_id 's001' repeats line 1" in err
+
+
+_ADAPTER_ENTRY = {"command": [sys.executable, "-c", "pass", "{file}"], "format": "sarif"}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([1], "defines no adapters"),
+        ({"bandit": _ADAPTER_ENTRY}, "defines no adapters"),  # no bare-object form
+        ({"adapters": {"bandit": "nope"}}, "adapter bandit: entry must be a JSON object"),
+        ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "timeout": "soon"}}},
+         "adapter bandit: timeout must be a positive number, got 'soon'"),
+        ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "ok_returncodes": 0}}},
+         "adapter bandit: ok_returncodes must be a list of integers, got 0"),
+        ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "command": "echo {file}"}}},
+         "adapter bandit: command must be a list of strings"),
+        ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "languages": "python"}}},
+         "adapter bandit: languages must be a list of strings or null"),
+    ],
+    ids=["list", "bare-object", "entry", "timeout", "ok_returncodes", "command", "languages"],
+)
+def test_malformed_adapters_config_is_runtime_error(tmp_path, capsys, config, message):
+    adapters = tmp_path / "adapters.json"
+    adapters.write_text(json.dumps(config), encoding="utf-8")
+    source = tmp_path / "app.py"
+    source.write_text(SHELL_CODE, encoding="utf-8")
+    assert main(["analyze", "--file", str(source), "--adapter", "bandit", "--adapters", str(adapters)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sosec: error:") and message in err
+
+
+@pytest.mark.parametrize("flag", ["--dataset", "--keywords", "--supported-cwes"])
+def test_non_utf8_input_file_is_runtime_error(tmp_path, fixtures_dir, capsys, flag):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("CWE-78 caf\u00e9\n".encode("latin-1"))
+    eval_argv = ["eval", "--arm", "prompt_only"]
+    argv = {
+        "--dataset": eval_argv,
+        "--keywords": ["build-kb", "--posts", str(fixtures_dir / "posts_20.xml"),
+                       "--comments", str(fixtures_dir / "comments_20.xml"), "--out", str(tmp_path / "kb.jsonl")],
+        "--supported-cwes": eval_argv + ["--dataset", str(fixtures_dir / "dataset_10.jsonl")],
+    }[flag]
+    assert main(argv + [flag, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sosec: error:") and "can't decode" in err
+
+
 def test_eval_with_empty_arm_list_is_usage_error(tmp_path, fixtures_dir, capsys):
     rc = main(["eval", "--dataset", str(fixtures_dir / "dataset_10.jsonl"), "--arm", ","])
     assert rc == 1

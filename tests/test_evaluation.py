@@ -15,9 +15,9 @@ from conftest import FIXTURES, logged_adapter_specs, make_entry, stub_adapter_sp
 from sosec.analysis import AdapterConfig, CweMap, FindingDiff
 from sosec.cli import main
 from sosec.config import default_data_path
-from sosec.errors import AdapterError, ConfigError
+from sosec.errors import ConfigError, ProviderError
 from sosec.evaluation import (
-    AnalysisMemo,
+    ARMS,
     CodeSample,
     SampleOutcome,
     compute_metrics,
@@ -360,42 +360,88 @@ def test_package_exports_resolve():
     assert [name for name in sosec.__all__ if not hasattr(sosec, name)] == []
 
 
-def test_memo_starts_one_subprocess_for_concurrent_requests(tmp_path, cwe_map):
+def test_run_arms_starts_one_subprocess_per_adapter_for_concurrent_duplicates(tmp_path, cwe_map):
     log = tmp_path / "calls.log"
-    adapter = AdapterConfig.from_dict("bandit", logged_adapter_specs(log, delay=0.3)["bandit"])
-    memo = AnalysisMemo([adapter], cwe_map)
-    threads_n = 8
-    barrier = threading.Barrier(threads_n)
-    results = []
-
-    def ask():
-        barrier.wait(timeout=10)
-        results.append(memo.findings("python", SHELL_CODE))
-
+    specs = logged_adapter_specs(log, delay=0.3)
+    adapters = [AdapterConfig.from_dict(name, spec) for name, spec in specs.items()]
+    samples = [_sample(f"s{i}", SHELL_CODE) for i in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=ask) for _ in range(threads_n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
+        outcomes = run_arms(
+            samples, ["prompt_only"], None, adapters=adapters, cwe_map=cwe_map,
+            supported_cwes={"CWE-78"}, workers=8,
+        )
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert len(results) == threads_n
-    assert all(r == results[0] for r in results) and results[0][0]
-    assert len(_log_lines(log)) == 1
+    assert [o.sample_id for o in outcomes] == [s.sample_id for s in samples]
+    assert all(o.before_cwes == {"CWE-78"} for o in outcomes)
+    assert sorted(line.split()[0] for line in _log_lines(log)) == ["bandit", "codeql"]
 
 
-def test_memo_stores_analyzer_errors(tmp_path, cwe_map):
+def test_run_arms_analyzes_a_shared_failing_code_once(tmp_path, cwe_map):
     log = tmp_path / "calls.log"
     adapter = AdapterConfig.from_dict("bandit", logged_adapter_specs(log, fail_on="shell")["bandit"])
-    memo = AnalysisMemo([adapter], cwe_map)
-    for _ in range(2):
-        with pytest.raises(AdapterError):
-            memo.findings("python", SHELL_CODE)
+    tally = Counter()
+    outcomes = run_arms(
+        [_sample("a", SHELL_CODE), _sample("b", SHELL_CODE)], ["prompt_only"], None,
+        adapters=[adapter], cwe_map=cwe_map, supported_cwes={"CWE-78"}, tally=tally,
+    )
+    assert outcomes == []
+    assert tally == {"analyzer_errors": 2}
     assert len(_log_lines(log)) == 1
+
+
+class _CountingProvider(DeterministicMockProvider):
+    """The fixing mock; counts prompts that contain `marker` and fails them if `fail` is set."""
+
+    def __init__(self, marker: str, fail: bool = False):
+        super().__init__()
+        self.marker, self.fail, self.prompts = marker, fail, 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt):
+        if self.marker in prompt:
+            with self._lock:
+                self.prompts += 1
+            if self.fail:
+                raise ProviderError("refused")
+        return super().complete(prompt)
+
+
+def test_sample_that_fails_an_arm_is_not_sent_to_later_arms(tmp_path, cwe_map):
+    log = tmp_path / "calls.log"
+    specs = logged_adapter_specs(log, fail_on="shlex")
+    adapters = [AdapterConfig.from_dict(name, spec) for name, spec in specs.items()]
+    # the fixing mock adds `import shlex` to the shell sample only
+    samples = [
+        _sample("shell", SHELL_CODE, labeled_cwe="CWE-78"),
+        _sample("pickle", PICKLE_CODE, labeled_cwe="CWE-502"),
+    ]
+    provider = _CountingProvider("subprocess.call")
+    tally = Counter()
+    outcomes = run_arms(
+        samples, list(ARMS), provider, index=_stub_index(), adapters=adapters, cwe_map=cwe_map,
+        supported_cwes={"CWE-78", "CWE-502"}, workers=2, tally=tally,
+    )
+    assert provider.prompts == 1
+    assert tally == {"analyzer_errors": 1}
+    assert [(o.arm, o.sample_id) for o in outcomes] == [(arm, "pickle") for arm in ARMS]
+
+
+def test_tally_follows_sample_order(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
+    samples = [
+        _sample("a", SHELL_CODE.replace("run(cmd)", "refused(cmd)")),
+        _sample("b", "import tempfile\npath = tempfile.mktemp()\n"),
+        _sample("c", SHELL_CODE),
+    ]
+    tally = Counter()
+    outcomes = run_arms(
+        samples, ["revision_only"], _CountingProvider("refused(cmd)", fail=True),
+        **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map, tally=tally),
+    )
+    assert [o.sample_id for o in outcomes] == ["c"]
+    assert list(tally.items()) == [("provider_errors", 1), ("not_dual_flagged", 1)]
 
 
 def test_eval_adapter_error_excludes_the_sample_from_every_arm(tmp_path, capsys):
@@ -538,15 +584,6 @@ def test_per_cwe_breakdown():
         "CWE-78": {"total": 2, "fixed": 1},
         "CWE-89": {"total": 1, "fixed": 1},
     }
-
-
-def test_report_json_round_trip():
-    from sosec.evaluation import EvalReport
-
-    outcomes = _count_outcomes("prompt_only", 8, 2) + _count_outcomes("sosecure", 8, 7)
-    report = compute_metrics(outcomes, baseline_arm="prompt_only")
-    recovered = EvalReport.from_dict(json.loads(json.dumps(report.to_dict())))
-    assert recovered == report
 
 
 def test_report_is_deterministic_and_renders():
