@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
-from .errors import AdapterError, ConfigError, SosecError, ToolMissingError
+from .errors import AdapterError, ConfigError, SosecError, ToolMissingError, open_text
 
 CWE_RE = re.compile(r"^CWE-[0-9]+$")
 
@@ -80,7 +80,8 @@ class CweMap:
     @classmethod
     def from_file(cls, path: str | Path) -> "CweMap":
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+            with open_text(path) as fh:
+                obj = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read CWE map {path}: {exc}") from exc
         if not isinstance(obj, dict):
@@ -108,8 +109,12 @@ _ENTRY_CHECKS = {
     "command": (_list_of(str), "a list of strings"),
     "timeout": (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a positive number"),
     "ok_returncodes": (_list_of(int), "a list of integers"),
-    "languages": (lambda v: v is None or _list_of(str)(v), "a list of strings or null"),
+    "languages": (
+        lambda v: v is None or (_list_of(str)(v) and len(v) > 0),
+        "a list of strings or null (not an empty list)",
+    ),
 }
+_ENTRY_KEYS = {"format", *_ENTRY_CHECKS}
 
 
 @dataclass
@@ -131,9 +136,12 @@ class AdapterConfig:
 
     @classmethod
     def from_dict(cls, name: str, obj: dict) -> "AdapterConfig":
-        """Read one adapters-config entry; a value of the wrong type raises ConfigError."""
+        """Read one adapters-config entry; an unknown key or a value of the wrong type raises ConfigError."""
         if not isinstance(obj, dict):
             raise ConfigError(f"adapter {name}: entry must be a JSON object, got {obj!r}")
+        for key in obj:
+            if key not in _ENTRY_KEYS:
+                raise ConfigError(f"adapter {name}: unknown key {key!r}")
         for key, (ok, what) in _ENTRY_CHECKS.items():
             if key in obj and not ok(obj[key]):
                 raise ConfigError(f"adapter {name}: {key} must be {what}, got {obj[key]!r}")
@@ -155,7 +163,8 @@ class AdapterConfig:
 
 def load_adapters(path: str | Path) -> dict[str, AdapterConfig]:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open_text(path) as fh:
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read adapters config {path}: {exc}") from exc
     adapters = obj.get("adapters") if isinstance(obj, dict) else None
@@ -234,6 +243,8 @@ def run_analyzer(adapter: AdapterConfig, source_file: str | Path) -> list[Findin
         )
     except subprocess.TimeoutExpired as exc:
         raise AdapterError(f"adapter {adapter.name} timed out after {adapter.timeout}s") from exc
+    except UnicodeDecodeError as exc:
+        raise AdapterError(f"adapter {adapter.name} wrote output that is not UTF-8: {exc}") from exc
     if proc.returncode not in adapter.ok_returncodes:
         raise AdapterError(
             f"adapter {adapter.name} exited with {proc.returncode}: {proc.stderr.strip()[:500]}"

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import CweMap, analyze_file, load_adapters
 from .config import GlobalConfig, load_config
-from .errors import SosecError
+from .errors import SosecError, open_text
 from .evaluation import (
     ARM_PROMPT_ONLY,
     compute_metrics,
@@ -202,7 +202,8 @@ def _hit_payload(hit) -> dict:
 
 def _cmd_retrieve(args, config: GlobalConfig) -> int:
     index = load_index(args.index)
-    code = Path(args.code).read_text(encoding="utf-8")
+    with open_text(args.code) as fh:
+        code = fh.read()
     hits = retrieve(index, code, k=config.k)
     text = "\n".join(
         f"{h.rank:>2}. score={h.score:.4f}  {h.entry.url}" for h in hits
@@ -213,7 +214,8 @@ def _cmd_retrieve(args, config: GlobalConfig) -> int:
 
 def _cmd_revise(args, config: GlobalConfig) -> int:
     index = load_index(args.index)
-    code = Path(args.code).read_text(encoding="utf-8")
+    with open_text(args.code) as fh:
+        code = fh.read()
     hits = retrieve(index, code, k=config.k)
     provider = make_provider(config.provider)
     record = revise(
@@ -322,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (SosecError, OSError, UnicodeDecodeError) as exc:
+    except (SosecError, OSError) as exc:
         print(f"sosec: error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, open_text
 from .revision import PROVIDER_MOCK, ProviderConfig
 
 MIN_BUDGET = 1000
@@ -73,7 +73,8 @@ def load_config(path: str | Path | None = None) -> GlobalConfig:
     if path is None:
         return config
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open_text(path) as fh:
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(obj, dict):

@@ -1,6 +1,10 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline, and the one way text inputs are opened."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from pathlib import Path
+from typing import IO, Iterator
 
 
 class SosecError(Exception):
@@ -49,3 +53,13 @@ class ToolMissingError(SosecError):
 
 class AdapterError(SosecError):
     """An external analyzer ran but failed or produced unparseable output."""
+
+
+@contextmanager
+def open_text(path: str | Path) -> Iterator[IO[str]]:
+    """Open a UTF-8 text input; bytes that are not UTF-8 raise ConfigError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc

@@ -27,7 +27,7 @@ from .analysis import (
     cwe_set,
     diff_cwe_sets,
 )
-from .errors import ConfigError, PromptBudgetError, ProviderError, SosecError
+from .errors import ConfigError, PromptBudgetError, ProviderError, SosecError, open_text
 from .retrieval import RetrievalIndex, retrieve
 from .revision import DEFAULT_CHAR_BUDGET, revise
 
@@ -123,7 +123,7 @@ def load_samples(path: str | Path) -> list[CodeSample]:
     samples = []
     problems = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -144,7 +144,9 @@ def load_samples(path: str | Path) -> list[CodeSample]:
 
 def load_supported_cwes(path: str | Path) -> set[str]:
     supported = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    with open_text(path) as fh:
+        lines = fh.read().splitlines()
+    for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue

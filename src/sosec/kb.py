@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 from xml.parsers import expat
 
-from .errors import ConfigError, DumpParseError
+from .errors import ConfigError, DumpParseError, open_text
 
 POST_TYPE_QUESTION = "question"
 POST_TYPE_ANSWER = "answer"
@@ -102,7 +102,8 @@ class KeywordSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "KeywordSet":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with open_text(path) as fh:
+            lines = fh.read().splitlines()
         keywords = cls.from_iterable(line for line in lines if not line.strip().startswith("#"))
         if not keywords.keywords:
             raise ConfigError(f"keyword file {path} contains no phrases")
@@ -361,7 +362,7 @@ def write_kb_jsonl(entries: Iterable[KnowledgeEntry], path: str | Path) -> None:
 
 def load_kb_jsonl(path: str | Path) -> list[KnowledgeEntry]:
     entries = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

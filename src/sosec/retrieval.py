@@ -225,14 +225,24 @@ def retrieve(index: RetrievalIndex, code: str, k: int = DEFAULT_TOP_K) -> list[R
 
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = np.zeros(len(index.answer_ids))
     offsets = index.offsets
+    docs, impacts = [], []
     for term in dict.fromkeys(tokenize_code(code)):
         slot = index.terms.get(term)
         if slot is not None:
             lo, hi = offsets[slot], offsets[slot + 1]
-            # doc ids are unique within a term, so no posting is dropped
-            scores[index.doc_ids[lo:hi]] += index.impacts[lo:hi]
+            docs.append(index.doc_ids[lo:hi])
+            impacts.append(index.impacts[lo:hi])
+    if not docs:
+        return []
+    # bincount adds the weights in array order, so each document's score is
+    # the same IEEE sum, in query-term order, as one scatter-add per term.
+    # intp doc ids spare bincount a cast of its own.
+    scores = np.bincount(
+        np.concatenate(docs, dtype=np.intp),
+        weights=np.concatenate(impacts),
+        minlength=len(index.answer_ids),
+    )
 
     hit_docs = np.flatnonzero(scores > 0.0)
     if len(hit_docs) > k:

@@ -17,9 +17,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
     ConfigError,
@@ -27,8 +25,12 @@ from .errors import (
     ProviderError,
     TranscriptMissError,
     TransientProviderError,
+    open_text,
 )
 from .retrieval import RetrievalHit
+
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_CHAR_BUDGET = 8000
 ANSWER_EXCERPT_CAP = 1500
@@ -232,7 +234,9 @@ class RecordedTranscriptProvider:
         if not path.is_file():
             raise ConfigError(f"transcript file not found: {path}")
         self._responses: dict[str, str] = {}
-        for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        with open_text(path) as fh:
+            lines = fh.read().splitlines()
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
@@ -263,10 +267,16 @@ class LiveHttpProvider:
         api_key = os.environ.get(API_KEY_ENV, "")
         if not api_key:
             raise ConfigError(f"live provider requires the {API_KEY_ENV} environment variable")
+        # requests is imported here, not at module level: `import sosec.cli`
+        # loads this module, and requests would add about 0.1 s to every CLI
+        # start, also when no live provider is made.
+        import requests
+
         self.config = config
         self.max_retries = config.max_retries
         self.retry_base_delay = config.retry_base_delay
         self._session = session or requests.Session()
+        self._transient = (requests.ConnectionError, requests.Timeout)
         self._headers = {"Authorization": f"Bearer {api_key}"}
         self._slots = threading.BoundedSemaphore(config.max_in_flight)
         self._pace_lock = threading.Lock()
@@ -293,7 +303,7 @@ class LiveHttpProvider:
                 response = self._session.post(
                     self.config.endpoint, json=payload, headers=self._headers, timeout=120
                 )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+            except self._transient as exc:
                 raise TransientProviderError(str(exc)) from exc
         if response.status_code in (429,) or response.status_code >= 500:
             raise TransientProviderError(f"HTTP {response.status_code}")

@@ -216,6 +216,18 @@ def test_run_analyzer_unparseable_output(tmp_path):
         run_analyzer(adapter, source)
 
 
+def test_run_analyzer_output_that_is_not_utf8(tmp_path):
+    # an AdapterError costs one sample in eval; a bare UnicodeDecodeError would end the run
+    adapter = AdapterConfig(
+        name="latin1",
+        command=[sys.executable, "-c", "import sys; sys.stdout.buffer.write(b'{\"results\": []}\\xe9')"],
+        format="bandit_json",
+    )
+    source = _write_source(tmp_path, "x = 1\n")
+    with pytest.raises(AdapterError, match="adapter latin1 wrote output that is not UTF-8"):
+        run_analyzer(adapter, source)
+
+
 def test_analyze_file_normalizes(tmp_path, fake_codeql_adapter, cwe_map):
     source = _write_source(tmp_path, "obj = pickle.loads(blob)\n")
     findings = analyze_file(fake_codeql_adapter, cwe_map, source)

@@ -348,8 +348,12 @@ _ADAPTER_ENTRY = {"command": [sys.executable, "-c", "pass", "{file}"], "format":
          "adapter bandit: command must be a list of strings"),
         ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "languages": "python"}}},
          "adapter bandit: languages must be a list of strings or null"),
+        ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "timout": 0.001}}}, "adapter bandit: unknown key 'timout'"),
+        ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "languages": []}}},
+         "adapter bandit: languages must be a list of strings or null (not an empty list), got []"),
     ],
-    ids=["list", "bare-object", "entry", "timeout", "ok_returncodes", "command", "languages"],
+    ids=["list", "bare-object", "entry", "timeout", "ok_returncodes", "command", "languages",
+         "unknown-key", "empty-languages"],
 )
 def test_malformed_adapters_config_is_runtime_error(tmp_path, capsys, config, message):
     adapters = tmp_path / "adapters.json"
@@ -375,6 +379,7 @@ def test_non_utf8_input_file_is_runtime_error(tmp_path, fixtures_dir, capsys, fl
     assert main(argv + [flag, str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sosec: error:") and "can't decode" in err
+    assert f"{bad} is not UTF-8 text" in err
 
 
 def test_eval_with_empty_arm_list_is_usage_error(tmp_path, fixtures_dir, capsys):

@@ -406,9 +406,12 @@ def test_retrieve_from_threads_sharing_one_index(tmp_path):
 
 def test_cli_import_leaves_numpy_unloaded():
     src = Path(__file__).resolve().parent.parent / "src"
-    probe = f"import sys; sys.path.insert(0, {str(src)!r}); import sosec.cli; print('numpy' in sys.modules)"
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import sosec.cli; "
+        "print('numpy' in sys.modules, 'requests' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_retrieve_scores_equal_the_per_posting_sum_exactly():
@@ -431,3 +434,25 @@ def test_retrieve_scores_equal_the_per_posting_sum_exactly():
                 scores[i] = scores.get(i, 0.0) + idf * (tf * (k1 + 1.0) / (tf + norm))
         got = {h.entry.answer_id: h.score for h in retrieve(index, " ".join(query), k=n)}
         assert got == scores
+
+
+def test_retrieve_with_no_indexed_token_returns_no_hits():
+    index = build_index([make_entry(1, ["os.system(cmd)"]), make_entry(2, ["pickle.loads(data)"])])
+    assert retrieve(index, "unrelated_name + another_one") == []
+    assert retrieve(index, "") == []
+
+
+def test_loaded_index_scores_equal_the_built_index_bit_for_bit(tmp_path):
+    # the corpus and the 20 queries of the exact-sum test above
+    rng = random.Random(99)
+    vocab = [f"tok{i}" for i in range(30)]
+    docs = [[rng.choice(vocab) for _ in range(rng.randint(1, 25))] for _ in range(40)]
+    built = build_index([make_entry(i, [" ".join(doc)]) for i, doc in enumerate(docs)])
+    save_index(built, tmp_path / "kb.idx")
+    loaded = load_index(tmp_path / "kb.idx")
+    assert loaded.doc_ids.dtype == np.int32
+    for _ in range(20):
+        query = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
+        want = [(h.entry.answer_id, h.score.hex(), h.rank) for h in retrieve(built, query, k=len(docs))]
+        got = [(h.entry.answer_id, h.score.hex(), h.rank) for h in retrieve(loaded, query, k=len(docs))]
+        assert want and got == want
