@@ -12,7 +12,6 @@ from .analysis import (
     AdapterConfig,
     CweMap,
     Finding,
-    FindingDiff,
     analyze_file,
     parse_bandit_json,
     parse_sarif,
@@ -21,7 +20,7 @@ from .analysis import (
 from .evaluation import (
     CodeSample,
     EvalReport,
-    SampleOutcome,
+    Trial,
     analyze_code,
     compute_metrics,
     load_samples,
@@ -61,14 +60,13 @@ __all__ = [
     "CweMap",
     "EvalReport",
     "Finding",
-    "FindingDiff",
     "KeywordSet",
     "KnowledgeEntry",
     "ProviderConfig",
     "RetrievalHit",
     "RetrievalIndex",
     "RevisionRecord",
-    "SampleOutcome",
+    "Trial",
     "analyze_code",
     "analyze_file",
     "build_index",

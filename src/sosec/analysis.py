@@ -1,10 +1,8 @@
-"""Static-analyzer adapters, finding normalization, and before/after diffs.
+"""Static-analyzer adapters and finding normalization.
 
 Analyzers run as external subprocesses; this module only parses their
 machine-readable output (SARIF 2.1.0 or a Bandit-style JSON report) and
-maps tool rules to CWE classes. Diffs are computed over the set of distinct
-CWEs per file, since line-level matching across a rewritten file is
-ill-defined.
+maps tool rules to CWE classes.
 """
 
 from __future__ import annotations
@@ -59,13 +57,6 @@ class Finding:
             "file": self.file,
             "line": self.line,
         }
-
-
-@dataclass
-class FindingDiff:
-    fixed: set[str]
-    persisted: set[str]
-    introduced: set[str]
 
 
 class CweMap:
@@ -175,55 +166,72 @@ def load_adapters(path: str | Path) -> dict[str, AdapterConfig]:
     return {name: AdapterConfig.from_dict(name, entry) for name, entry in adapters.items()}
 
 
-def parse_sarif(text: str, tool: str) -> list[Finding]:
-    """Parse a SARIF 2.1.0 log into findings with no CWE yet."""
-    try:
-        obj = json.loads(text)
-        runs = obj["runs"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise AdapterError(f"not a SARIF log: {exc}") from exc
+def _field(obj, key: str, kind: type, default):
+    """`obj[key]`, or `default` if absent; TypeError unless `obj` is an object and the value a `kind`."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"expected an object, got {type(obj).__name__}")
+    value = obj.get(key, default)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {value!r:.80}")
+    return value
+
+
+def _sarif_finding(result, tool: str) -> Finding:
+    file, line = "", 1
+    locations = _field(result, "locations", list, [])
+    if locations:
+        physical = _field(locations[0], "physicalLocation", dict, {})
+        file = _field(_field(physical, "artifactLocation", dict, {}), "uri", str, "")
+        line = _field(_field(physical, "region", dict, {}), "startLine", int, 1)
+    return Finding(
+        tool=tool,
+        rule_id=_field(result, "ruleId", str, ""),
+        severity=_SARIF_LEVELS.get(_field(result, "level", str, ""), "unknown"),
+        message=_field(_field(result, "message", dict, {}), "text", str, ""),
+        file=file,
+        line=max(1, line),
+    )
+
+
+def _bandit_finding(result, tool: str) -> Finding:
+    return Finding(
+        tool=tool,
+        rule_id=_field(result, "test_id", str, ""),
+        severity=_BANDIT_SEVERITIES.get(_field(result, "issue_severity", str, ""), "unknown"),
+        message=_field(result, "issue_text", str, ""),
+        file=_field(result, "filename", str, ""),
+        line=max(1, _field(result, "line_number", int, 1)),
+    )
+
+
+def _findings(results: list, tool: str, finding) -> list[Finding]:
+    """`finding(result, tool)` per result; a result of the wrong shape raises AdapterError naming its index."""
     findings = []
-    for run in runs:
-        for result in run.get("results", []):
-            locations = result.get("locations", [])
-            file, line = "", 1
-            if locations:
-                physical = locations[0].get("physicalLocation", {})
-                file = physical.get("artifactLocation", {}).get("uri", "")
-                line = physical.get("region", {}).get("startLine", 1)
-            findings.append(
-                Finding(
-                    tool=tool,
-                    rule_id=result.get("ruleId", ""),
-                    severity=_SARIF_LEVELS.get(result.get("level", ""), "unknown"),
-                    message=result.get("message", {}).get("text", ""),
-                    file=file,
-                    line=max(1, int(line)),
-                )
-            )
+    for n, result in enumerate(results):
+        try:
+            findings.append(finding(result, tool))
+        except TypeError as exc:
+            raise AdapterError(f"{tool}: result {n} has the wrong shape: {exc}") from exc
     return findings
+
+
+def parse_sarif(text: str, tool: str) -> list[Finding]:
+    """Parse a SARIF 2.1.0 log into findings with no CWE yet; results are numbered across runs."""
+    try:
+        runs = _field(json.loads(text), "runs", list, None)
+        results = [result for run in runs for result in _field(run, "results", list, [])]
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise AdapterError(f"not a SARIF log: {exc}") from exc
+    return _findings(results, tool, _sarif_finding)
 
 
 def parse_bandit_json(text: str, tool: str) -> list[Finding]:
     """Parse a Bandit-style JSON report into findings with no CWE yet."""
     try:
-        obj = json.loads(text)
-        results = obj["results"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        results = _field(json.loads(text), "results", list, None)
+    except (json.JSONDecodeError, TypeError) as exc:
         raise AdapterError(f"not a JSON report: {exc}") from exc
-    findings = []
-    for result in results:
-        findings.append(
-            Finding(
-                tool=tool,
-                rule_id=result.get("test_id", ""),
-                severity=_BANDIT_SEVERITIES.get(result.get("issue_severity", ""), "unknown"),
-                message=result.get("issue_text", ""),
-                file=result.get("filename", ""),
-                line=max(1, int(result.get("line_number", 1))),
-            )
-        )
-    return findings
+    return _findings(results, tool, _bandit_finding)
 
 
 _PARSERS = {FORMAT_SARIF: parse_sarif, FORMAT_BANDIT_JSON: parse_bandit_json}
@@ -272,10 +280,3 @@ def cwe_set(findings: Iterable[Finding]) -> set[str]:
     """Distinct CWEs among findings; unmapped findings contribute nothing."""
     return {f.cwe for f in findings if f.cwe is not None}
 
-
-def diff_cwe_sets(before: set[str], after: set[str]) -> FindingDiff:
-    return FindingDiff(
-        fixed=before - after,
-        persisted=before & after,
-        introduced=after - before,
-    )

@@ -256,6 +256,8 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
         raise UsageError("--arm names no arms")
     # before any adapter runs: analysis is the costly part of eval
     validate_arms(arms, has_index=bool(args.index))
+    if args.baseline_arm and args.baseline_arm not in arms:
+        raise SosecError(f"--baseline-arm {args.baseline_arm!r} is not among --arm {','.join(arms)}")
 
     adapters = load_adapters(config.adapters_path)
     adapter_list = list(adapters.values())
@@ -269,8 +271,7 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
     # prompt_only makes no provider calls
     provider = make_provider(config.provider) if set(arms) - {ARM_PROMPT_ONLY} else None
 
-    tally = Counter()
-    outcomes = run_arms(
+    trials = run_arms(
         samples,
         arms,
         provider,
@@ -282,17 +283,10 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
         k=config.k,
         budget=config.budget,
         workers=config.workers,
-        tally=tally,
     )
 
     baseline = args.baseline_arm or (ARM_PROMPT_ONLY if ARM_PROMPT_ONLY in arms else None)
-    footnotes = []
-    tallied = {key: count for key, count in tally.items() if count}
-    if tallied:
-        footnotes.append(f"excluded/tallied during the run: {tallied}")
-    if not outcomes:
-        raise SosecError(f"no sample was evaluated in every arm; excluded/tallied: {tallied}")
-    report = compute_metrics(outcomes, baseline_arm=baseline, footnotes=footnotes)
+    report = compute_metrics(trials, baseline_arm=baseline)
 
     if args.out:
         Path(args.out).write_text(

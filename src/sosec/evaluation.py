@@ -17,16 +17,7 @@ from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import (
-    CWE_RE,
-    AdapterConfig,
-    CweMap,
-    Finding,
-    FindingDiff,
-    analyze_file,
-    cwe_set,
-    diff_cwe_sets,
-)
+from .analysis import CWE_RE, AdapterConfig, CweMap, Finding, analyze_file, cwe_set
 from .errors import ConfigError, PromptBudgetError, ProviderError, SosecError, open_text
 from .retrieval import RetrievalIndex, retrieve
 from .revision import DEFAULT_CHAR_BUDGET, revise
@@ -75,16 +66,30 @@ class CodeSample:
 
 
 @dataclass
-class SampleOutcome:
+class Trial:
+    """One sample in one arm, or the point where the sample left the run.
+
+    `arm` is None for the dual-tool filter, which runs before any arm.
+    `dropped` is the tally reason when the sample left the run here; its
+    after-state is then empty. CWE sets are compared as sets of distinct
+    classes, since line-level matching across a rewritten file is
+    ill-defined.
+    """
+
     sample_id: str
-    arm: str
+    arm: str | None
     before_cwes: set[str]
     after_cwes: set[str]
     unchanged: bool
+    dropped: str | None = None
 
     @property
-    def diff(self) -> FindingDiff:
-        return diff_cwe_sets(self.before_cwes, self.after_cwes)
+    def fixed(self) -> set[str]:
+        return self.before_cwes - self.after_cwes
+
+    @property
+    def introduced(self) -> set[str]:
+        return self.after_cwes - self.before_cwes
 
 
 def _validate_sample(obj: dict) -> CodeSample:
@@ -231,26 +236,26 @@ def run_arms(
     k: int = 5,
     budget: int = DEFAULT_CHAR_BUDGET,
     workers: int = 1,
-    tally: Counter | None = None,
-) -> list[SampleOutcome]:
+) -> list[Trial]:
     """Filter the samples and run the experimental arms, phase by phase.
 
     First every distinct original code is analyzed with every adapter. A
-    sample is dropped and tallied as `not_dual_flagged` unless every adapter
-    flags it, or as `analyzer_errors` if an analyzer fails; it is dropped
-    untallied if none of its CWEs is in `supported_cwes`, and metrics see
-    only those classes. Then the arms run in order: prompt_only reuses the
-    before findings unchanged; each other arm revises every sample still in
-    the run (with retrieved context only under sosecure), then analyzes the
-    revised codes not analyzed yet. A sample on which an arm fails (the
-    provider, the prompt budget or an analyzer) is dropped from every arm,
-    is not sent to later arms, and is tallied once, in sample order, under
-    that arm's reason; so all arms are compared on the same samples.
+    sample leaves the run at the filter (`arm` None) as `not_dual_flagged`
+    unless every adapter flags it, or as `analyzer_errors` if an analyzer
+    fails; it gets no trial at all if none of its CWEs is in
+    `supported_cwes`, and metrics see only those classes. Then the arms run
+    in order: prompt_only reuses the before findings unchanged; each other
+    arm revises every sample still in the run (with retrieved context only
+    under sosecure), then analyzes the revised codes not analyzed yet. A
+    sample on which an arm fails (the provider, the prompt budget or an
+    analyzer) leaves the run at that arm, under that arm's reason, and is
+    not sent to later arms.
 
     Analysis and revision run on a pool of `workers` threads. Only the
     calling thread reads or writes the results, so each distinct
-    (language, code) is analyzed once per call. Outcomes come arm by arm,
-    each ordered by sample_id.
+    (language, code) is analyzed once per call. Trials come in dataset
+    order, and each sample's trials in arm order; a sample that left the
+    run has exactly one trial with `dropped` set, its last.
     """
     validate_arms(arms, index is not None)
     if not supported_cwes:
@@ -262,16 +267,16 @@ def run_arms(
                 "cwe_label arm requires labeled_cwe on every sample; missing on: "
                 + ", ".join(sorted(unlabeled))
             )
-    if tally is None:
-        tally = Counter()
     # keyed by (language, code); None where an analyzer failed
     results: dict[tuple[str, str], list[list[Finding]] | None] = {}
-    before: dict[int, set[str]] = {}  # sample position -> supported CWEs, for filtered-in samples
-    dropped: dict[int, str] = {}  # sample position -> reason of the first failure
-    by_arm: dict[str, list[tuple[int, SampleOutcome]]] = {arm: [] for arm in arms}
+    before: dict[int, set[str]] = {}  # sample position -> supported CWEs, while in the run
+    trials: list[list[Trial]] = [[] for _ in samples]  # by sample position
 
     def supported(per_adapter: list[list[Finding]]) -> set[str]:
         return cwe_set(f for findings in per_adapter for f in findings) & supported_cwes
+
+    def drop(i: int, arm: str | None, reason: str) -> None:
+        trials[i].append(Trial(samples[i].sample_id, arm, before.pop(i, set()), set(), False, reason))
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
 
@@ -283,45 +288,39 @@ def run_arms(
         for i, sample in enumerate(samples):
             per_adapter = results[(sample.language, sample.code)]
             if per_adapter is None:
-                dropped[i] = "analyzer_errors"
+                drop(i, None, "analyzer_errors")
             elif not all(per_adapter):
-                dropped[i] = "not_dual_flagged"
+                drop(i, None, "not_dual_flagged")
             elif cwes := supported(per_adapter):
                 before[i] = cwes
-            # else outside the supported CWE set: dropped, not tallied
+            # else outside the supported CWE set: no trial, not tallied
 
         for arm in arms:
-            live = [i for i in before if i not in dropped]
             if arm == ARM_PROMPT_ONLY:
-                for i in live:
-                    outcome = SampleOutcome(samples[i].sample_id, arm, before[i], set(before[i]), True)
-                    by_arm[arm].append((i, outcome))
+                for i, cwes in before.items():
+                    trials[i].append(Trial(samples[i].sample_id, arm, cwes, set(cwes), True))
                 continue
+            live = list(before)
             revise_arm = partial(_revise_for_arm, provider, index, k, budget, arm)
             records = list(zip(live, pool.map(revise_arm, [samples[i] for i in live])))
             analyze([(samples[i].language, r.revised_code) for i, r in records if not isinstance(r, str)])
             for i, record in records:
                 if isinstance(record, str):
-                    dropped[i] = record
-                    continue
-                per_adapter = results[(samples[i].language, record.revised_code)]
-                if per_adapter is None:
-                    dropped[i] = "analyzer_errors"
-                    continue
-                outcome = SampleOutcome(
-                    samples[i].sample_id, arm, before[i], supported(per_adapter), not record.changed
-                )
-                by_arm[arm].append((i, outcome))
+                    drop(i, arm, record)
+                elif (per_adapter := results[(samples[i].language, record.revised_code)]) is None:
+                    drop(i, arm, "analyzer_errors")
+                else:
+                    after = supported(per_adapter)
+                    trials[i].append(Trial(samples[i].sample_id, arm, before[i], after, not record.changed))
 
-    for i in sorted(dropped):
-        tally[dropped[i]] += 1
-    return [
-        outcome
-        for arm in arms
-        for outcome in sorted(
-            (o for i, o in by_arm[arm] if i not in dropped), key=lambda o: o.sample_id
-        )
-    ]
+    return [trial for per_sample in trials for trial in per_sample]
+
+
+def split_trials(trials: Sequence[Trial]) -> tuple[list[Trial], Counter]:
+    """The trials of samples that never left the run, and the drop reasons tallied in trial order."""
+    tally = Counter(t.dropped for t in trials if t.dropped)
+    gone = {t.sample_id for t in trials if t.dropped}
+    return [t for t in trials if t.sample_id not in gone], tally
 
 
 def round_rate(value: float) -> float:
@@ -365,25 +364,25 @@ class EvalReport:
         }
 
 
-def per_cwe_breakdown(outcomes: Sequence[SampleOutcome]) -> dict[str, dict[str, int]]:
+def per_cwe_breakdown(trials: Sequence[Trial]) -> dict[str, dict[str, int]]:
     """Per-CWE totals: samples flagged before, and how many got fixed."""
     breakdown: dict[str, dict[str, int]] = {}
-    for outcome in outcomes:
-        for cwe in outcome.before_cwes:
+    for trial in trials:
+        for cwe in trial.before_cwes:
             stat = breakdown.setdefault(cwe, {"total": 0, "fixed": 0})
             stat["total"] += 1
-            if cwe in outcome.diff.fixed:
+            if cwe in trial.fixed:
                 stat["fixed"] += 1
     return {cwe: breakdown[cwe] for cwe in sorted(breakdown)}
 
 
-def _arm_metrics(outcomes: Sequence[SampleOutcome]) -> ArmMetrics:
-    samples = len(outcomes)
-    vulns_before = sum(len(o.before_cwes) for o in outcomes)
-    fixed_total = sum(len(o.diff.fixed) for o in outcomes)
+def _arm_metrics(trials: Sequence[Trial]) -> ArmMetrics:
+    samples = len(trials)
+    vulns_before = sum(len(t.before_cwes) for t in trials)
+    fixed_total = sum(len(t.fixed) for t in trials)
     fix_rate = round_rate(100.0 * fixed_total / vulns_before) if vulns_before else None
-    intro_rate = round_rate(100.0 * sum(1 for o in outcomes if o.diff.introduced) / samples)
-    no_change_rate = round_rate(100.0 * sum(1 for o in outcomes if o.unchanged) / samples)
+    intro_rate = round_rate(100.0 * sum(1 for t in trials if t.introduced) / samples)
+    no_change_rate = round_rate(100.0 * sum(1 for t in trials if t.unchanged) / samples)
     return ArmMetrics(
         samples=samples,
         vulns_before=vulns_before,
@@ -393,18 +392,16 @@ def _arm_metrics(outcomes: Sequence[SampleOutcome]) -> ArmMetrics:
     )
 
 
-def compute_metrics(
-    outcomes: Sequence[SampleOutcome],
-    baseline_arm: str | None = None,
-    footnotes: Sequence[str] = (),
-) -> EvalReport:
-    """Aggregate outcomes (possibly spanning several arms) into a report."""
-    if not outcomes:
-        raise ConfigError("no outcomes to aggregate")
+def compute_metrics(trials: Sequence[Trial], baseline_arm: str | None = None) -> EvalReport:
+    """Aggregate the samples that never left the run, per arm; tally the others in a footnote."""
+    kept, tally = split_trials(trials)
+    tallied = dict(tally)
+    if not kept:
+        raise ConfigError(f"no sample was evaluated in every arm; excluded/tallied: {tallied}")
 
-    by_arm: dict[str, list[SampleOutcome]] = {}
-    for outcome in outcomes:
-        by_arm.setdefault(outcome.arm, []).append(outcome)
+    by_arm: dict[str, list[Trial]] = {}
+    for trial in kept:
+        by_arm.setdefault(trial.arm, []).append(trial)
 
     arm_order = [a for a in ARMS if a in by_arm] + sorted(set(by_arm) - set(ARMS))
     per_arm = {arm: _arm_metrics(by_arm[arm]) for arm in arm_order}
@@ -420,11 +417,11 @@ def compute_metrics(
     principal = ARM_SOSECURE if ARM_SOSECURE in by_arm else arm_order[0]
     reference = by_arm[principal]
     counts = {
-        "samples": len({o.sample_id for o in reference}),
-        "vulns_before": sum(len(o.before_cwes) for o in reference),
+        "samples": len({t.sample_id for t in reference}),
+        "vulns_before": sum(len(t.before_cwes) for t in reference),
     }
 
-    notes = list(footnotes)
+    notes = [f"excluded/tallied during the run: {tallied}"] if tallied else []
     notes.append(
         "fix/introduction rates count distinct CWE classes per sample, not individual findings"
     )

@@ -15,7 +15,7 @@ from conftest import bm25_brute_force, make_entry, stub_adapter_specs
 from sosec.analysis import Finding, parse_bandit_json, parse_sarif
 from sosec.cli import main
 from sosec.config import default_data_path
-from sosec.evaluation import SampleOutcome, compute_metrics
+from sosec.evaluation import Trial, compute_metrics
 from sosec.kb import (
     KeywordSet,
     build_knowledge_base,
@@ -29,7 +29,7 @@ from sosec.retrieval import build_index, retrieve, save_index
 
 
 def _outcome(sample_id, arm, before, after, unchanged):
-    return SampleOutcome(
+    return Trial(
         sample_id=sample_id,
         arm=arm,
         before_cwes=set(before),

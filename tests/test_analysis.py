@@ -12,7 +12,6 @@ from sosec.analysis import (
     Finding,
     analyze_file,
     cwe_set,
-    diff_cwe_sets,
     normalize_finding,
     parse_bandit_json,
     parse_sarif,
@@ -20,6 +19,7 @@ from sosec.analysis import (
 )
 from sosec.config import default_data_path
 from sosec.errors import AdapterError, ConfigError, SosecError, ToolMissingError
+from sosec.evaluation import Trial
 
 EXPECTED_SARIF_RAW = [
     Finding(
@@ -101,6 +101,76 @@ def test_parsers_reject_garbage(parser):
         parser("this is not json", "tool")
     with pytest.raises(AdapterError):
         parser('{"wrong": "shape"}', "tool")
+
+
+def _sarif_with(**changes):
+    result = {
+        "ruleId": "py/x", "level": "error", "message": {"text": "m"},
+        "locations": [{"physicalLocation": {"artifactLocation": {"uri": "a.py"}, "region": {"startLine": 3}}}],
+    }
+    result.update(changes)
+    return json.dumps({"runs": [{"results": [{"ruleId": "py/ok"}, result]}]})
+
+
+def _bandit_with(**changes):
+    result = {"test_id": "B602", "issue_severity": "HIGH", "issue_text": "t", "filename": "a.py", "line_number": 3}
+    result.update(changes)
+    return json.dumps({"results": [{"test_id": "B101"}, result]})
+
+
+def _region(start_line):
+    return [{"physicalLocation": {"region": {"startLine": start_line}}}]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _sarif_with(message="x"),
+        _sarif_with(message=None),
+        _sarif_with(locations=_region("abc")),
+        _sarif_with(locations=_region(True)),
+        _sarif_with(locations=[None]),
+        _sarif_with(ruleId=7),
+        _sarif_with(level=["error"]),
+        json.dumps({"runs": [{"results": [{"ruleId": "py/ok"}, None]}]}),
+    ],
+    ids=["message-str", "message-null", "startLine-str", "startLine-bool", "location-null",
+         "ruleId-int", "level-list", "result-null"],
+)
+def test_sarif_result_of_the_wrong_shape_names_tool_and_index(text):
+    with pytest.raises(AdapterError, match=r"^codeql: result 1 has the wrong shape"):
+        parse_sarif(text, "codeql")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"results": [{"test_id": "B101"}, None]}),
+        _bandit_with(line_number="x"),
+        _bandit_with(line_number=2.0),
+        _bandit_with(test_id=602),
+        _bandit_with(issue_text={"text": "t"}),
+        _bandit_with(filename=None),
+    ],
+    ids=["result-null", "line_number-str", "line_number-float", "test_id-int", "issue_text-object",
+         "filename-null"],
+)
+def test_bandit_result_of_the_wrong_shape_names_tool_and_index(text):
+    with pytest.raises(AdapterError, match=r"^bandit: result 1 has the wrong shape"):
+        parse_bandit_json(text, "bandit")
+
+
+@pytest.mark.parametrize(
+    "text", ['{"runs": {"results": []}}', '{"runs": [[]]}', "[]"], ids=["runs-object", "run-list", "log-list"]
+)
+def test_sarif_runs_of_the_wrong_shape_are_not_a_sarif_log(text):
+    with pytest.raises(AdapterError, match="not a SARIF log"):
+        parse_sarif(text, "codeql")
+
+
+def test_bandit_results_that_are_not_a_list_are_not_a_report():
+    with pytest.raises(AdapterError, match="not a JSON report"):
+        parse_bandit_json('{"results": {"0": {}}}', "bandit")
 
 
 def test_cwe_map_lookup_and_miss(cwe_map):
@@ -245,23 +315,27 @@ def _finding(cwe):
     return Finding("t", "r", "high", "m", "f.py", 1, cwe=cwe)
 
 
+def _trial(before, after):
+    return Trial("s", "sosecure", before, after, unchanged=False)
+
+
 def test_diff_full_fix():
-    diff = diff_cwe_sets(cwe_set([_finding("CWE-78")]), cwe_set([]))
-    assert diff.fixed == {"CWE-78"}
-    assert diff.persisted == set()
-    assert diff.introduced == set()
+    trial = _trial(cwe_set([_finding("CWE-78")]), cwe_set([]))
+    assert trial.fixed == {"CWE-78"}
+    assert trial.before_cwes & trial.after_cwes == set()
+    assert trial.introduced == set()
 
 
 def test_diff_persisted():
-    diff = diff_cwe_sets(cwe_set([_finding("CWE-78")]), cwe_set([_finding("CWE-78")]))
-    assert diff.persisted == {"CWE-78"}
-    assert diff.fixed == set() and diff.introduced == set()
+    trial = _trial(cwe_set([_finding("CWE-78")]), cwe_set([_finding("CWE-78")]))
+    assert trial.before_cwes & trial.after_cwes == {"CWE-78"}
+    assert trial.fixed == set() and trial.introduced == set()
 
 
 def test_diff_swap():
-    diff = diff_cwe_sets(cwe_set([_finding("CWE-78")]), cwe_set([_finding("CWE-89")]))
-    assert diff.fixed == {"CWE-78"}
-    assert diff.introduced == {"CWE-89"}
+    trial = _trial(cwe_set([_finding("CWE-78")]), cwe_set([_finding("CWE-89")]))
+    assert trial.fixed == {"CWE-78"}
+    assert trial.introduced == {"CWE-89"}
 
 
 def test_unmapped_findings_do_not_reach_cwe_level():
@@ -274,12 +348,13 @@ def test_diff_identities_on_random_sets():
     for _ in range(200):
         before = {c for c in universe if rng.random() < 0.4}
         after = {c for c in universe if rng.random() < 0.4}
-        diff = diff_cwe_sets(before, after)
-        assert diff.fixed & diff.persisted == set()
-        assert diff.introduced & (diff.fixed | diff.persisted) == set()
-        assert diff.fixed | diff.persisted == before
+        trial = _trial(before, after)
+        persisted = trial.before_cwes & trial.after_cwes
+        assert trial.fixed & persisted == set()
+        assert trial.introduced & (trial.fixed | persisted) == set()
+        assert trial.fixed | persisted == before
         # swapping before/after exchanges fixed and introduced
-        swapped = diff_cwe_sets(after, before)
-        assert swapped.fixed == diff.introduced
-        assert swapped.introduced == diff.fixed
-        assert swapped.persisted == diff.persisted
+        swapped = _trial(after, before)
+        assert swapped.fixed == trial.introduced
+        assert swapped.introduced == trial.fixed
+        assert swapped.before_cwes & swapped.after_cwes == persisted

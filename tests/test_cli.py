@@ -489,6 +489,19 @@ def test_eval_rejects_unknown_arm_before_any_analyzer_runs(tmp_path, fixtures_di
     assert not log.exists()
 
 
+def test_eval_rejects_baseline_arm_not_run_before_any_analyzer_runs(tmp_path, fixtures_dir, capsys):
+    log = tmp_path / "calls.log"
+    adapters = tmp_path / "adapters.json"
+    adapters.write_text(json.dumps({"adapters": logged_adapter_specs(log)}), encoding="utf-8")
+    rc = main([
+        "eval", "--dataset", str(fixtures_dir / "dataset_10.jsonl"),
+        "--arm", "revision_only", "--baseline-arm", "prompt_only", "--adapters", str(adapters),
+    ])
+    assert rc == 2
+    assert "--baseline-arm 'prompt_only'" in capsys.readouterr().err
+    assert not log.exists()
+
+
 def test_eval_rejects_missing_cwe_label_before_any_analyzer_runs(tmp_path, fixtures_dir, capsys):
     dataset = _first_samples(fixtures_dir, tmp_path, 3)
     records = [json.loads(line) for line in dataset.read_text(encoding="utf-8").splitlines()]

@@ -5,21 +5,20 @@ import random
 import sys
 import tempfile
 import threading
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import sosec
 from conftest import FIXTURES, logged_adapter_specs, make_entry, stub_adapter_specs
-from sosec.analysis import AdapterConfig, CweMap, FindingDiff
+from sosec.analysis import AdapterConfig, CweMap
 from sosec.cli import main
-from sosec.config import default_data_path
+from sosec.config import GlobalConfig, default_data_path
 from sosec.errors import ConfigError, ProviderError
 from sosec.evaluation import (
     ARMS,
     CodeSample,
-    SampleOutcome,
+    Trial,
     compute_metrics,
     load_samples,
     load_supported_cwes,
@@ -27,6 +26,7 @@ from sosec.evaluation import (
     render_report_text,
     round_rate,
     run_arms,
+    split_trials,
 )
 from sosec.retrieval import build_index, save_index
 from sosec.revision import DeterministicMockProvider
@@ -111,11 +111,10 @@ def test_dual_tool_filter_keeps_only_dual_flagged(
         _sample("codeql_only", "import random\ntoken = random.random()\n"),
         _sample("neither", "print('fine')\n"),
     ]
-    tally = Counter()
-    kept = run_arms(
+    kept, tally = split_trials(run_arms(
         samples, ["prompt_only"], None,
-        **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map, tally=tally),
-    )
+        **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
+    ))
     assert [o.sample_id for o in kept] == ["both"]
     assert kept[0].before_cwes == {"CWE-78"}
     assert tally == {"not_dual_flagged": 3}
@@ -123,11 +122,10 @@ def test_dual_tool_filter_keeps_only_dual_flagged(
 
 def test_dual_tool_filter_tallies_analyzer_errors(fake_codeql_adapter, cwe_map):
     broken = AdapterConfig(name="ghost", command=["no-such-binary-qq", "{file}"], format="sarif")
-    tally = Counter()
-    kept = run_arms(
+    kept, tally = split_trials(run_arms(
         [_sample("s", SHELL_CODE)], ["prompt_only"], None,
-        **_arm_kwargs(broken, fake_codeql_adapter, cwe_map, tally=tally),
-    )
+        **_arm_kwargs(broken, fake_codeql_adapter, cwe_map),
+    ))
     assert kept == []
     assert tally["analyzer_errors"] == 1
 
@@ -136,10 +134,9 @@ def test_filter_supported(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
     # both tools flag PICKLE_CODE, as CWE-502 only
     samples = [_sample("keep", SHELL_CODE), _sample("drop", PICKLE_CODE)]
     kwargs = _arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map)
-    tally = Counter()
-    kept = run_arms(
-        samples, ["prompt_only"], None, tally=tally, **{**kwargs, "supported_cwes": {"CWE-78", "CWE-89"}}
-    )
+    kept, tally = split_trials(run_arms(
+        samples, ["prompt_only"], None, **{**kwargs, "supported_cwes": {"CWE-78", "CWE-89"}}
+    ))
     assert [o.sample_id for o in kept] == ["keep"]
     assert not tally  # dropped silently
     with pytest.raises(ConfigError):
@@ -176,7 +173,7 @@ def test_prompt_only_arm_reuses_before_findings(fake_bandit_adapter, fake_codeql
     )
     assert outcome.after_cwes == outcome.before_cwes == {"CWE-78"}
     assert outcome.unchanged is True
-    assert outcome.diff.persisted == {"CWE-78"}
+    assert outcome.before_cwes & outcome.after_cwes == {"CWE-78"}
 
 
 def test_sosecure_arm_with_fixing_mock_fixes_everything(
@@ -190,8 +187,8 @@ def test_sosecure_arm_with_fixing_mock_fixes_everything(
         index=_stub_index(),
         **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
     )
-    assert all(o.diff.fixed == {"CWE-78"} for o in outcomes)
-    assert all(not o.diff.introduced for o in outcomes)
+    assert all(o.fixed == {"CWE-78"} for o in outcomes)
+    assert all(not o.introduced for o in outcomes)
     assert all(not o.unchanged for o in outcomes)
 
 
@@ -214,7 +211,7 @@ def test_revision_only_arm_with_echo_mock(fake_bandit_adapter, fake_codeql_adapt
         **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
     )
     assert outcome.unchanged is True
-    assert outcome.diff.persisted == {"CWE-78"}
+    assert outcome.before_cwes & outcome.after_cwes == {"CWE-78"}
 
 
 def test_cwe_label_arm_requires_labels_and_injects_them(
@@ -382,11 +379,10 @@ def test_run_arms_starts_one_subprocess_per_adapter_for_concurrent_duplicates(tm
 def test_run_arms_analyzes_a_shared_failing_code_once(tmp_path, cwe_map):
     log = tmp_path / "calls.log"
     adapter = AdapterConfig.from_dict("bandit", logged_adapter_specs(log, fail_on="shell")["bandit"])
-    tally = Counter()
-    outcomes = run_arms(
+    outcomes, tally = split_trials(run_arms(
         [_sample("a", SHELL_CODE), _sample("b", SHELL_CODE)], ["prompt_only"], None,
-        adapters=[adapter], cwe_map=cwe_map, supported_cwes={"CWE-78"}, tally=tally,
-    )
+        adapters=[adapter], cwe_map=cwe_map, supported_cwes={"CWE-78"},
+    ))
     assert outcomes == []
     assert tally == {"analyzer_errors": 2}
     assert len(_log_lines(log)) == 1
@@ -419,11 +415,10 @@ def test_sample_that_fails_an_arm_is_not_sent_to_later_arms(tmp_path, cwe_map):
         _sample("pickle", PICKLE_CODE, labeled_cwe="CWE-502"),
     ]
     provider = _CountingProvider("subprocess.call")
-    tally = Counter()
-    outcomes = run_arms(
+    outcomes, tally = split_trials(run_arms(
         samples, list(ARMS), provider, index=_stub_index(), adapters=adapters, cwe_map=cwe_map,
-        supported_cwes={"CWE-78", "CWE-502"}, workers=2, tally=tally,
-    )
+        supported_cwes={"CWE-78", "CWE-502"}, workers=2,
+    ))
     assert provider.prompts == 1
     assert tally == {"analyzer_errors": 1}
     assert [(o.arm, o.sample_id) for o in outcomes] == [(arm, "pickle") for arm in ARMS]
@@ -435,13 +430,113 @@ def test_tally_follows_sample_order(fake_bandit_adapter, fake_codeql_adapter, cw
         _sample("b", "import tempfile\npath = tempfile.mktemp()\n"),
         _sample("c", SHELL_CODE),
     ]
-    tally = Counter()
-    outcomes = run_arms(
+    outcomes, tally = split_trials(run_arms(
         samples, ["revision_only"], _CountingProvider("refused(cmd)", fail=True),
-        **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map, tally=tally),
-    )
+        **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
+    ))
     assert [o.sample_id for o in outcomes] == ["c"]
     assert list(tally.items()) == [("provider_errors", 1), ("not_dual_flagged", 1)]
+
+
+class _ScriptedProvider(DeterministicMockProvider):
+    """The echo mock; refuses prompts with `refused(` and adds `import shlex` under a CWE-78 label."""
+
+    def __init__(self):
+        super().__init__(behavior="echo")
+
+    def complete(self, prompt):
+        if "refused(" in prompt:
+            raise ProviderError("refused")
+        reply = super().complete(prompt)
+        if "may contain CWE-78" in prompt:
+            reply = reply.replace("```python\n", "```python\nimport shlex\n", 1)
+        return reply
+
+
+def _trial_run(tmp_path, cwe_map, workers):
+    """Trials of a run with a filter drop, a provider failure and a later-arm analyzer failure."""
+    specs = logged_adapter_specs(tmp_path / "calls.log", fail_on="shlex")
+    samples = [
+        _sample("k_pickle", PICKLE_CODE, labeled_cwe="CWE-502"),
+        _sample("c_refused", SHELL_CODE.replace("run(cmd)", "refused(cmd)"), labeled_cwe="CWE-78"),
+        _sample("a_clean", "print('fine')\n", labeled_cwe="CWE-78"),
+        _sample("m_shell", SHELL_CODE, labeled_cwe="CWE-78"),
+    ]
+    return run_arms(
+        samples, list(ARMS), _ScriptedProvider(), index=_stub_index(),
+        adapters=[AdapterConfig.from_dict(name, spec) for name, spec in specs.items()],
+        cwe_map=cwe_map, supported_cwes={"CWE-78", "CWE-502"}, workers=workers,
+    )
+
+
+def test_trials_are_the_same_for_one_and_four_workers(tmp_path, cwe_map):
+    assert _trial_run(tmp_path, cwe_map, 1) == _trial_run(tmp_path, cwe_map, 4)
+
+
+def test_each_drop_is_one_trial_at_the_arm_that_failed(tmp_path, cwe_map):
+    trials = _trial_run(tmp_path, cwe_map, 2)
+    # dataset order, not sample_id order; arm order within a sample; nothing after a drop
+    assert [(t.sample_id, t.arm, t.dropped) for t in trials] == [
+        ("k_pickle", "prompt_only", None),
+        ("k_pickle", "revision_only", None),
+        ("k_pickle", "cwe_label", None),
+        ("k_pickle", "sosecure", None),
+        ("c_refused", "prompt_only", None),
+        ("c_refused", "revision_only", "provider_errors"),
+        ("a_clean", None, "not_dual_flagged"),
+        ("m_shell", "prompt_only", None),
+        ("m_shell", "revision_only", None),
+        ("m_shell", "cwe_label", "analyzer_errors"),
+    ]
+    kept, tally = split_trials(trials)
+    assert kept == trials[:4]
+    assert list(tally.items()) == [("provider_errors", 1), ("not_dual_flagged", 1), ("analyzer_errors", 1)]
+
+
+def test_metrics_recomputed_from_trials_equal_the_eval_report(tmp_path, capsys):
+    dataset = _eval_dataset(tmp_path)
+    specs = logged_adapter_specs(tmp_path / "calls.log", fail_on="shlex")
+    out = tmp_path / "report.json"
+    argv = _eval_argv(tmp_path, dataset, specs, "prompt_only,revision_only,cwe_label,sosecure", "--out", str(out))
+    assert main(argv) == 0
+    capsys.readouterr()
+
+    config = GlobalConfig()
+    trials = run_arms(
+        load_samples(dataset), list(ARMS), DeterministicMockProvider(), index=_stub_index(),
+        adapters=[AdapterConfig.from_dict(name, spec) for name, spec in specs.items()],
+        cwe_map=CweMap.from_file(config.cwe_map_path),
+        supported_cwes=load_supported_cwes(config.supported_cwes_path),
+        k=config.k, budget=config.budget,
+    )
+    assert {t.dropped for t in trials} == {None, "not_dual_flagged", "analyzer_errors"}
+    report = compute_metrics(trials, baseline_arm="prompt_only").to_dict()
+    assert report == json.loads(out.read_text(encoding="utf-8"))
+
+
+_MALFORMED_BANDIT = """import runpy, sys
+stub, path = sys.argv[1], sys.argv[2]
+with open(path, encoding="utf-8") as fh:
+    if "pickle" in fh.read():
+        print('{"results": [null]}')
+        sys.exit(0)
+sys.argv = [stub, path]
+runpy.run_path(stub, run_name="__main__")
+"""
+
+
+def test_eval_malformed_analyzer_result_costs_one_sample(tmp_path, capsys):
+    stub = tmp_path / "malformed_bandit.py"
+    stub.write_text(_MALFORMED_BANDIT, encoding="utf-8")
+    specs = stub_adapter_specs()
+    specs["bandit"]["command"] = [sys.executable, str(stub), specs["bandit"]["command"][1], "{file}"]
+    records = [{"sample_id": "shell", "code": SHELL_CODE}, {"sample_id": "pickle", "code": PICKLE_CODE}]
+    dataset = _write_dataset(tmp_path, [json.dumps(r) for r in records])
+    assert main(_eval_argv(tmp_path, dataset, specs, "prompt_only")) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["counts"] == {"samples": 1, "vulns_before": 1}
+    assert report["per_cwe"] == {"CWE-78": {"total": 1, "fixed": 0}}
+    assert "'analyzer_errors': 1" in report["footnotes"][0]
 
 
 def test_eval_adapter_error_excludes_the_sample_from_every_arm(tmp_path, capsys):
@@ -492,7 +587,7 @@ def test_second_eval_in_one_process_runs_the_analyzers_again(tmp_path, capsys):
 
 
 def _outcome(sample_id, arm, before, after, unchanged):
-    return SampleOutcome(
+    return Trial(
         sample_id=sample_id,
         arm=arm,
         before_cwes=set(before),
@@ -599,6 +694,6 @@ def test_report_is_deterministic_and_renders():
 def test_outcome_diff_invariants_propagate():
     outcomes = _count_outcomes("sosecure", 5, 2)
     for outcome in outcomes:
-        diff: FindingDiff = outcome.diff
-        assert diff.fixed | diff.persisted == outcome.before_cwes
-        assert diff.introduced & outcome.before_cwes == set()
+        persisted = outcome.before_cwes & outcome.after_cwes
+        assert outcome.fixed | persisted == outcome.before_cwes
+        assert outcome.introduced & outcome.before_cwes == set()
