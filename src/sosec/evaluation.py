@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis import CWE_RE, AdapterConfig, CweMap, Finding, analyze_file, cwe_set
-from .errors import ConfigError, PromptBudgetError, ProviderError, SosecError, open_text
+from .errors import AdapterError, ConfigError, PromptBudgetError, ProviderError, SosecError, open_text
 from .retrieval import RetrievalIndex, retrieve
 from .revision import DEFAULT_CHAR_BUDGET, revise
 
@@ -101,6 +101,10 @@ def _validate_sample(obj: dict) -> CodeSample:
     code = obj.get("code")
     if not isinstance(code, str) or not code:
         raise ValueError("missing or empty 'code'")
+    try:
+        code.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"'code' cannot be encoded as UTF-8: {exc}") from exc
     dataset = obj.get("dataset", "custom")
     if dataset not in DATASETS:
         raise ValueError(f"unknown dataset {dataset!r}")
@@ -169,12 +173,17 @@ def analyze_code(
     """One findings list per adapter, in order; empty for an adapter that skips `language`.
 
     The code is written to one scratch file, in its own temporary directory,
-    and every adapter runs on that file. Raises SosecError if an analyzer fails.
+    and every adapter runs on that file. Raises SosecError if an analyzer
+    fails, and AdapterError if the code cannot be written as UTF-8 (a lone
+    surrogate in a revision).
     """
     suffix = _SUFFIX_BY_LANGUAGE.get(language, ".txt")
     with tempfile.TemporaryDirectory(prefix="sosec-") as workdir:
         source = Path(workdir) / f"sample{suffix}"
-        source.write_text(code, encoding="utf-8")
+        try:
+            source.write_text(code, encoding="utf-8")
+        except UnicodeEncodeError as exc:
+            raise AdapterError(f"code cannot be written as UTF-8: {exc}") from exc
         return [
             analyze_file(adapter, cwe_map, source) if adapter.supports_language(language) else []
             for adapter in adapters

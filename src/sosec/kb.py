@@ -11,6 +11,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from html import unescape
 from html.parser import HTMLParser
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -31,7 +32,7 @@ MIN_INLINE_CODE_CHARS = 10
 _CHUNK_SIZE = 64 * 1024
 
 
-@dataclass
+@dataclass(slots=True)
 class RawPost:
     id: int
     post_type: str
@@ -41,7 +42,7 @@ class RawPost:
     tags: list[str] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class RawComment:
     id: int
     post_id: int
@@ -92,9 +93,18 @@ class KnowledgeEntry:
 
 @dataclass(frozen=True)
 class KeywordSet:
-    """Lowercase phrases matched as substrings against answer and comment text."""
+    """Lowercase phrases matched as substrings against answer and comment text.
+
+    No phrase may contain NUL, the separator `is_security_relevant` joins
+    the texts with.
+    """
 
     keywords: frozenset[str]
+
+    def __post_init__(self) -> None:
+        for phrase in sorted(self.keywords):
+            if "\x00" in phrase:
+                raise ConfigError(f"keyword phrase {phrase!r} contains a NUL character")
 
     @classmethod
     def from_iterable(cls, phrases: Iterable[str]) -> "KeywordSet":
@@ -104,7 +114,10 @@ class KeywordSet:
     def from_file(cls, path: str | Path) -> "KeywordSet":
         with open_text(path) as fh:
             lines = fh.read().splitlines()
-        keywords = cls.from_iterable(line for line in lines if not line.strip().startswith("#"))
+        try:
+            keywords = cls.from_iterable(line for line in lines if not line.strip().startswith("#"))
+        except ConfigError as exc:
+            raise ConfigError(f"keyword file {path}: {exc}") from exc
         if not keywords.keywords:
             raise ConfigError(f"keyword file {path} contains no phrases")
         return keywords
@@ -209,11 +222,17 @@ def is_security_relevant(
     comment_texts: list[str],
     keywords: KeywordSet,
 ) -> bool:
-    """True iff any keyword phrase occurs in the answer text or a comment."""
+    """True iff any keyword phrase occurs in the answer text or a comment.
+
+    The texts are joined with NUL, lowercased once and searched once per
+    phrase. No phrase holds NUL, so a match never spans two texts. NUL is
+    neither cased nor case-ignorable, so lowercasing the join lowercases
+    each text as it would alone, final sigma included.
+    """
     if not keywords.keywords:
         raise ConfigError("keyword set is empty")
-    haystacks = [answer_text.lower()] + [t.lower() for t in comment_texts]
-    return any(kw in hay for hay in haystacks for kw in keywords.keywords)
+    haystack = "\x00".join([answer_text, *comment_texts]).lower()
+    return any(map(haystack.__contains__, keywords.keywords))
 
 
 def passes_quality_gate(
@@ -227,9 +246,39 @@ def passes_quality_gate(
 
 _BLOCK_TAGS = {"p", "pre", "div", "li", "ul", "ol", "br", "blockquote", "h1", "h2", "h3"}
 
+# One start or end tag that every supported html.parser version reads the
+# same way: an ASCII name, then attributes that are each whitespace, a name
+# and an optional quoted or unquoted value. No part can match past a "<", so
+# a failed attempt costs at most the distance to the next "<". Groups: start
+# tag name, "/" when the start tag closes itself, end tag name. Elements whose
+# content the HTML5 tokenizer reads as raw text are left out, because
+# html.parser versions differ in which of them they honour.
+_PLAIN_TAG = re.compile(
+    r"<(?:"
+    r"(?!(?i:script|style|textarea|title|xmp|iframe|noembed|noframes|noscript|plaintext)[\t\n\f\r />])"
+    r"([A-Za-z][A-Za-z0-9]*)"
+    r"(?:[\t\n\f\r ]+[A-Za-z_:][-A-Za-z0-9_:.]*"
+    r"(?:=(?:\"[^\"<]*\"|'[^'<]*'|[!#-&(-;=?-~]+(?=[\t\n\f\r >])))?)*"
+    r"[\t\n\f\r ]*(/?)"
+    r"|/([A-Za-z][A-Za-z0-9]*)[\t\n\f\r ]*"
+    r")>"
+)
+
+
+def _plain_pieces(body: str) -> list[str] | None:
+    """`_PLAIN_TAG.split(body)` if every "<" in `body` starts a plain tag, else None."""
+    pieces = _PLAIN_TAG.split(body)
+    return pieces if body.count("<") == len(pieces) // 4 else None
+
 
 class _BodyParser(HTMLParser):
-    """Collects an answer body's text and its code in one walk over its tokens."""
+    """Collects an answer body's text and its code in one walk over its tokens.
+
+    Fed one whole body. A body that is only `<`-free text and `_PLAIN_TAG`
+    tags is tokenized by that one pattern and its events go straight to the
+    handlers below (attributes are not decoded; the handlers ignore them).
+    Any other body goes through `HTMLParser.feed` unchanged.
+    """
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
@@ -239,6 +288,26 @@ class _BodyParser(HTMLParser):
         self._code_depth = 0
         self._in_pre_code = False
         self._buffer: list[str] = []
+
+    def feed(self, data):
+        pieces = _plain_pieces(data)
+        if pieces is None:
+            super().feed(data)
+            return
+        handle_data, handle_starttag, handle_endtag = self.handle_data, self.handle_starttag, self.handle_endtag
+        it = iter(pieces)
+        for text, start, self_closing, end in zip(it, it, it, it):
+            if text:
+                handle_data(unescape(text))
+            if start is None:
+                handle_endtag(end.lower())
+            else:
+                tag = start.lower()
+                handle_starttag(tag, [])
+                if self_closing:
+                    handle_endtag(tag)
+        if pieces[-1]:
+            handle_data(unescape(pieces[-1]))
 
     def handle_starttag(self, tag, attrs):
         if tag in _BLOCK_TAGS:
@@ -273,7 +342,10 @@ def parse_answer_body(body_html: str) -> tuple[str, list[str]] | None:
     """Return a body's whitespace-normalized text and its code snippets in document order.
 
     Code is every <pre><code> block and every inline <code> span of at least
-    MIN_INLINE_CODE_CHARS characters. None means the HTML parser raised.
+    MIN_INLINE_CODE_CHARS characters. A body of plain tags is tokenized by
+    one compiled pattern; anything else (comments, declarations, script or
+    style, a stray "<") by html.parser, with the same result. None means the
+    HTML parser raised.
     """
     parser = _BodyParser()
     try:

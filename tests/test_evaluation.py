@@ -14,11 +14,12 @@ from conftest import FIXTURES, logged_adapter_specs, make_entry, stub_adapter_sp
 from sosec.analysis import AdapterConfig, CweMap
 from sosec.cli import main
 from sosec.config import GlobalConfig, default_data_path
-from sosec.errors import ConfigError, ProviderError
+from sosec.errors import AdapterError, ConfigError, ProviderError
 from sosec.evaluation import (
     ARMS,
     CodeSample,
     Trial,
+    analyze_code,
     compute_metrics,
     load_samples,
     load_supported_cwes,
@@ -73,6 +74,18 @@ def test_load_samples_reports_offending_line_numbers(tmp_path):
         load_samples(path)
     message = str(exc_info.value)
     assert "line 2" in message and "line 3" in message and "line 1" not in message
+
+
+def test_load_samples_refuses_code_with_a_lone_surrogate(tmp_path):
+    path = _write_dataset(
+        tmp_path,
+        [
+            json.dumps({"sample_id": "a", "code": "x = 1\n"}),
+            json.dumps({"sample_id": "b", "code": "x = '\ud800'\n"}),
+        ],
+    )
+    with pytest.raises(ConfigError, match=r"line 2: 'code' cannot be encoded as UTF-8"):
+        load_samples(path)
 
 
 def test_load_samples_rejects_unknown_enum_values(tmp_path):
@@ -422,6 +435,37 @@ def test_sample_that_fails_an_arm_is_not_sent_to_later_arms(tmp_path, cwe_map):
     assert provider.prompts == 1
     assert tally == {"analyzer_errors": 1}
     assert [(o.arm, o.sample_id) for o in outcomes] == [(arm, "pickle") for arm in ARMS]
+
+
+def test_analyze_code_turns_a_lone_surrogate_into_an_adapter_error(fake_bandit_adapter, cwe_map):
+    with pytest.raises(AdapterError, match="UTF-8"):
+        analyze_code([fake_bandit_adapter], cwe_map, "python", "x = '\ud800'\n")
+
+
+class _SurrogateProvider(DeterministicMockProvider):
+    """The echo mock; puts a lone surrogate into the revision of prompts that contain `marker`."""
+
+    def __init__(self, marker: str):
+        super().__init__(behavior="echo")
+        self.marker = marker
+
+    def complete(self, prompt):
+        reply = super().complete(prompt)
+        if self.marker in prompt:
+            reply = reply.replace("```python\n", "```python\nx = '\ud800'\n", 1)
+        return reply
+
+
+def test_revision_with_a_lone_surrogate_costs_only_its_sample(
+    fake_bandit_adapter, fake_codeql_adapter, cwe_map
+):
+    samples = [_sample("pickle", PICKLE_CODE), _sample("shell", SHELL_CODE)]
+    outcomes, tally = split_trials(run_arms(
+        samples, ["revision_only"], _SurrogateProvider("pickle.loads"),
+        **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
+    ))
+    assert [o.sample_id for o in outcomes] == ["shell"]
+    assert tally == {"analyzer_errors": 1}
 
 
 def test_tally_follows_sample_order(fake_bandit_adapter, fake_codeql_adapter, cwe_map):

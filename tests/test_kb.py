@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import io
+import random
+import time
 from collections import Counter
+from html.parser import HTMLParser
 
 import pytest
 
 from conftest import raise_in_body_parser_on
+from sosec import kb
 from sosec.config import default_data_path
 from sosec.errors import ConfigError, DumpParseError
 from sosec.kb import (
@@ -302,3 +306,146 @@ def test_empty_keyword_file_rejected(tmp_path):
     path.write_text("# nothing here\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         KeywordSet.from_file(path)
+
+
+def test_keyword_phrase_with_nul_is_refused(tmp_path):
+    with pytest.raises(ConfigError, match=r"'sql\\x00injection'"):
+        KeywordSet.from_iterable(["pickle", "sql\x00injection"])
+    path = tmp_path / "kw.txt"
+    path.write_text("pickle\nshell\x00true\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"'shell\\x00true'") as exc_info:
+        KeywordSet.from_file(path)
+    assert str(path) in str(exc_info.value)
+
+
+def test_joined_keyword_gate_equals_the_per_text_rule():
+    # Case mappings that depend on context (final sigma) or change length
+    # (dotted capital I, capital sharp s), next to the NUL the gate joins with.
+    alphabet = ["Σ", "σ", "ς", "İ", "i", "̇", "ẞ", "ß", "ss", "A", "a", "b", " ", "'", "\x00", "\u0301"]
+    rng = random.Random(12)
+
+    def text():
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+
+    matched = 0
+    for _ in range(3000):
+        answer, comments = text(), [text() for _ in range(rng.randint(0, 3))]
+        phrases = {p for p in (text().replace("\x00", "") for _ in range(rng.randint(1, 3))) if p}
+        if not phrases:
+            continue
+        per_text = any(p in t.lower() for t in [answer, *comments] for p in phrases)
+        assert is_security_relevant(answer, comments, KeywordSet(frozenset(phrases))) is per_text, (
+            answer, comments, phrases)
+        matched += per_text
+    assert 300 < matched < 2700  # both outcomes are exercised
+
+
+class _EventLog(kb._BodyParser):
+    """The body parser, also logging its events, with adjacent text merged."""
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def handle_starttag(self, tag, attrs):
+        self.events.append(("start", tag))
+        super().handle_starttag(tag, attrs)
+
+    def handle_endtag(self, tag):
+        self.events.append(("end", tag))
+        super().handle_endtag(tag)
+
+    def handle_data(self, data):
+        merged = self.events.pop()[1] + data if self.events and self.events[-1][0] == "data" else data
+        self.events.append(("data", merged))
+        super().handle_data(data)
+
+
+def _parse_with(feed, body):
+    parser = _EventLog()
+    try:
+        feed(parser, body)
+        parser.close()
+    except Exception as exc:  # the oracle may raise; the fast path must then too
+        return type(exc)
+    return parser.events, " ".join("".join(parser.parts).split()), parser.blocks
+
+
+_TAG_NAMES = ["p", "pre", "Pre", "code", "CODE", "div", "Br", "li", "h1", "a", "span",
+              "scripts", "script", "style", "title"]
+_SPACES = [" ", "\n", "\t", "\r", "\f", "  "]
+_VALUES = ['"a"', "'a b'", '"a>b"', '""', "a", "a/", "aaaaaaaaaaaa/", "a=b", "=a", "&amp;",
+           '"a<b"', 'a"b', "a\xa0b"]
+_ATTR_NAMES = ["x", "class", "data-x", "X", ":y", "'q", "1a"]
+_TEXTS = ["run ", "x = 1\n", "subprocess.call(cmd, shell=True)", "&amp;", "&lt;", "&amp", "&gt", "&#60;",
+          "&", ">", "/", "=", '"', "Σ", "\xa0", "\n\n"]
+_OTHER = ["<!-- note -->", "<!DOCTYPE html>", "<![CDATA[x]]>", "<?pi>", "<", "< b", "</>", "</ p>",
+          "<code", "<a x='"]
+
+
+def _random_tag(rng):
+    name = rng.choice(_TAG_NAMES)
+    if rng.random() < 0.4:
+        return "</" + name + rng.choice(["", "", " ", "\n", "\v", " x"]) + ">"
+    attrs = ""
+    for _ in range(rng.choice([0, 0, 1, 1, 2])):
+        # "\v" and "\xa0" are whitespace to str.split but not to HTML
+        sep = rng.choice(_SPACES) if rng.random() < 0.9 else rng.choice(["/", "", "\v", "\xa0"])
+        value = "" if rng.random() < 0.3 else rng.choice(["=", "=", " = "]) + rng.choice(_VALUES)
+        attrs += sep + rng.choice(_ATTR_NAMES) + value
+    return "<" + name + attrs + rng.choice(["", "", " ", "\n", "/", " /", "\v", " / "]) + ">"
+
+
+def _random_body(rng):
+    parts = []
+    for _ in range(rng.randint(0, 12)):
+        roll = rng.random()
+        if roll < 0.45:
+            parts.append(rng.choice(_TEXTS))
+        else:
+            parts.append(_random_tag(rng) if roll < 0.97 else rng.choice(_OTHER))
+    return "".join(parts)
+
+
+_PLAIN_CASES = [
+    # html.parser reads the value as "aaaaaaaaaaaa/", so the code span stays open
+    "<code x=aaaaaaaaaaaa/>zzzzzzzzzzzzzz</code>",
+    "<p>a &amp b &lt; c &amp;amp;</p><pre><code>if x &lt; 1 &amp;&amp; y:\n</code></pre>",
+    "<PRE class=\"lang-py\"><Code data-x='1'>x = 1\n</CODE ></pre\n>",
+    "<p>see<br/>then<br />call <code x=\"a>b\">subprocess.run(args)</code></p>",
+]
+
+
+def test_plain_bodies_parse_as_html_parser_does():
+    assert all(kb._plain_pieces(body) is not None for body in _PLAIN_CASES)
+    rng = random.Random(7)
+    bodies = _PLAIN_CASES + [_random_body(rng) for _ in range(4000)]
+    plain = 0
+    for body in bodies:
+        plain += kb._plain_pieces(body) is not None
+        assert _parse_with(kb._BodyParser.feed, body) == _parse_with(HTMLParser.feed, body), body
+    assert 1000 < plain < len(bodies) - 1000  # both paths are exercised
+
+
+@pytest.mark.parametrize(
+    "markup",
+    ["<!-- note -->", "<script>if (a<b) {}</script>", "<p>if a < b:</p>"],
+    ids=["comment", "script", "stray-lt"],
+)
+def test_other_markup_goes_to_html_parser(markup):
+    body = "<p>use</p>" + markup + "<pre><code>x = 1\n</code></pre>"
+    assert kb._plain_pieces(body) is None
+    assert parse_answer_body(body) == _parse_with(HTMLParser.feed, body)[1:]
+
+
+def test_long_unclosed_attribute_body_is_declined_quickly():
+    body = '<code x="' * 17000  # 153 kB, no tag ever closes
+    start = time.perf_counter()
+    assert kb._plain_pieces(body) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def test_fixture_bodies_take_the_plain_path(fixtures_dir):
+    with open(fixtures_dir / "posts_20.xml", "rb") as fh:
+        bodies = [post.body for post in parse_dump_rows(fh, "posts")]
+    assert all(kb._plain_pieces(body) is not None for body in bodies)
