@@ -267,6 +267,11 @@ _PLAIN_TAG = re.compile(
 
 def _plain_pieces(body: str) -> list[str] | None:
     """`_PLAIN_TAG.split(body)` if every "<" in `body` starts a plain tag, else None."""
+    # "<!" opens a comment or declaration, which is never plain. Declining it
+    # before the split spares the html.parser path a wasted pattern pass on
+    # bodies such as Stack Overflow's "<!-- language: lang-py -->" ones.
+    if "<!" in body:
+        return None
     pieces = _PLAIN_TAG.split(body)
     return pieces if body.count("<") == len(pieces) // 4 else None
 
