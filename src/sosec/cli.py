@@ -26,8 +26,8 @@ from .evaluation import (
     run_arms,
     validate_arms,
 )
-from .kb import KeywordSet, build_knowledge_base, load_kb_jsonl, parse_dump_rows, write_kb_jsonl
-from .retrieval import build_index, load_index, retrieve, save_index
+from .kb import DEFAULT_MIN_UPVOTE, KeywordSet, build_knowledge_base, load_kb_jsonl, parse_dump_rows, write_kb_jsonl
+from .retrieval import DEFAULT_B, DEFAULT_K1, build_index, load_index, retrieve, save_index
 from .revision import (
     PROVIDER_LIVE,
     PROVIDER_MOCK,
@@ -71,14 +71,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--comments", required=True)
     p.add_argument("--keywords", dest="keyword_path")
     p.add_argument("--out", required=True)
-    p.add_argument("--min-upvote", type=int, default=1)
+    p.add_argument("--min-upvote", type=int, default=DEFAULT_MIN_UPVOTE)
 
     p = sub.add_parser("index", help="build the retrieval index from KB JSONL")
     _add_common_flags(p)
     p.add_argument("--kb", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k1", type=float, default=1.2)
-    p.add_argument("--b", type=float, default=0.75)
+    p.add_argument("--k1", type=float, default=DEFAULT_K1)
+    p.add_argument("--b", type=float, default=DEFAULT_B)
 
     p = sub.add_parser("retrieve", help="rank KB entries against a code file")
     _add_common_flags(p)
@@ -140,10 +140,11 @@ def _layer_flags(config: GlobalConfig, flags: dict) -> GlobalConfig:
 
 
 def _emit(args, payload, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, ensure_ascii=False, indent=2))
-    else:
-        print(text)
+    out = json.dumps(payload, ensure_ascii=False, indent=2) if args.format == "json" else text
+    try:
+        print(out)
+    except UnicodeEncodeError as exc:  # a lone surrogate, say, in a provider's reply
+        raise SosecError(f"output cannot be encoded: {exc}") from exc
 
 
 def _cmd_version(args, config) -> int:
@@ -200,11 +201,16 @@ def _hit_payload(hit) -> dict:
     }
 
 
-def _cmd_retrieve(args, config: GlobalConfig) -> int:
+def _code_and_hits(args, config: GlobalConfig):
+    """The --code file's text and its top config.k hits in the --index index."""
     index = load_index(args.index)
     with open_text(args.code) as fh:
         code = fh.read()
-    hits = retrieve(index, code, k=config.k)
+    return code, retrieve(index, code, k=config.k)
+
+
+def _cmd_retrieve(args, config: GlobalConfig) -> int:
+    _, hits = _code_and_hits(args, config)
     text = "\n".join(
         f"{h.rank:>2}. score={h.score:.4f}  {h.entry.url}" for h in hits
     ) or "no entries share tokens with the query"
@@ -213,10 +219,7 @@ def _cmd_retrieve(args, config: GlobalConfig) -> int:
 
 
 def _cmd_revise(args, config: GlobalConfig) -> int:
-    index = load_index(args.index)
-    with open_text(args.code) as fh:
-        code = fh.read()
-    hits = retrieve(index, code, k=config.k)
+    code, hits = _code_and_hits(args, config)
     provider = make_provider(config.provider)
     record = revise(
         provider,

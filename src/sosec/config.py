@@ -9,7 +9,8 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError, open_text
-from .revision import PROVIDER_MOCK, ProviderConfig
+from .retrieval import DEFAULT_TOP_K
+from .revision import DEFAULT_CHAR_BUDGET, PROVIDER_MOCK, ProviderConfig
 
 MIN_BUDGET = 1000
 
@@ -41,8 +42,8 @@ class GlobalConfig:
     supported_cwes_path: str = str(default_data_path("supported_cwes.txt"))
     adapters_path: str = str(default_data_path("adapters.json"))
     provider: ProviderConfig = field(default_factory=lambda: ProviderConfig(kind=PROVIDER_MOCK))
-    k: int = 5
-    budget: int = 8000
+    k: int = DEFAULT_TOP_K
+    budget: int = DEFAULT_CHAR_BUDGET
     workers: int = 1
 
     def validate(self) -> "GlobalConfig":
@@ -86,8 +87,9 @@ def load_config(path: str | Path | None = None) -> GlobalConfig:
             config.provider = ProviderConfig(**provider_obj)
         except TypeError as exc:
             raise ConfigError(f"config file {path}: bad provider section: {exc}") from exc
+    names = {f.name for f in fields(config)}
     for key, value in obj.items():
-        if not hasattr(config, key):
+        if key not in names:
             raise ConfigError(f"config file {path}: unknown key {key!r}")
         setattr(config, key, value)
     return config

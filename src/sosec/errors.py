@@ -39,14 +39,6 @@ class TransientProviderError(SosecError):
     """A retryable transport failure (connection reset, 5xx, rate limit)."""
 
 
-class TranscriptMissError(ProviderError):
-    """A recorded transcript has no response for the requested prompt hash."""
-
-    def __init__(self, prompt_hash: str):
-        super().__init__(f"transcript has no response for prompt hash {prompt_hash}")
-        self.prompt_hash = prompt_hash
-
-
 class ToolMissingError(SosecError):
     """An external analyzer binary is not installed on this host."""
 

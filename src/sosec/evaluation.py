@@ -11,7 +11,7 @@ import json
 import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import partial
 from pathlib import Path
@@ -19,8 +19,8 @@ from typing import Sequence
 
 from .analysis import CWE_RE, AdapterConfig, CweMap, Finding, analyze_file, cwe_set
 from .errors import AdapterError, ConfigError, PromptBudgetError, ProviderError, SosecError, open_text
-from .retrieval import RetrievalIndex, retrieve
-from .revision import DEFAULT_CHAR_BUDGET, revise
+from .retrieval import DEFAULT_TOP_K, RetrievalIndex, retrieve
+from .revision import DEFAULT_CHAR_BUDGET, PROMPT_TEMPLATE, revise
 
 DATASETS = ("sallm", "llmseceval", "lmsys", "custom")
 LANGUAGES = ("python", "c", "other")
@@ -51,9 +51,6 @@ CWE_NAMES = {
     "CWE-601": "Open Redirect",
     "CWE-798": "Use of Hard-coded Credentials",
 }
-
-_CWE_LABEL_NOTE = "Static analysis suggests the code may contain {cwe}{name}."
-
 
 @dataclass
 class CodeSample:
@@ -193,7 +190,7 @@ def analyze_code(
 def _cwe_label_note(sample: CodeSample) -> str:
     name = CWE_NAMES.get(sample.labeled_cwe or "")
     suffix = f" ({name})" if name else ""
-    return _CWE_LABEL_NOTE.format(cwe=sample.labeled_cwe, name=suffix)
+    return PROMPT_TEMPLATE["cwe_label_note"].format(cwe=sample.labeled_cwe, name=suffix)
 
 
 def validate_arms(arms: Sequence[str], has_index: bool) -> None:
@@ -242,7 +239,7 @@ def run_arms(
     adapters: Sequence[AdapterConfig],
     cwe_map: CweMap,
     supported_cwes: set[str],
-    k: int = 5,
+    k: int = DEFAULT_TOP_K,
     budget: int = DEFAULT_CHAR_BUDGET,
     workers: int = 1,
 ) -> list[Trial]:
@@ -347,14 +344,7 @@ class ArmMetrics:
     delta_fix_vs_baseline: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "vulns_before": self.vulns_before,
-            "fix_rate": self.fix_rate,
-            "intro_rate": self.intro_rate,
-            "no_change_rate": self.no_change_rate,
-            "delta_fix_vs_baseline": self.delta_fix_vs_baseline,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -365,12 +355,7 @@ class EvalReport:
     footnotes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "per_arm": {arm: m.to_dict() for arm, m in self.per_arm.items()},
-            "per_cwe": self.per_cwe,
-            "counts": self.counts,
-            "footnotes": list(self.footnotes),
-        }
+        return asdict(self)
 
 
 def per_cwe_breakdown(trials: Sequence[Trial]) -> dict[str, dict[str, int]]:

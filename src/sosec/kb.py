@@ -29,6 +29,8 @@ _TAG_ANGLE_RE = re.compile(r"<([^<>]+)>")
 # not retrievable snippets.
 MIN_INLINE_CODE_CHARS = 10
 
+DEFAULT_MIN_UPVOTE = 1
+
 _CHUNK_SIZE = 64 * 1024
 
 
@@ -95,13 +97,15 @@ class KnowledgeEntry:
 class KeywordSet:
     """Lowercase phrases matched as substrings against answer and comment text.
 
-    No phrase may contain NUL, the separator `is_security_relevant` joins
-    the texts with.
+    The set may not be empty, and no phrase may contain NUL, the separator
+    `is_security_relevant` joins the texts with.
     """
 
     keywords: frozenset[str]
 
     def __post_init__(self) -> None:
+        if not self.keywords:
+            raise ConfigError("keyword set is empty")
         for phrase in sorted(self.keywords):
             if "\x00" in phrase:
                 raise ConfigError(f"keyword phrase {phrase!r} contains a NUL character")
@@ -115,12 +119,9 @@ class KeywordSet:
         with open_text(path) as fh:
             lines = fh.read().splitlines()
         try:
-            keywords = cls.from_iterable(line for line in lines if not line.strip().startswith("#"))
+            return cls.from_iterable(line for line in lines if not line.strip().startswith("#"))
         except ConfigError as exc:
             raise ConfigError(f"keyword file {path}: {exc}") from exc
-        if not keywords.keywords:
-            raise ConfigError(f"keyword file {path} contains no phrases")
-        return keywords
 
 
 def _parse_tags(raw: str) -> list[str]:
@@ -229,8 +230,6 @@ def is_security_relevant(
     neither cased nor case-ignorable, so lowercasing the join lowercases
     each text as it would alone, final sigma included.
     """
-    if not keywords.keywords:
-        raise ConfigError("keyword set is empty")
     haystack = "\x00".join([answer_text, *comment_texts]).lower()
     return any(map(haystack.__contains__, keywords.keywords))
 
@@ -238,7 +237,7 @@ def is_security_relevant(
 def passes_quality_gate(
     answer_score: int,
     comment_scores: list[int],
-    min_upvote: int = 1,
+    min_upvote: int = DEFAULT_MIN_UPVOTE,
 ) -> bool:
     """True iff the answer or at least one of its comments is upvoted."""
     return answer_score >= min_upvote or any(score >= min_upvote for score in comment_scores)
@@ -369,7 +368,7 @@ def build_knowledge_base(
     posts: Iterable[RawPost],
     comments: Iterable[RawComment],
     keywords: KeywordSet,
-    min_upvote: int = 1,
+    min_upvote: int = DEFAULT_MIN_UPVOTE,
     tally: Counter | None = None,
 ) -> list[KnowledgeEntry]:
     """Join answers with their comments and keep the security-relevant ones.
@@ -382,8 +381,6 @@ def build_knowledge_base(
     on duplicate answer ids the later occurrence wins. Output is sorted by
     ascending answer id.
     """
-    if not keywords.keywords:
-        raise ConfigError("keyword set is empty")
     if tally is None:
         tally = Counter()
 
@@ -438,6 +435,7 @@ def write_kb_jsonl(entries: Iterable[KnowledgeEntry], path: str | Path) -> None:
 
 
 def load_kb_jsonl(path: str | Path) -> list[KnowledgeEntry]:
+    """Read a KB JSONL file, refusing by line number a malformed record or one holding a lone surrogate."""
     entries = []
     with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -445,7 +443,10 @@ def load_kb_jsonl(path: str | Path) -> list[KnowledgeEntry]:
             if not line:
                 continue
             try:
-                entries.append(KnowledgeEntry.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                entry = KnowledgeEntry.from_dict(json.loads(line))
+                if "\\u" in line:  # only an escape can decode to a lone surrogate
+                    entry.to_jsonl().encode("utf-8")
+                entries.append(entry)
+            except (json.JSONDecodeError, KeyError, TypeError, UnicodeEncodeError) as exc:
                 raise ConfigError(f"{path}: bad knowledge-base record on line {line_no}: {exc}") from exc
     return entries

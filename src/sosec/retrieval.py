@@ -147,10 +147,6 @@ class RetrievalHit:
     rank: int
 
 
-def entry_document_text(entry: KnowledgeEntry) -> str:
-    return "\n".join(entry.code_blocks)
-
-
 def build_index(
     entries: Sequence[KnowledgeEntry],
     k1: float = DEFAULT_K1,
@@ -177,7 +173,7 @@ def build_index(
     slots, docs, tfs = array("q"), array("q"), array("q")
     doc_len: list[int] = []
     for doc_id, entry in enumerate(entries):
-        tokens = tokenize_code(entry_document_text(entry))
+        tokens = tokenize_code("\n".join(entry.code_blocks))
         doc_len.append(len(tokens))
         for term, tf in Counter(tokens).items():
             slots.append(terms.setdefault(term, len(terms)))

@@ -14,7 +14,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
     PromptBudgetError,
     ProviderError,
-    TranscriptMissError,
     TransientProviderError,
     open_text,
 )
@@ -52,7 +51,7 @@ def _load_template() -> dict:
     return json.loads(text)
 
 
-_TEMPLATE = _load_template()
+PROMPT_TEMPLATE = _load_template()
 
 
 @dataclass
@@ -94,20 +93,7 @@ class RevisionRecord:
     parse_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "original_code": self.original_code,
-            "retrieved_answer_ids": list(self.retrieved_answer_ids),
-            "prompt_text": self.prompt_text,
-            "raw_response": self.raw_response,
-            "revised_code": self.revised_code,
-            "changed": self.changed,
-            "parse_ok": self.parse_ok,
-        }
-
-
-def _truncate(text: str, cap: int) -> str:
-    return text if len(text) <= cap else text[:cap]
+        return asdict(self)
 
 
 def render_hit_section(hit: RetrievalHit) -> str:
@@ -115,10 +101,10 @@ def render_hit_section(hit: RetrievalHit) -> str:
     entry = hit.entry
     lines = [
         f"[{hit.rank}] {entry.url} (answer score {entry.answer_score})",
-        _truncate(entry.answer_excerpt, ANSWER_EXCERPT_CAP),
+        entry.answer_excerpt[:ANSWER_EXCERPT_CAP],
     ]
     for text, score in entry.comments[:MAX_COMMENTS_PER_ENTRY]:
-        lines.append(f"- comment (score {score}): {_truncate(text, COMMENT_CAP)}")
+        lines.append(f"- comment (score {score}): {text[:COMMENT_CAP]}")
     return "\n".join(lines)
 
 
@@ -134,17 +120,17 @@ def build_revision_prompt(
     tight, the lowest-ranked sections are dropped first. The system
     instruction, code block, and output contract are mandatory.
     """
-    system = _TEMPLATE["system_instruction"]
+    system = PROMPT_TEMPLATE["system_instruction"]
     if note:
         system = f"{system}\n\n{note}"
-    code_section = f"{_TEMPLATE['code_intro']}\n```\n{code}\n```"
-    contract = _TEMPLATE["output_contract"]
+    code_section = f"{PROMPT_TEMPLATE['code_intro']}\n```\n{code}\n```"
+    contract = PROMPT_TEMPLATE["output_contract"]
 
     sections = [render_hit_section(h) for h in hits]
     if sections:
-        sections[0] = f"{_TEMPLATE['context_intro']}\n{sections[0]}"
+        sections[0] = f"{PROMPT_TEMPLATE['context_intro']}\n{sections[0]}"
     else:
-        sections = [_TEMPLATE["no_context_section"]]
+        sections = [PROMPT_TEMPLATE["no_context_section"]]
 
     prompt = RevisionPrompt(
         system_instruction=system,
@@ -248,7 +234,7 @@ class RecordedTranscriptProvider:
     def complete(self, prompt: str) -> str:
         key = prompt_hash(prompt)
         if key not in self._responses:
-            raise TranscriptMissError(key)
+            raise ProviderError(f"transcript has no response for prompt hash {key}")
         return self._responses[key]
 
 

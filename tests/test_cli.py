@@ -162,6 +162,48 @@ def test_pipeline_build_kb_index_retrieve_revise(tmp_path, fixtures_dir, capsys)
     assert record.retrieved_answer_ids[0] == 101
 
 
+def test_revise_json_keeps_record_key_order(tmp_path, fixtures_dir, capsys):
+    index_path = tmp_path / "kb.idx"
+    _build_index_fixture(tmp_path, fixtures_dir, index_path, capsys)
+    code = tmp_path / "snippet.py"
+    code.write_text(SHELL_CODE, encoding="utf-8")
+    assert main(["revise", "--index", str(index_path), "--code", str(code)]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == [
+        "sample_id", "original_code", "retrieved_answer_ids", "prompt_text",
+        "raw_response", "revised_code", "changed", "parse_ok",
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_revise_reply_that_cannot_be_printed_is_runtime_error(tmp_path, fixtures_dir, capsys, fmt):
+    index_path = tmp_path / "kb.idx"
+    _build_index_fixture(tmp_path, fixtures_dir, index_path, capsys)
+    code = tmp_path / "snippet.py"
+    code.write_text(SHELL_CODE, encoding="utf-8")
+    assert main(["revise", "--index", str(index_path), "--code", str(code)]) == 0
+    prompt = json.loads(capsys.readouterr().out)["prompt_text"]
+    transcript = tmp_path / "transcript.jsonl"
+    reply = "```python\nx = '\ud800'\n```"  # a lone surrogate
+    transcript.write_text(json.dumps({"prompt_hash": prompt_hash(prompt), "response": reply}) + "\n", encoding="utf-8")
+    argv = ["revise", "--index", str(index_path), "--code", str(code), "--format", fmt,
+            "--provider", "recorded", "--transcript", str(transcript)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("sosec: error: output cannot be encoded")
+
+
+def test_index_refuses_a_kb_line_with_a_lone_surrogate(tmp_path, capsys):
+    kb_path = tmp_path / "kb.jsonl"
+    good = KnowledgeEntry(1, 0, 1, "ok", ["x = 1"], [], [], "https://stackoverflow.com/a/1")
+    bad = json.loads(good.to_jsonl()) | {"answer_id": 2, "answer_excerpt": "x \ud800"}
+    kb_path.write_text(good.to_jsonl() + json.dumps(bad) + "\n", encoding="utf-8")
+    assert main(["index", "--kb", str(kb_path), "--out", str(tmp_path / "kb.idx")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "bad knowledge-base record on line 2" in err
+
+
 def test_analyze_json_round_trips_findings(tmp_path, stub_adapters_file, capsys):
     source = tmp_path / "app.py"
     source.write_text(SHELL_CODE, encoding="utf-8")
@@ -313,6 +355,13 @@ def test_config_file_with_removed_path_key_is_runtime_error(tmp_path, capsys):
     config.write_text(json.dumps({"kb_path": "kb.jsonl"}), encoding="utf-8")
     assert main(["version", "--config", str(config)]) == 2
     assert "unknown key 'kb_path'" in capsys.readouterr().err
+
+
+def test_config_file_key_naming_a_method_is_runtime_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"validate": 1}), encoding="utf-8")
+    assert main(["version", "--config", str(config)]) == 2
+    assert "unknown key 'validate'" in capsys.readouterr().err
 
 
 def test_eval_with_missing_dataset_is_runtime_error(tmp_path, capsys):

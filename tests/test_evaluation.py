@@ -30,7 +30,7 @@ from sosec.evaluation import (
     split_trials,
 )
 from sosec.retrieval import build_index, save_index
-from sosec.revision import DeterministicMockProvider
+from sosec.revision import DeterministicMockProvider, prompt_hash
 
 SHELL_CODE = "import subprocess\n\ndef run(cmd):\n    return subprocess.call(cmd, shell=True)\n"
 
@@ -227,6 +227,11 @@ def test_revision_only_arm_with_echo_mock(fake_bandit_adapter, fake_codeql_adapt
     assert outcome.before_cwes & outcome.after_cwes == {"CWE-78"}
 
 
+# sha256 of the prompt the cwe_label arm sends for SHELL_CODE labeled CWE-78;
+# recorded transcripts are keyed on it, so the label note's text is part of it
+CWE_LABEL_PROMPT_SHA256 = "e0f8ae051b15104a78bcabd6e398a303291df36aaaaaa42260c4b9c71193feb5"
+
+
 def test_cwe_label_arm_requires_labels_and_injects_them(
     fake_bandit_adapter, fake_codeql_adapter, cwe_map
 ):
@@ -253,6 +258,7 @@ def test_cwe_label_arm_requires_labels_and_injects_them(
         **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
     )
     assert "CWE-78 (OS Command Injection)" in prompts[0]
+    assert prompt_hash(prompts[0]) == CWE_LABEL_PROMPT_SHA256
 
 
 def test_unknown_arm_rejected(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
@@ -741,3 +747,14 @@ def test_outcome_diff_invariants_propagate():
         persisted = outcome.before_cwes & outcome.after_cwes
         assert outcome.fixed | persisted == outcome.before_cwes
         assert outcome.introduced & outcome.before_cwes == set()
+
+
+def test_eval_report_keys_keep_their_order():
+    outcomes = _count_outcomes("prompt_only", 4, 1) + _count_outcomes("sosecure", 4, 3)
+    report = json.loads(json.dumps(compute_metrics(outcomes, baseline_arm="prompt_only").to_dict()))
+    assert list(report) == ["per_arm", "per_cwe", "counts", "footnotes"]
+    assert list(report["per_arm"]) == ["prompt_only", "sosecure"]
+    for metrics in report["per_arm"].values():
+        assert list(metrics) == [
+            "samples", "vulns_before", "fix_rate", "intro_rate", "no_change_rate", "delta_fix_vs_baseline",
+        ]

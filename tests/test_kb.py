@@ -118,6 +118,20 @@ def test_empty_keyword_set_is_config_error():
         is_security_relevant("anything", [], KeywordSet(frozenset()))
 
 
+def test_keyword_set_refuses_no_phrases():
+    with pytest.raises(ConfigError, match="keyword set is empty"):
+        KeywordSet(frozenset())
+    with pytest.raises(ConfigError, match="keyword set is empty"):
+        KeywordSet.from_iterable(["", "  "])
+
+
+def test_keyword_file_without_phrases_names_the_file(tmp_path):
+    path = tmp_path / "keywords.txt"
+    path.write_text("# only a comment\n\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="keyword file .*keywords.txt"):
+        KeywordSet.from_file(path)
+
+
 @pytest.mark.parametrize(
     "answer_score,comment_scores,expected",
     [(1, [], True), (0, [0, 1], True), (0, [0, 0], False), (-2, [], False)],
