@@ -8,8 +8,11 @@ normalized JSONL entries that the retrieval index is built from.
 from __future__ import annotations
 
 import json
+import os
 import re
-from collections import Counter
+from collections import Counter, deque
+from concurrent.futures import BrokenExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from html import unescape
 from html.parser import HTMLParser
@@ -17,7 +20,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 from xml.parsers import expat
 
-from .errors import ConfigError, DumpParseError, open_text
+from .errors import ConfigError, DumpParseError, SosecError, open_text
 
 POST_TYPE_QUESTION = "question"
 POST_TYPE_ANSWER = "answer"
@@ -32,6 +35,14 @@ MIN_INLINE_CODE_CHARS = 10
 DEFAULT_MIN_UPVOTE = 1
 
 _CHUNK_SIZE = 64 * 1024
+
+# Upvoted answers per task sent to a worker process. The pool starts only
+# once this many have been seen, so a small dump never starts it.
+_JUDGE_CHUNK = 256
+_MAX_JUDGES = 4
+# Tasks each worker may have queued or running. It bounds the answers held
+# for the workers to _JUDGE_CHUNK x _IN_FLIGHT_PER_JUDGE x workers.
+_IN_FLIGHT_PER_JUDGE = 2
 
 
 @dataclass(slots=True)
@@ -364,6 +375,71 @@ def answer_url(answer_id: int) -> str:
     return f"https://stackoverflow.com/a/{answer_id}"
 
 
+def _judge_chunk(
+    chunk: list[tuple[str, list[str]]],
+    keywords: KeywordSet,
+) -> list[tuple[str, list[str]] | bool | None]:
+    """The code and keyword gates for a chunk of `(body, comment texts)` pairs, in order.
+
+    One verdict per pair: the body's text and code blocks when both gates
+    pass, False when one fails, None when the HTML parser gives up. It reads
+    nothing but its arguments, so a worker process can run it under any
+    start method.
+    """
+    verdicts: list[tuple[str, list[str]] | bool | None] = []
+    for body, comment_texts in chunk:
+        parsed = parse_answer_body(body)
+        if parsed is not None and not (parsed[1] and is_security_relevant(parsed[0], comment_texts, keywords)):
+            parsed = False
+        verdicts.append(parsed)
+    return verdicts
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+def _judged(batches: Iterable[list], keywords: KeywordSet) -> Iterator[tuple[list, list]]:
+    """Yield each batch of `(post, comments, tags)` with its `_judge_chunk` verdicts, in batch order.
+
+    A full first batch, when this process may run on more than one CPU,
+    starts one worker process per such CPU, up to _MAX_JUDGES; otherwise
+    every batch is judged in this process. The pool is shut down on the way out, also when
+    the batches raise or the caller stops early.
+    """
+    workers = min(_cpu_count(), _MAX_JUDGES)
+    pool = None
+    in_flight: deque = deque()
+    try:
+        for batch in batches:
+            chunk = [(post.body, [text for text, _ in attached]) for post, attached, _ in batch]
+            if pool is None:
+                if workers < 2 or len(batch) < _JUDGE_CHUNK:
+                    yield batch, _judge_chunk(chunk, keywords)
+                    continue
+                # Imported here, not with this module: it and multiprocessing
+                # would add about 15 ms to the start of every CLI command.
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = ProcessPoolExecutor(max_workers=workers)
+            if len(in_flight) == workers * _IN_FLIGHT_PER_JUDGE:
+                done, future = in_flight.popleft()
+                yield done, future.result()
+            in_flight.append((batch, pool.submit(_judge_chunk, chunk, keywords)))
+        while in_flight:
+            done, future = in_flight.popleft()
+            yield done, future.result()
+    except BrokenExecutor as exc:
+        raise SosecError(f"a build-kb worker process died: {exc}") from exc
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
 def build_knowledge_base(
     posts: Iterable[RawPost],
     comments: Iterable[RawComment],
@@ -376,10 +452,13 @@ def build_knowledge_base(
     An answer is kept when it passes the upvote gate, contains at least one
     code block, and matches a keyword (in its text or a comment). The gates
     run cheapest first, so a body is parsed only once its upvote gate passes.
-    A body the HTML parser gives up on is dropped and tallied as
-    ``unparseable_bodies``. Comments referencing unknown posts are ignored;
-    on duplicate answer ids the later occurrence wins. Output is sorted by
-    ascending answer id.
+    This process reads the dumps, joins the comments and applies the upvote
+    gate; the answers that pass it are parsed and judged in chunks, by worker
+    processes when there are enough of them (see `_judged`), and the results
+    are applied in dump order. A body the HTML parser gives up on is dropped
+    and tallied as ``unparseable_bodies``. Comments referencing unknown posts
+    are ignored; on duplicate answer ids the later occurrence wins. Output is
+    sorted by ascending answer id.
     """
     if tally is None:
         tally = Counter()
@@ -390,39 +469,45 @@ def build_knowledge_base(
     for comment in comments:
         comments_by_post.setdefault(comment.post_id, []).append((comment.text, comment.score))
 
-    question_tags: dict[int, list[str]] = {}
+    def upvoted_batches() -> Iterator[list[tuple[RawPost, list[tuple[str, int]], list[str]]]]:
+        question_tags: dict[int, list[str]] = {}
+        batch = []
+        for post in posts:
+            if post.post_type == POST_TYPE_QUESTION:
+                question_tags[post.id] = post.tags
+                continue
+            attached = comments_by_post.get(post.id, [])
+            if passes_quality_gate(post.score, [s for _, s in attached], min_upvote):
+                # The tags are read now, as a question later in the dump must not lend them.
+                batch.append((post, attached, question_tags.get(post.parent_id or 0, [])))
+                if len(batch) == _JUDGE_CHUNK:
+                    yield batch
+                    batch = []
+        if batch:
+            yield batch
+
     entries: dict[int, KnowledgeEntry] = {}
-
-    for post in posts:
-        if post.post_type == POST_TYPE_QUESTION:
-            question_tags[post.id] = post.tags
-            continue
-
-        attached = comments_by_post.get(post.id, [])
-        if not passes_quality_gate(post.score, [s for _, s in attached], min_upvote):
-            continue
-        parsed = parse_answer_body(post.body)
-        if parsed is None:
-            tally["unparseable_bodies"] += 1
-            continue
-        excerpt, code_blocks = parsed
-        if not code_blocks:
-            continue
-        if not is_security_relevant(excerpt, [t for t, _ in attached], keywords):
-            continue
-
-        if post.id in entries:
-            tally["duplicate_answers"] += 1
-        entries[post.id] = KnowledgeEntry(
-            answer_id=post.id,
-            question_id=post.parent_id or 0,
-            answer_score=post.score,
-            answer_excerpt=excerpt,
-            code_blocks=code_blocks,
-            comments=attached,
-            tags=question_tags.get(post.parent_id or 0, []),
-            url=answer_url(post.id),
-        )
+    with closing(_judged(upvoted_batches(), keywords)) as judged:
+        for batch, verdicts in judged:
+            for (post, attached, tags), verdict in zip(batch, verdicts):
+                if verdict is None:
+                    tally["unparseable_bodies"] += 1
+                    continue
+                if not verdict:
+                    continue
+                excerpt, code_blocks = verdict
+                if post.id in entries:
+                    tally["duplicate_answers"] += 1
+                entries[post.id] = KnowledgeEntry(
+                    answer_id=post.id,
+                    question_id=post.parent_id or 0,
+                    answer_score=post.score,
+                    answer_excerpt=excerpt,
+                    code_blocks=code_blocks,
+                    comments=attached,
+                    tags=tags,
+                    url=answer_url(post.id),
+                )
 
     return [entries[answer_id] for answer_id in sorted(entries)]
 
@@ -434,19 +519,72 @@ def write_kb_jsonl(entries: Iterable[KnowledgeEntry], path: str | Path) -> None:
             fh.write(entry.to_jsonl())
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # bool is an int subclass, but no id or score
+
+
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+def _is_str_list(value) -> bool:
+    return type(value) is list and all(map(_is_str, value))
+
+
+def _is_comment_list(value) -> bool:
+    return type(value) is list and all(
+        type(c) is dict and _is_str(c.get("text")) and _is_int(c.get("score")) for c in value
+    )
+
+
+# Each field of a KB record: its test and what it must be.
+_RECORD_FIELDS = {
+    "answer_id": (_is_int, "an integer"),
+    "question_id": (_is_int, "an integer"),
+    "answer_score": (_is_int, "an integer"),
+    "answer_excerpt": (_is_str, "a string"),
+    "code_blocks": (_is_str_list, "a list of strings"),
+    "comments": (_is_comment_list, 'a list of {"text": string, "score": integer}'),
+    "tags": (_is_str_list, "a list of strings"),
+    "url": (_is_str, "a string"),
+}
+
+
+def _check_record(obj) -> None:
+    """Raise ValueError naming the first field of a KB record that is missing or of the wrong type."""
+    if type(obj) is not dict:
+        raise ValueError("a record must be a JSON object")
+    for key, (ok, shape) in _RECORD_FIELDS.items():
+        if key not in obj:
+            raise ValueError(f"missing {key!r}")
+        if not ok(obj[key]):
+            raise ValueError(f"{key!r} must be {shape}, got {obj[key]!r:.80}")
+
+
 def load_kb_jsonl(path: str | Path) -> list[KnowledgeEntry]:
-    """Read a KB JSONL file, refusing by line number a malformed record or one holding a lone surrogate."""
+    """Read a KB JSONL file.
+
+    A record that is not JSON, lacks a field, holds a field of the wrong
+    type (see `_RECORD_FIELDS`) or a lone surrogate, or repeats an earlier
+    record's answer id is refused by line number.
+    """
     entries = []
+    first_line: dict[int, int] = {}
     with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                entry = KnowledgeEntry.from_dict(json.loads(line))
+                obj = json.loads(line)
+                _check_record(obj)
+                entry = KnowledgeEntry.from_dict(obj)
                 if "\\u" in line:  # only an escape can decode to a lone surrogate
                     entry.to_jsonl().encode("utf-8")
-                entries.append(entry)
-            except (json.JSONDecodeError, KeyError, TypeError, UnicodeEncodeError) as exc:
+            except ValueError as exc:  # JSONDecodeError and UnicodeEncodeError too
                 raise ConfigError(f"{path}: bad knowledge-base record on line {line_no}: {exc}") from exc
+            seen = first_line.setdefault(entry.answer_id, line_no)
+            if seen != line_no:
+                raise ConfigError(f"{path}: answer_id {entry.answer_id} on line {line_no} repeats line {seen}")
+            entries.append(entry)
     return entries

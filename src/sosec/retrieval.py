@@ -8,6 +8,7 @@ to their lowercased constituents.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ConfigError
 from .kb import KnowledgeEntry
@@ -69,8 +70,12 @@ def _word_tokens(word: str) -> list[str]:
     return [whole] + pieces
 
 
-def tokenize_code(text: str) -> list[str]:
-    """Tokenize source text, keeping appearance order and duplicates."""
+def tokenize_code(text: str, word_tokens: Callable[[str], list[str]] = _word_tokens) -> list[str]:
+    """Tokenize source text, keeping appearance order and duplicates.
+
+    `word_tokens` splits one identifier; `build_index` passes a memoized
+    `_word_tokens`, since the same identifiers recur across entries.
+    """
     tokens: list[str] = []
     for match in _TOKEN_RE.finditer(text):
         group = match.lastgroup
@@ -82,13 +87,13 @@ def tokenize_code(text: str) -> list[str]:
             if "." in lhs:
                 tokens.append(lhs)
             for part in re.findall(r"\w+", raw):
-                tokens.extend(_word_tokens(part))
+                tokens.extend(word_tokens(part))
         elif group == "dotted":
             tokens.append(raw.lower())
             for part in raw.split("."):
-                tokens.extend(_word_tokens(part))
+                tokens.extend(word_tokens(part))
         else:
-            tokens.extend(_word_tokens(raw))
+            tokens.extend(word_tokens(raw))
     return tokens
 
 
@@ -172,8 +177,9 @@ def build_index(
     terms: dict[str, int] = {}
     slots, docs, tfs = array("q"), array("q"), array("q")
     doc_len: list[int] = []
+    word_tokens = functools.cache(_word_tokens)  # lives for this call only
     for doc_id, entry in enumerate(entries):
-        tokens = tokenize_code("\n".join(entry.code_blocks))
+        tokens = tokenize_code("\n".join(entry.code_blocks), word_tokens)
         doc_len.append(len(tokens))
         for term, tf in Counter(tokens).items():
             slots.append(terms.setdefault(term, len(terms)))

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import logged_adapter_specs, raise_in_body_parser_on, stub_adapter_specs
+from conftest import FIXTURE_KB_SHA256, logged_adapter_specs, raise_in_body_parser_on, stub_adapter_specs
+import sosec
 from sosec import __version__
 from sosec.analysis import Finding
 from sosec.cli import main
@@ -94,10 +97,6 @@ def _build_index_fixture(tmp_path, fixtures_dir, index_path, capsys):
     rc = main(["index", "--kb", str(kb_path), "--out", str(index_path)])
     assert rc == 0
     capsys.readouterr()  # drop the build logs
-
-
-# sha256 of the knowledge base that build-kb writes for the 20-row fixture dump
-FIXTURE_KB_SHA256 = "f8968af3e5aef8f29083b548598cc4cbd1854be7bc0ca0aef5c3c392e29d53eb"
 
 
 def test_build_kb_fixture_bytes_are_golden(tmp_path, fixtures_dir, capsys):
@@ -565,3 +564,15 @@ def test_eval_rejects_missing_cwe_label_before_any_analyzer_runs(tmp_path, fixtu
     assert rc == 2
     assert "missing on: s002" in capsys.readouterr().err
     assert not log.exists()
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # build-kb imports it only when it starts worker processes; loaded with
+    # the CLI, it would slow the start of every command.
+    src = str(Path(sosec.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import sosec.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
+import concurrent.futures
+import hashlib
 import io
+import json
+import multiprocessing
+import os
 import random
 import time
+import warnings
 from collections import Counter
 from html.parser import HTMLParser
 
 import pytest
 
-from conftest import raise_in_body_parser_on
+from conftest import FIXTURE_KB_SHA256, raise_in_body_parser_on
 from sosec import kb
+from sosec.cli import main
 from sosec.config import default_data_path
-from sosec.errors import ConfigError, DumpParseError
+from sosec.errors import ConfigError, DumpParseError, SosecError
 from sosec.kb import (
     KeywordSet,
     RawComment,
@@ -468,3 +475,224 @@ def test_fixture_bodies_take_the_plain_path(fixtures_dir):
     with open(fixtures_dir / "posts_20.xml", "rb") as fh:
         bodies = [post.body for post in parse_dump_rows(fh, "posts")]
     assert all(kb._plain_pieces(body) is not None for body in bodies)
+
+
+# --- the worker-process path of build_knowledge_base ---
+
+
+def _judge_in_pool(monkeypatch) -> list:
+    """Judge in chunks of two answers with two worker processes; return the pools started, as they start."""
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        """Also records the most tasks submitted at once whose result was not yet taken."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.in_flight = self.most_in_flight = 0
+            started.append(self)
+
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            self.in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+            result = future.result
+
+            def taken(*a, **kw):
+                self.in_flight -= 1
+                return result(*a, **kw)
+
+            future.result = taken
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(kb, "_JUDGE_CHUNK", 2)
+    monkeypatch.setattr(kb, "_cpu_count", lambda: 2)
+    return started
+
+
+def _build_kb_cli(fixtures_dir, out, capsys) -> tuple[bytes, dict]:
+    argv = ["build-kb", "--posts", str(fixtures_dir / "posts_20.xml"),
+            "--comments", str(fixtures_dir / "comments_20.xml"), "--out", str(out), "--format", "json"]
+    assert main(argv) == 0
+    return out.read_bytes(), json.loads(capsys.readouterr().out)
+
+
+def test_pool_path_writes_the_in_process_bytes(fixtures_dir, tmp_path, capsys, monkeypatch):
+    serial_bytes, serial_summary = _build_kb_cli(fixtures_dir, tmp_path / "serial.jsonl", capsys)
+    started = _judge_in_pool(monkeypatch)
+    pooled_bytes, pooled_summary = _build_kb_cli(fixtures_dir, tmp_path / "pooled.jsonl", capsys)
+    assert len(started) == 1
+    assert pooled_bytes == serial_bytes
+    assert hashlib.sha256(pooled_bytes).hexdigest() == FIXTURE_KB_SHA256
+    assert pooled_summary | {"out": ""} == serial_summary | {"out": ""}
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_path_keeps_the_later_duplicate_across_chunks(monkeypatch):
+    started = _judge_in_pool(monkeypatch)
+    code = "<pre><code>call_{}()\n</code></pre>"
+    posts = [
+        RawPost(1, "question", None, 5, "<p>q</p>", ["first"]),
+        RawPost(10, "answer", 1, 2, "<p>command injection</p>" + code.format("one")),
+        RawPost(11, "answer", 1, 2, "<p>command injection</p>" + code.format("two")),
+        # a question that repeats id 1 changes the tags only of answers after it
+        RawPost(1, "question", None, 5, "<p>q</p>", ["second"]),
+        RawPost(12, "answer", 1, 2, "<p>command injection</p>" + code.format("three")),
+        # more chunks than two workers may have in flight lie between the two rows of 10
+        *[RawPost(i, "answer", 1, 2, "<p>no keyword</p>" + code.format(i)) for i in range(20, 32)],
+        RawPost(10, "answer", 1, 4, "<p>command injection</p>" + code.format("four")),
+        # two rows of 13 among the last chunks, whose results are collected after the dump ends
+        RawPost(13, "answer", 1, 2, "<p>command injection</p>" + code.format("five")),
+        RawPost(14, "answer", 1, 2, "<p>no keyword</p>" + code.format("six")),
+        RawPost(13, "answer", 1, 3, "<p>command injection</p>" + code.format("seven")),
+    ]
+    tally = Counter()
+    entries = build_knowledge_base(posts, [], KW, tally=tally)
+    assert len(started) == 1
+    assert started[0].most_in_flight == 2 * kb._IN_FLIGHT_PER_JUDGE  # two workers
+    assert [(e.answer_id, e.answer_score, e.code_blocks, e.tags) for e in entries] == [
+        (10, 4, ["call_four()"], ["second"]),
+        (11, 2, ["call_two()"], ["first"]),
+        (12, 2, ["call_three()"], ["second"]),
+        (13, 3, ["call_seven()"], ["second"]),
+    ]
+    assert tally["duplicate_answers"] == 2
+
+
+def _answers_dump(count: int, tail: str = "") -> bytes:
+    """A posts dump of one question and `count` upvoted answers that pass every gate, then `tail`."""
+    rows = ['<row Id="1" PostTypeId="1" Score="1" Body="q" Tags="&lt;python&gt;"/>']
+    body = "&lt;p&gt;sql injection&lt;/p&gt;&lt;pre&gt;&lt;code&gt;x = 1&lt;/code&gt;&lt;/pre&gt;"
+    rows += [f'<row Id="{i}" PostTypeId="2" ParentId="1" Score="3" Body="{body}"/>' for i in range(2, count + 2)]
+    return ("<posts>" + "".join(rows) + tail + "</posts>").encode("utf-8")
+
+
+def _build_from_bytes(posts_xml: bytes):
+    return build_knowledge_base(parse_dump_rows(io.BytesIO(posts_xml), "posts"), [], KW)
+
+
+def test_malformed_posts_after_the_pool_started_raise_at_the_same_offset(monkeypatch):
+    monkeypatch.setattr(kb, "_CHUNK_SIZE", 512)  # hand the rows over a few at a time
+    posts_xml = _answers_dump(40, tail="<row Id=oops/>")
+    with pytest.raises(DumpParseError) as serial:
+        _build_from_bytes(posts_xml)
+    started = _judge_in_pool(monkeypatch)
+    with pytest.raises(DumpParseError) as pooled:
+        _build_from_bytes(posts_xml)
+    assert len(started) == 1
+    assert pooled.value.byte_offset == serial.value.byte_offset > 0
+    assert str(pooled.value) == str(serial.value)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_while_the_pool_runs_leaves_no_child(monkeypatch):
+    started = _judge_in_pool(monkeypatch)
+    rows = parse_dump_rows(io.BytesIO(_answers_dump(40)), "posts")
+
+    def interrupted():
+        for n, post in enumerate(rows):
+            if n == 20:
+                raise KeyboardInterrupt
+            yield post
+
+    with pytest.raises(KeyboardInterrupt):
+        build_knowledge_base(interrupted(), [], KW)
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+class _KillsItsUnpickler(KeywordSet):
+    """A keyword set that ends the process that unpickles it, as a crashing worker would end."""
+
+    def __reduce__(self):
+        return os._exit, (3,)
+
+
+def test_a_dead_worker_is_a_sosec_error(monkeypatch):
+    keywords = _KillsItsUnpickler(frozenset({"sql injection"}))
+    posts = list(parse_dump_rows(io.BytesIO(_answers_dump(1)), "posts"))
+    assert [e.answer_id for e in build_knowledge_base(posts, [], keywords)] == [2]
+    started = _judge_in_pool(monkeypatch)
+    with pytest.raises(SosecError, match="worker process died"):
+        build_knowledge_base(posts * 3, [], keywords)
+    assert len(started) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_path_raises_no_warning(fixtures_dir, monkeypatch):
+    started = _judge_in_pool(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entries = _kb_from_fixture(fixtures_dir)
+    assert len(started) == 1
+    assert [e.answer_id for e in entries] == [101, 102, 105, 107, 109, 112, 114]
+
+
+def test_one_cpu_judges_in_process(fixtures_dir, monkeypatch):
+    started = _judge_in_pool(monkeypatch)
+    monkeypatch.setattr(kb, "_cpu_count", lambda: 1)
+    assert [e.answer_id for e in _kb_from_fixture(fixtures_dir)] == [101, 102, 105, 107, 109, 112, 114]
+    assert started == []
+
+
+# --- load_kb_jsonl ---
+
+
+def _kb_file(tmp_path, records: list) -> str:
+    path = tmp_path / "kb.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return str(path)
+
+
+_GOOD_RECORD = json.loads(
+    kb.KnowledgeEntry(1, 2, 3, "text", ["x = 1"], [("ok", 1)], ["python"], kb.answer_url(1)).to_jsonl()
+)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("code_blocks", "subprocess.call(x, shell=True)"),
+        ("code_blocks", ["ok", 1]),
+        ("tags", "python"),
+        ("answer_score", None),
+        ("answer_score", 1.0),
+        ("answer_id", True),
+        ("answer_id", "1"),
+        ("question_id", None),
+        ("answer_excerpt", ["text"]),
+        ("url", 1),
+        ("comments", [["ok", 1]]),
+        ("comments", [{"text": "ok", "score": "1"}]),
+        ("comments", [{"text": None, "score": 1}]),
+        ("comments", [{"score": 1}]),
+    ],
+)
+def test_load_kb_refuses_a_field_of_the_wrong_shape(tmp_path, field, value):
+    path = _kb_file(tmp_path, [_GOOD_RECORD, {**_GOOD_RECORD, "answer_id": 5, field: value}])
+    with pytest.raises(ConfigError, match=f"on line 2: '{field}' must be"):
+        load_kb_jsonl(path)
+
+
+def test_load_kb_refuses_a_missing_field_or_a_record_that_is_no_object(tmp_path):
+    record = dict(_GOOD_RECORD)
+    del record["url"]
+    with pytest.raises(ConfigError, match="on line 1: missing 'url'"):
+        load_kb_jsonl(_kb_file(tmp_path, [record]))
+    with pytest.raises(ConfigError, match="on line 1: a record must be a JSON object"):
+        load_kb_jsonl(_kb_file(tmp_path, [[1, 2]]))
+
+
+def test_load_kb_refuses_a_repeated_answer_id_naming_both_lines(tmp_path):
+    records = [_GOOD_RECORD, {**_GOOD_RECORD, "answer_id": 2}, {**_GOOD_RECORD, "code_blocks": ["y = 2"]}]
+    with pytest.raises(ConfigError, match="answer_id 1 on line 3 repeats line 1"):
+        load_kb_jsonl(_kb_file(tmp_path, records))
+
+
+def test_index_refuses_a_string_of_code_blocks(tmp_path, capsys):
+    path = _kb_file(tmp_path, [{**_GOOD_RECORD, "code_blocks": "subprocess.call(x, shell=True)"}])
+    assert main(["index", "--kb", path, "--out", str(tmp_path / "kb.idx")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "line 1: 'code_blocks' must be a list of strings" in err
