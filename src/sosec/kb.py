@@ -408,8 +408,8 @@ def _judged(batches: Iterable[list], keywords: KeywordSet) -> Iterator[tuple[lis
 
     A full first batch, when this process may run on more than one CPU,
     starts one worker process per such CPU, up to _MAX_JUDGES; otherwise
-    every batch is judged in this process. The pool is shut down on the way out, also when
-    the batches raise or the caller stops early.
+    every batch is judged in this process. The pool is shut down on the way
+    out, also when the batches raise or the caller stops early.
     """
     workers = min(_cpu_count(), _MAX_JUDGES)
     pool = None
