@@ -3,31 +3,15 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, open_text
+from .errors import ConfigError, check_value, open_text
 from .retrieval import DEFAULT_TOP_K
 from .revision import DEFAULT_CHAR_BUDGET, PROVIDER_MOCK, ProviderConfig
 
 MIN_BUDGET = 1000
-
-_OPTIONAL_STR = (str, type(None))
-_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", _OPTIONAL_STR: "a string or null"}
-
-
-def _check(name: str, value, kind, least: float | None = None) -> None:
-    """Raise ConfigError unless `value` is a `kind` (bool is no number) and not below `least`."""
-    if kind is float:
-        ok = type(value) in (int, float) and math.isfinite(value)
-    else:
-        ok = type(value) is int if kind is int else isinstance(value, kind)
-    if not ok:
-        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 def default_data_path(name: str) -> Path:
@@ -49,19 +33,11 @@ class GlobalConfig:
     def validate(self) -> "GlobalConfig":
         for f in fields(self):
             if f.name.endswith("_path"):
-                _check(f.name, getattr(self, f.name), str)
-        _check("k", self.k, int, 1)
-        _check("budget", self.budget, int, MIN_BUDGET)
-        _check("workers", self.workers, int, 1)
-        provider = self.provider
-        _check("provider.max_retries", provider.max_retries, int, 0)
-        _check("provider.max_in_flight", provider.max_in_flight, int, 1)
-        for name in ("temperature", "retry_base_delay", "min_request_interval"):
-            _check(f"provider.{name}", getattr(provider, name), float, 0)
-        for name in ("kind", "mock_behavior"):
-            _check(f"provider.{name}", getattr(provider, name), str)
-        for name in ("endpoint", "model_name", "transcript_path"):
-            _check(f"provider.{name}", getattr(provider, name), _OPTIONAL_STR)
+                check_value(f.name, getattr(self, f.name), str)
+        check_value("k", self.k, int, 1)
+        check_value("budget", self.budget, int, MIN_BUDGET)
+        check_value("workers", self.workers, int, 1)
+        self.provider.validate()
         return self
 
 

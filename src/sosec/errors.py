@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the pipeline, and the one way text inputs are opened."""
+"""Exception hierarchy shared across the pipeline, the one way text inputs are opened, and
+the one check of a config value's type and lower bound."""
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Iterator
@@ -18,10 +20,6 @@ class ConfigError(SosecError):
 class DumpParseError(SosecError):
     """Fatal XML error while reading a data-dump file."""
 
-    def __init__(self, message: str, byte_offset: int = -1):
-        super().__init__(message)
-        self.byte_offset = byte_offset
-
 
 class PromptBudgetError(SosecError):
     """The character budget cannot fit the mandatory prompt sections."""
@@ -29,10 +27,6 @@ class PromptBudgetError(SosecError):
 
 class ProviderError(SosecError):
     """A provider call failed permanently."""
-
-    def __init__(self, message: str, sample_id: str = ""):
-        super().__init__(message)
-        self.sample_id = sample_id
 
 
 class TransientProviderError(SosecError):
@@ -55,3 +49,19 @@ def open_text(path: str | Path) -> Iterator[IO[str]]:
             yield fh
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+OPTIONAL_STR = (str, type(None))
+_KIND_NAMES = {int: "an integer", float: "a finite number", str: "a string", OPTIONAL_STR: "a string or null"}
+
+
+def check_value(name: str, value, kind, least: float | None = None) -> None:
+    """Raise ConfigError unless `value` is a `kind` (bool is no number) and not below `least`."""
+    if kind is float:
+        ok = type(value) in (int, float) and math.isfinite(value)
+    else:
+        ok = type(value) is int if kind is int else isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")

@@ -23,7 +23,6 @@ from .retrieval import DEFAULT_TOP_K, RetrievalIndex, retrieve
 from .revision import DEFAULT_CHAR_BUDGET, PROMPT_TEMPLATE, revise
 
 DATASETS = ("sallm", "llmseceval", "lmsys", "custom")
-LANGUAGES = ("python", "c", "other")
 
 ARM_PROMPT_ONLY = "prompt_only"
 ARM_REVISION_ONLY = "revision_only"
@@ -31,7 +30,7 @@ ARM_CWE_LABEL = "cwe_label"
 ARM_SOSECURE = "sosecure"
 ARMS = (ARM_PROMPT_ONLY, ARM_REVISION_ONLY, ARM_CWE_LABEL, ARM_SOSECURE)
 
-_SUFFIX_BY_LANGUAGE = {"python": ".py", "c": ".c", "other": ".txt"}
+_SUFFIX_BY_LANGUAGE = {"python": ".py", "c": ".c"}
 
 # Names for the label-bearing prompt note; labels outside this table are
 # passed through without a name.
@@ -58,7 +57,6 @@ class CodeSample:
     code: str
     dataset: str = "custom"
     language: str = "python"
-    prompt: str | None = None
     labeled_cwe: str | None = None
 
 
@@ -106,20 +104,16 @@ def _validate_sample(obj: dict) -> CodeSample:
     if dataset not in DATASETS:
         raise ValueError(f"unknown dataset {dataset!r}")
     language = obj.get("language", "python")
-    if language not in LANGUAGES:
+    if language not in _SUFFIX_BY_LANGUAGE:
         raise ValueError(f"unknown language {language!r}")
     labeled_cwe = obj.get("labeled_cwe")
     if labeled_cwe is not None and not CWE_RE.match(str(labeled_cwe)):
         raise ValueError(f"labeled_cwe {labeled_cwe!r} does not match CWE-NNN")
-    prompt = obj.get("prompt")
-    if prompt is not None and not isinstance(prompt, str):
-        raise ValueError("'prompt' must be a string")
     return CodeSample(
         sample_id=sample_id,
         code=code,
         dataset=dataset,
         language=language,
-        prompt=prompt,
         labeled_cwe=labeled_cwe,
     )
 
@@ -174,7 +168,7 @@ def analyze_code(
     fails, and AdapterError if the code cannot be written as UTF-8 (a lone
     surrogate in a revision).
     """
-    suffix = _SUFFIX_BY_LANGUAGE.get(language, ".txt")
+    suffix = _SUFFIX_BY_LANGUAGE[language]
     with tempfile.TemporaryDirectory(prefix="sosec-") as workdir:
         source = Path(workdir) / f"sample{suffix}"
         try:
@@ -342,9 +336,6 @@ class ArmMetrics:
     intro_rate: float
     no_change_rate: float
     delta_fix_vs_baseline: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

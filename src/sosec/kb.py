@@ -219,10 +219,7 @@ def parse_dump_rows(
         try:
             parser.Parse(chunk, not chunk)
         except expat.ExpatError as exc:
-            raise DumpParseError(
-                f"malformed {kind} XML at byte {parser.ErrorByteIndex}: {exc}",
-                byte_offset=parser.ErrorByteIndex,
-            ) from exc
+            raise DumpParseError(f"malformed {kind} XML at byte {parser.ErrorByteIndex}: {exc}") from exc
         yield from pending
         pending.clear()
         if not chunk:
@@ -434,7 +431,14 @@ def _judged(batches: Iterable[list], keywords: KeywordSet) -> Iterator[tuple[lis
             done, future = in_flight.popleft()
             yield done, future.result()
     except BrokenExecutor as exc:
-        raise SosecError(f"a build-kb worker process died: {exc}") from exc
+        import multiprocessing
+
+        method = multiprocessing.get_start_method()
+        cause = "" if method == "fork" else (
+            f"; under the {method!r} start method each worker imports the calling script again,"
+            ' so a script must call build-kb from under `if __name__ == "__main__":`'
+        )
+        raise SosecError(f"a build-kb worker process died: {exc}{cause}") from exc
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)

@@ -20,10 +20,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import (
+    OPTIONAL_STR,
     ConfigError,
     PromptBudgetError,
     ProviderError,
     TransientProviderError,
+    check_value,
     open_text,
 )
 from .retrieval import RetrievalHit
@@ -79,6 +81,17 @@ class ProviderConfig:
     retry_base_delay: float = 0.5
     max_in_flight: int = 4
     min_request_interval: float = 0.0
+
+    def validate(self) -> None:
+        """Raise ConfigError naming the first field of the wrong type or below its least value."""
+        check_value("provider.max_retries", self.max_retries, int, 0)
+        check_value("provider.max_in_flight", self.max_in_flight, int, 1)
+        for name in ("temperature", "retry_base_delay", "min_request_interval"):
+            check_value(f"provider.{name}", getattr(self, name), float, 0)
+        for name in ("kind", "mock_behavior"):
+            check_value(f"provider.{name}", getattr(self, name), str)
+        for name in ("endpoint", "model_name", "transcript_path"):
+            check_value(f"provider.{name}", getattr(self, name), OPTIONAL_STR)
 
 
 @dataclass
@@ -227,7 +240,10 @@ class RecordedTranscriptProvider:
                 continue
             try:
                 record = json.loads(line)
-                self._responses[record["prompt_hash"]] = record["response"]
+                key, response = record["prompt_hash"], record["response"]
+                if not isinstance(key, str) or not isinstance(response, str):
+                    raise TypeError("'prompt_hash' and 'response' must be strings")
+                self._responses[key] = response
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ConfigError(f"{path}: bad transcript record on line {line_no}: {exc}") from exc
 
@@ -246,10 +262,9 @@ class LiveHttpProvider:
     """
 
     def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
+        config.validate()
         if not config.endpoint:
             raise ConfigError("live provider requires an endpoint")
-        if config.max_in_flight < 1:
-            raise ConfigError(f"max_in_flight must be >= 1, got {config.max_in_flight}")
         api_key = os.environ.get(API_KEY_ENV, "")
         if not api_key:
             raise ConfigError(f"live provider requires the {API_KEY_ENV} environment variable")
@@ -326,11 +341,14 @@ def revise(
     """Run one inference-time revision and record the outcome.
 
     ``provider`` is a provider instance (see `make_provider`). Transient
-    transport failures are retried with exponential backoff; a response
-    without a fenced code block keeps the original code (parse_ok=False).
+    transport failures are retried with exponential backoff; once they are
+    exhausted, or when the reply is not a string (a refusal can carry null
+    content), ProviderError is raised. A response without a fenced code block
+    keeps the original code (parse_ok=False).
     """
     retries = getattr(provider, "max_retries", 0)
     base_delay = getattr(provider, "retry_base_delay", 0.5)
+    name = sample_id or "<unnamed>"
 
     prompt = build_revision_prompt(code, hits, budget=budget, note=note)
     prompt_text = prompt.text
@@ -343,11 +361,11 @@ def revise(
         except TransientProviderError as exc:
             if attempt == retries:
                 raise ProviderError(
-                    f"provider failed after {retries + 1} attempts for sample {sample_id or '<unnamed>'}: {exc}",
-                    sample_id=sample_id,
+                    f"provider failed after {retries + 1} attempts for sample {name}: {exc}"
                 ) from exc
             sleep(base_delay * (2**attempt))
-    assert raw_response is not None
+    if not isinstance(raw_response, str):
+        raise ProviderError(f"provider reply for sample {name} is {type(raw_response).__name__}, not text")
 
     revised = extract_revised_code(raw_response)
     if revised is None:

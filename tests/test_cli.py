@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -513,6 +514,30 @@ def test_eval_transcript_miss_costs_one_sample_in_every_arm(tmp_path, fixtures_d
     transcript.write_text("", encoding="utf-8")
     assert main(argv) == 2
     assert "'provider_errors': 4" in capsys.readouterr().err
+
+
+def test_eval_live_reply_without_text_costs_one_sample(tmp_path, fixtures_dir, stub_adapters_file, capsys,
+                                                      monkeypatch):
+    dataset = _first_samples(fixtures_dir, tmp_path, 4)
+    refused = json.loads(dataset.read_text(encoding="utf-8").splitlines()[2])["code"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": {"kind": "live_http", "endpoint": "http://localhost:9/v1"}}),
+                      encoding="utf-8")
+    monkeypatch.setenv("SOSEC_API_KEY", "x")
+
+    def post(session, url, json=None, headers=None, timeout=None):
+        # an OpenAI-style refusal carries null content
+        content = None if refused in json["messages"][0]["content"] else "no change needed"
+        payload = {"choices": [{"message": {"content": content}}]}
+        return SimpleNamespace(status_code=200, json=lambda: payload)
+
+    monkeypatch.setattr("requests.Session.post", post)
+    argv = ["eval", "--dataset", str(dataset), "--arm", "prompt_only,revision_only", "--config", str(config),
+            "--adapters", str(stub_adapters_file), "--format", "json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {arm: m["samples"] for arm, m in report["per_arm"].items()} == {"prompt_only": 3, "revision_only": 3}
+    assert "'provider_errors': 1" in report["footnotes"][0]
 
 
 def test_eval_with_repeated_arm_is_rejected(fixtures_dir, stub_adapters_file, capsys):

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import sosec
 from conftest import FIXTURES, logged_adapter_specs, make_entry, stub_adapter_specs
 from sosec.analysis import AdapterConfig, CweMap
 from sosec.cli import main
@@ -53,10 +52,12 @@ def test_load_samples_happy_path(tmp_path):
             json.dumps({"sample_id": "a", "code": "x = 1\n"}),
             json.dumps({"sample_id": "b", "code": "y = 2\n", "dataset": "lmsys", "language": "python"}),
             json.dumps({"sample_id": "c", "code": "z = 3\n", "labeled_cwe": "CWE-78"}),
+            # keys the pipeline does not read, such as a dataset's generation prompt, are ignored
+            json.dumps({"sample_id": "d", "code": "w = 4\n", "prompt": "Write a function", "source": 7}),
         ],
     )
     samples = load_samples(path)
-    assert [s.sample_id for s in samples] == ["a", "b", "c"]
+    assert [s.sample_id for s in samples] == ["a", "b", "c", "d"]
     assert samples[0].dataset == "custom"
     assert samples[2].labeled_cwe == "CWE-78"
 
@@ -89,8 +90,14 @@ def test_load_samples_refuses_code_with_a_lone_surrogate(tmp_path):
 
 
 def test_load_samples_rejects_unknown_enum_values(tmp_path):
-    path = _write_dataset(tmp_path, [json.dumps({"sample_id": "a", "code": "x", "dataset": "wild"})])
-    with pytest.raises(ConfigError):
+    path = _write_dataset(
+        tmp_path,
+        [
+            json.dumps({"sample_id": "a", "code": "x", "dataset": "wild"}),
+            json.dumps({"sample_id": "b", "code": "x", "language": "other"}),
+        ],
+    )
+    with pytest.raises(ConfigError, match=r"line 1: unknown dataset 'wild'; line 2: unknown language 'other'"):
         load_samples(path)
 
 
@@ -370,10 +377,6 @@ def test_eval_makes_one_scratch_dir_per_distinct_code(tmp_path, capsys, monkeypa
     # echo revisions return the original code: one scratch dir serves both adapters
     codes = {json.loads(line)["code"] for line in dataset.read_text(encoding="utf-8").splitlines()}
     assert len(made) == len(codes)
-
-
-def test_package_exports_resolve():
-    assert [name for name in sosec.__all__ if not hasattr(sosec, name)] == []
 
 
 def test_run_arms_starts_one_subprocess_per_adapter_for_concurrent_duplicates(tmp_path, cwe_map):

@@ -7,10 +7,14 @@ import json
 import multiprocessing
 import os
 import random
+import signal
+import subprocess
+import sys
 import time
 import warnings
 from collections import Counter
 from html.parser import HTMLParser
+from pathlib import Path
 
 import pytest
 
@@ -79,9 +83,8 @@ def test_negative_comment_score_clamps_to_zero():
 
 def test_malformed_xml_raises_with_byte_offset():
     xml = '<posts>\n  <row Id="1"/>\n  <row Id="2" oops</posts>'
-    with pytest.raises(DumpParseError) as exc_info:
+    with pytest.raises(DumpParseError, match=r"malformed posts XML at byte [1-9]\d*: "):
         _rows(xml, "posts")
-    assert exc_info.value.byte_offset > 0
 
 
 def test_unknown_kind_rejected():
@@ -581,8 +584,8 @@ def test_malformed_posts_after_the_pool_started_raise_at_the_same_offset(monkeyp
     with pytest.raises(DumpParseError) as pooled:
         _build_from_bytes(posts_xml)
     assert len(started) == 1
-    assert pooled.value.byte_offset == serial.value.byte_offset > 0
     assert str(pooled.value) == str(serial.value)
+    assert "at byte " in str(serial.value)
     assert multiprocessing.active_children() == []
 
 
@@ -634,6 +637,86 @@ def test_one_cpu_judges_in_process(fixtures_dir, monkeypatch):
     monkeypatch.setattr(kb, "_cpu_count", lambda: 1)
     assert [e.answer_id for e in _kb_from_fixture(fixtures_dir)] == [101, 102, 105, 107, 109, 112, 114]
     assert started == []
+
+
+# A script that runs build-kb on the fixture dump with two workers, in chunks of
+# two answers, under the start method named by its first argument.
+_POOL_SCRIPT = """\
+import concurrent.futures, multiprocessing, sys
+from sosec import kb
+from sosec.cli import main
+
+class Pool(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        print("pool started", file=sys.stderr, flush=True)
+
+def run():
+    multiprocessing.set_start_method(sys.argv[1], force=True)
+    concurrent.futures.ProcessPoolExecutor = Pool
+    kb._JUDGE_CHUNK, kb._cpu_count = 2, lambda: 2
+    sys.exit(main(sys.argv[2:]))
+
+"""
+
+
+def _live_in_session(sid: int) -> list[int]:
+    """The processes of session `sid` that are not zombies."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, _, session = stat.read_text().rpartition(")")[2].split()[:4]
+        except OSError:
+            continue
+        if int(session) == sid and state != "Z":
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+def _run_pool_script(tmp_path, fixtures_dir, method: str, tail: str) -> tuple[int, str, bytes]:
+    """Run _POOL_SCRIPT plus `tail` in its own session; return its exit code, stderr and KB bytes.
+
+    Fails if any process of that session is still alive a few seconds after the script exits.
+    """
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    script, out = tmp_path / "build.py", tmp_path / "kb.jsonl"
+    script.write_text(_POOL_SCRIPT + tail, encoding="utf-8")
+    argv = [sys.executable, str(script), method, "build-kb", "--posts", str(fixtures_dir / "posts_20.xml"),
+            "--comments", str(fixtures_dir / "comments_20.xml"), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(kb.__file__).parents[1])}
+    proc = subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=120)
+        deadline = time.monotonic() + 10
+        while _live_in_session(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _live_in_session(proc.pid) == []
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    return proc.returncode, err, out.read_bytes() if out.exists() else b""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table from /proc")
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_under_a_fresh_interpreter_writes_the_in_process_bytes(tmp_path, fixtures_dir, method):
+    code, err, kb_bytes = _run_pool_script(tmp_path, fixtures_dir, method, 'if __name__ == "__main__":\n    run()\n')
+    assert code == 0, err
+    assert "pool started" in err
+    assert hashlib.sha256(kb_bytes).hexdigest() == FIXTURE_KB_SHA256
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table from /proc")
+def test_an_unguarded_script_under_spawn_is_told_of_the_guard(tmp_path, fixtures_dir):
+    code, err, kb_bytes = _run_pool_script(tmp_path, fixtures_dir, "spawn", "run()\n")
+    assert code == 2
+    assert "sosec: error: a build-kb worker process died: " in err
+    assert 'from under `if __name__ == "__main__":`' in err
+    assert kb_bytes == b""
 
 
 # --- load_kb_jsonl ---

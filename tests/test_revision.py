@@ -237,8 +237,23 @@ def test_retries_exhausted_raises_with_sample_id():
     provider = _FlakyProvider(failures=10)
     with pytest.raises(ProviderError) as exc_info:
         revise(provider, CODE, [], sample_id="s042", sleep=lambda _: None)
-    assert exc_info.value.sample_id == "s042"
     assert "s042" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("reply", [None, 5])
+def test_a_reply_that_is_not_text_is_a_provider_error(reply):
+    with pytest.raises(ProviderError, match=f"reply for sample s7 is {type(reply).__name__}, not text"):
+        revise(_StaticProvider(reply), CODE, [], sample_id="s7")
+
+
+@pytest.mark.parametrize("record", [{"prompt_hash": 5, "response": "ok"}, {"prompt_hash": "0" * 64, "response": None},
+                                    {"prompt_hash": "0" * 64, "response": 5}])
+def test_transcript_record_that_is_not_text_is_refused_by_line(tmp_path, record):
+    transcript = tmp_path / "transcript.jsonl"
+    good = {"prompt_hash": "1" * 64, "response": "```\nx\n```"}
+    transcript.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="bad transcript record on line 2: 'prompt_hash' and 'response' must be"):
+        RecordedTranscriptProvider(transcript)
 
 
 def test_transcript_provider_round_trip(tmp_path):
@@ -393,6 +408,15 @@ def test_live_provider_rejects_bad_max_in_flight(monkeypatch):
     config = ProviderConfig(kind="live_http", endpoint="https://api.example/v1", max_in_flight=0)
     with pytest.raises(ConfigError):
         LiveHttpProvider(config)
+
+
+def test_live_provider_checks_its_config_as_the_cli_does(monkeypatch):
+    from sosec.revision import LiveHttpProvider
+
+    monkeypatch.setenv("SOSEC_API_KEY", "test-key")
+    config = ProviderConfig(kind="live_http", endpoint="https://api.example/v1", max_retries=-1)
+    with pytest.raises(ConfigError, match=r"provider.max_retries must be >= 0, got -1"):
+        LiveHttpProvider(config, session=_FakeSession([]))
 
 
 def test_record_invariant_parse_failure_implies_unchanged():
