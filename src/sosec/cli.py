@@ -263,9 +263,6 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
         raise SosecError(f"--baseline-arm {args.baseline_arm!r} is not among --arm {','.join(arms)}")
 
     adapters = load_adapters(config.adapters_path)
-    adapter_list = list(adapters.values())
-    if len(adapter_list) < 2:
-        raise SosecError("eval needs two configured adapters for the dual-tool filter")
     cwe_map = CweMap.from_file(config.cwe_map_path)
     supported = load_supported_cwes(config.supported_cwes_path)
 
@@ -279,8 +276,7 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
         arms,
         provider,
         index=index,
-        # the dual-tool filter, before and after all use the same two tools
-        adapters=adapter_list[:2],
+        adapters=list(adapters.values()),
         cwe_map=cwe_map,
         supported_cwes=supported,
         k=config.k,

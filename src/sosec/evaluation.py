@@ -161,12 +161,12 @@ def load_supported_cwes(path: str | Path) -> set[str]:
 def analyze_code(
     adapters: Sequence[AdapterConfig], cwe_map: CweMap, language: str, code: str
 ) -> list[list[Finding]]:
-    """One findings list per adapter, in order; empty for an adapter that skips `language`.
+    """One findings list per adapter that supports `language`, in order.
 
     The code is written to one scratch file, in its own temporary directory,
-    and every adapter runs on that file. Raises SosecError if an analyzer
-    fails, and AdapterError if the code cannot be written as UTF-8 (a lone
-    surrogate in a revision).
+    and each of those adapters runs on that file. Raises SosecError if an
+    analyzer fails, and AdapterError if the code cannot be written as UTF-8
+    (a lone surrogate in a revision).
     """
     suffix = _SUFFIX_BY_LANGUAGE[language]
     with tempfile.TemporaryDirectory(prefix="sosec-") as workdir:
@@ -175,10 +175,7 @@ def analyze_code(
             source.write_text(code, encoding="utf-8")
         except UnicodeEncodeError as exc:
             raise AdapterError(f"code cannot be written as UTF-8: {exc}") from exc
-        return [
-            analyze_file(adapter, cwe_map, source) if adapter.supports_language(language) else []
-            for adapter in adapters
-        ]
+        return [analyze_file(a, cwe_map, source) for a in adapters if a.supports_language(language)]
 
 
 def _cwe_label_note(sample: CodeSample) -> str:
@@ -239,13 +236,16 @@ def run_arms(
 ) -> list[Trial]:
     """Filter the samples and run the experimental arms, phase by phase.
 
-    First every distinct original code is analyzed with every adapter. A
-    sample leaves the run at the filter (`arm` None) as `not_dual_flagged`
-    unless every adapter flags it, or as `analyzer_errors` if an analyzer
-    fails; it gets no trial at all if none of its CWEs is in
-    `supported_cwes`, and metrics see only those classes. Then the arms run
-    in order: prompt_only reuses the before findings unchanged; each other
-    arm revises every sample still in the run (with retrieved context only
+    A sample's filter tools are the adapters that support its language;
+    every language in `samples` needs two of them, and an unknown language
+    or a short one raises ConfigError before any analyzer runs. First every
+    distinct original code is analyzed with its filter tools. A sample
+    leaves the run at the filter (`arm` None) as `not_dual_flagged` unless
+    each of them flags it, or as `analyzer_errors` if an analyzer fails; it
+    gets no trial at all if none of its CWEs is in `supported_cwes`, and
+    metrics see only those classes. Then the arms run in order:
+    prompt_only reuses the before findings unchanged; each other arm
+    revises every sample still in the run (with retrieved context only
     under sosecure), then analyzes the revised codes not analyzed yet. A
     sample on which an arm fails (the provider, the prompt budget or an
     analyzer) leaves the run at that arm, under that arm's reason, and is
@@ -267,6 +267,13 @@ def run_arms(
                 "cwe_label arm requires labeled_cwe on every sample; missing on: "
                 + ", ".join(sorted(unlabeled))
             )
+    for sample in samples:
+        if sample.language not in _SUFFIX_BY_LANGUAGE:
+            raise ConfigError(f"sample {sample.sample_id!r} has unknown language {sample.language!r}")
+    for language in sorted({s.language for s in samples}):
+        tools = [a.name for a in adapters if a.supports_language(language)]
+        if len(tools) < 2:
+            raise ConfigError(f"the dual-tool filter needs two adapters for language {language!r}; found {tools}")
     # keyed by (language, code); None where an analyzer failed
     results: dict[tuple[str, str], list[list[Finding]] | None] = {}
     before: dict[int, set[str]] = {}  # sample position -> supported CWEs, while in the run

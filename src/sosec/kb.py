@@ -88,6 +88,14 @@ class KnowledgeEntry:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KnowledgeEntry":
+        """Read a KB record; raise ValueError naming its first field that is missing or of the wrong type."""
+        if type(obj) is not dict:
+            raise ValueError("a record must be a JSON object")
+        for key, (ok, shape) in _RECORD_FIELDS.items():
+            if key not in obj:
+                raise ValueError(f"missing {key!r}")
+            if not ok(obj[key]):
+                raise ValueError(f"{key!r} must be {shape}, got {obj[key]!r:.80}")
         return cls(
             answer_id=obj["answer_id"],
             question_id=obj["question_id"],
@@ -554,17 +562,6 @@ _RECORD_FIELDS = {
 }
 
 
-def _check_record(obj) -> None:
-    """Raise ValueError naming the first field of a KB record that is missing or of the wrong type."""
-    if type(obj) is not dict:
-        raise ValueError("a record must be a JSON object")
-    for key, (ok, shape) in _RECORD_FIELDS.items():
-        if key not in obj:
-            raise ValueError(f"missing {key!r}")
-        if not ok(obj[key]):
-            raise ValueError(f"{key!r} must be {shape}, got {obj[key]!r:.80}")
-
-
 def load_kb_jsonl(path: str | Path) -> list[KnowledgeEntry]:
     """Read a KB JSONL file.
 
@@ -580,9 +577,7 @@ def load_kb_jsonl(path: str | Path) -> list[KnowledgeEntry]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                _check_record(obj)
-                entry = KnowledgeEntry.from_dict(obj)
+                entry = KnowledgeEntry.from_dict(json.loads(line))
                 if "\\u" in line:  # only an escape can decode to a lone surrogate
                     entry.to_jsonl().encode("utf-8")
             except ValueError as exc:  # JSONDecodeError and UnicodeEncodeError too

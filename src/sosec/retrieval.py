@@ -140,7 +140,7 @@ class RetrievalIndex:
         line = self.blob[int(self.entry_offsets[doc_id]) : int(self.entry_offsets[doc_id + 1])]
         try:
             return KnowledgeEntry.from_dict(json.loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
             where = getattr(self.blob, "path", "the index")
             raise ConfigError(f"{where} has a corrupt entry line for document {doc_id}: {exc}") from exc
 

@@ -200,8 +200,6 @@ _SHELL_CALL_RE = re.compile(
 class DeterministicMockProvider:
     """Offline provider with fixed, auditable behavior."""
 
-    max_retries = 0
-
     def __init__(self, behavior: str = MOCK_FIX_SHELL):
         if behavior not in (MOCK_FIX_SHELL, MOCK_ECHO):
             raise ConfigError(f"unknown mock behavior: {behavior!r}")
@@ -225,8 +223,6 @@ class DeterministicMockProvider:
 
 class RecordedTranscriptProvider:
     """Replays responses keyed by the SHA-256 of the prompt text."""
-
-    max_retries = 0
 
     def __init__(self, transcript_path: str | Path):
         path = Path(transcript_path)
@@ -347,7 +343,6 @@ def revise(
     keeps the original code (parse_ok=False).
     """
     retries = getattr(provider, "max_retries", 0)
-    base_delay = getattr(provider, "retry_base_delay", 0.5)
     name = sample_id or "<unnamed>"
 
     prompt = build_revision_prompt(code, hits, budget=budget, note=note)
@@ -363,7 +358,7 @@ def revise(
                 raise ProviderError(
                     f"provider failed after {retries + 1} attempts for sample {name}: {exc}"
                 ) from exc
-            sleep(base_delay * (2**attempt))
+            sleep(provider.retry_base_delay * (2**attempt))
     if not isinstance(raw_response, str):
         raise ProviderError(f"provider reply for sample {name} is {type(raw_response).__name__}, not text")
 

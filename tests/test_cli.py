@@ -453,11 +453,12 @@ def _first_samples(fixtures_dir, tmp_path, n):
 
 
 def test_eval_analyzes_after_with_the_filter_adapters_only(tmp_path, fixtures_dir, capsys):
-    # a third adapter that flags only revised code must not count as an introduced CWE
+    # a third adapter, for C only, that flags only revised code must not
+    # count as an introduced CWE in a Python sample
     scanner = tmp_path / "shlex_scanner.py"
     scanner.write_text(_SHLEX_SCANNER, encoding="utf-8")
     specs = stub_adapter_specs()
-    specs["shlex"] = {"command": [sys.executable, str(scanner), "{file}"], "format": "sarif"}
+    specs["shlex"] = {"command": [sys.executable, str(scanner), "{file}"], "format": "sarif", "languages": ["c"]}
     adapters = tmp_path / "adapters.json"
     adapters.write_text(json.dumps({"adapters": specs}), encoding="utf-8")
     cwe_map = json.loads(default_data_path("cwe_map.json").read_text(encoding="utf-8"))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import sys
@@ -400,14 +401,71 @@ def test_run_arms_starts_one_subprocess_per_adapter_for_concurrent_duplicates(tm
 
 def test_run_arms_analyzes_a_shared_failing_code_once(tmp_path, cwe_map):
     log = tmp_path / "calls.log"
-    adapter = AdapterConfig.from_dict("bandit", logged_adapter_specs(log, fail_on="shell")["bandit"])
+    specs = logged_adapter_specs(log, fail_on="shell")
     outcomes, tally = split_trials(run_arms(
         [_sample("a", SHELL_CODE), _sample("b", SHELL_CODE)], ["prompt_only"], None,
-        adapters=[adapter], cwe_map=cwe_map, supported_cwes={"CWE-78"},
+        adapters=[AdapterConfig.from_dict(name, spec) for name, spec in specs.items()],
+        cwe_map=cwe_map, supported_cwes={"CWE-78"},
     ))
     assert outcomes == []
     assert tally == {"analyzer_errors": 2}
-    assert len(_log_lines(log)) == 1
+    assert len(_log_lines(log)) == 1  # bandit fails first, so codeql never starts
+
+
+def test_run_arms_needs_two_adapters_for_each_language(cwe_map):
+    with pytest.raises(ConfigError, match=r"two adapters for language 'python'; found \[\]"):
+        run_arms([_sample("a", SHELL_CODE)], ["prompt_only"], None,
+                 adapters=[], cwe_map=cwe_map, supported_cwes={"CWE-78"})
+
+
+def test_run_arms_refuses_an_unknown_language_before_any_analyzer_runs(cwe_map):
+    # adapters with no `languages` support every language, so two of them
+    # pass the count check
+    anywhere = [AdapterConfig(name=n, command=["no-such-binary-qq", "{file}"], format="sarif") for n in "ab"]
+    with pytest.raises(ConfigError, match=r"sample 'a' has unknown language 'rust'"):
+        run_arms([_sample("a", "x = 1\n", language="rust")], ["prompt_only"], None,
+                 adapters=anywhere, cwe_map=cwe_map, supported_cwes={"CWE-78"})
+
+
+C_EVAL_CODE = "int run(char *s) { return eval(s); }\n"
+
+
+def _python_and_c_dataset(tmp_path):
+    """A Python sample that only codeql flags, and a C sample that codeql flags as CWE-94."""
+    return _write_dataset(tmp_path, [
+        json.dumps({"sample_id": "py", "code": "import random\ntoken = random.random()\n"}),
+        json.dumps({"sample_id": "c", "code": C_EVAL_CODE, "language": "c"}),
+    ])
+
+
+def _sha256(code: str) -> str:
+    return hashlib.sha256(code.encode("utf-8")).hexdigest()
+
+
+def test_eval_runs_every_adapter_that_supports_a_sample_language(tmp_path, capsys):
+    log = tmp_path / "calls.log"
+    specs = logged_adapter_specs(log)
+    command = list(specs["bandit"]["command"])
+    command[3] = "cscan"  # the name logging_analyzer.py logs
+    specs["cscan"] = {**specs["bandit"], "command": command, "languages": ["c"]}
+    dataset = _python_and_c_dataset(tmp_path)
+    assert main(_eval_argv(tmp_path, dataset, specs, "prompt_only")) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["counts"] == {"samples": 1, "vulns_before": 1}
+    assert report["per_cwe"] == {"CWE-94": {"total": 1, "fixed": 0}}
+    assert report["footnotes"][0] == "excluded/tallied during the run: {'not_dual_flagged': 1}"
+    py, c = (json.loads(line)["code"] for line in dataset.read_text(encoding="utf-8").splitlines())
+    assert sorted(_log_lines(log)) == sorted([
+        f"bandit {_sha256(py)}", f"codeql {_sha256(py)}", f"codeql {_sha256(c)}", f"cscan {_sha256(c)}",
+    ])
+
+
+def test_eval_with_one_c_adapter_exits_2_before_any_analyzer_runs(tmp_path, capsys):
+    log = tmp_path / "calls.log"
+    argv = _eval_argv(tmp_path, _python_and_c_dataset(tmp_path), logged_adapter_specs(log), "prompt_only")
+    assert main(argv) == 2
+    assert "two adapters for language 'c'; found ['codeql']" in capsys.readouterr().err
+    assert not log.exists()
 
 
 class _CountingProvider(DeterministicMockProvider):

@@ -352,6 +352,19 @@ def test_load_index_decodes_no_entry_and_retrieve_only_the_hits(tmp_path, monkey
         retrieve(index, "needle", k=3)
 
 
+def test_retrieve_refuses_an_index_entry_line_of_the_wrong_shape(tmp_path):
+    path = tmp_path / "kb.idx"
+    save_index(build_index([make_entry(3, ["needle = 1"], tags=["python"])]), path)
+    data = path.read_bytes()
+    assert data.count(b'"tags": ["python"]') == 1
+    # the same byte length, so the entry offsets still hold
+    path.write_bytes(data.replace(b'"tags": ["python"]', b'"tags": "python"  '))
+    index = load_index(path)
+    with pytest.raises(ConfigError) as caught:
+        retrieve(index, "needle", k=1)
+    assert str(caught.value).startswith(f"{path} has a corrupt entry line for document 0: 'tags' must be")
+
+
 def test_save_index_replaces_the_file_and_leaves_a_loaded_index_working(tmp_path):
     path = tmp_path / "kb.idx"
     save_index(_index_abc(), path)
