@@ -26,7 +26,7 @@ from .evaluation import (
     run_arms,
     validate_arms,
 )
-from .kb import DEFAULT_MIN_UPVOTE, KeywordSet, build_knowledge_base, load_kb_jsonl, parse_dump_rows, write_kb_jsonl
+from .kb import DEFAULT_MIN_UPVOTE, KeywordSet, build_knowledge_base, load_kb_jsonl, write_kb_jsonl
 from .retrieval import DEFAULT_B, DEFAULT_K1, build_index, load_index, retrieve, save_index
 from .revision import (
     PROVIDER_LIVE,
@@ -154,23 +154,17 @@ def _cmd_version(args, config) -> int:
 
 def _cmd_build_kb(args, config: GlobalConfig) -> int:
     keywords = KeywordSet.from_file(config.keyword_path)
-    posts_tally, comments_tally, kb_tally = Counter(), Counter(), Counter()
+    tally = Counter()
     with open(args.posts, "rb") as posts_fh, open(args.comments, "rb") as comments_fh:
-        entries = build_knowledge_base(
-            parse_dump_rows(posts_fh, "posts", tally=posts_tally),
-            parse_dump_rows(comments_fh, "comments", tally=comments_tally),
-            keywords,
-            min_upvote=args.min_upvote,
-            tally=kb_tally,
-        )
+        entries = build_knowledge_base(posts_fh, comments_fh, keywords, min_upvote=args.min_upvote, tally=tally)
     write_kb_jsonl(entries, args.out)
     summary = {
         "out": args.out,
         "entries": len(entries),
-        "posts_skipped": posts_tally["skipped"],
-        "comments_skipped": comments_tally["skipped"],
-        "duplicate_answers": kb_tally["duplicate_answers"],
-        "unparseable_bodies": kb_tally["unparseable_bodies"],
+        "posts_skipped": tally["posts_skipped"],
+        "comments_skipped": tally["comments_skipped"],
+        "duplicate_answers": tally["duplicate_answers"],
+        "unparseable_bodies": tally["unparseable_bodies"],
     }
     _emit(
         args,

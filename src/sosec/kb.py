@@ -16,6 +16,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from html import unescape
 from html.parser import HTMLParser
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 from xml.parsers import expat
@@ -36,13 +37,17 @@ DEFAULT_MIN_UPVOTE = 1
 
 _CHUNK_SIZE = 64 * 1024
 
-# Upvoted answers per task sent to a worker process. The pool starts only
-# once this many have been seen, so a small dump never starts it.
+# build_knowledge_base cuts a dump larger than this into slices of about
+# this many bytes, each of which a worker process parses.
+_SLICE_BYTES = 1 << 20
+# Upvoted answers per task sent to a worker process. Unless the dump slices
+# have started the pool, it starts only once this many have been seen.
 _JUDGE_CHUNK = 256
-_MAX_JUDGES = 4
-# Tasks each worker may have queued or running. It bounds the answers held
-# for the workers to _JUDGE_CHUNK x _IN_FLIGHT_PER_JUDGE x workers.
-_IN_FLIGHT_PER_JUDGE = 2
+_MAX_WORKERS = 4
+# Slices, and as many judge chunks, each worker may have queued or running.
+# It bounds what is held for the workers to (_SLICE_BYTES plus its rows, and
+# _JUDGE_CHUNK answers) x _IN_FLIGHT_PER_WORKER x workers.
+_IN_FLIGHT_PER_WORKER = 2
 
 
 @dataclass(slots=True)
@@ -121,6 +126,10 @@ class KeywordSet:
     """
 
     keywords: frozenset[str]
+    # The phrases that hold no other phrase. A text that holds a phrase also
+    # holds every phrase inside it, so looking for these alone gives every
+    # verdict that looking for all of them gives.
+    _scan: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.keywords:
@@ -128,6 +137,8 @@ class KeywordSet:
         for phrase in sorted(self.keywords):
             if "\x00" in phrase:
                 raise ConfigError(f"keyword phrase {phrase!r} contains a NUL character")
+        scan = tuple(p for p in sorted(self.keywords) if not any(q in p for q in self.keywords if q != p))
+        object.__setattr__(self, "_scan", scan)
 
     @classmethod
     def from_iterable(cls, phrases: Iterable[str]) -> "KeywordSet":
@@ -147,47 +158,55 @@ def _parse_tags(raw: str) -> list[str]:
     return _TAG_ANGLE_RE.findall(raw) or [t for t in raw.split("|") if t]
 
 
-def _post_from_attrs(attrs: dict[str, str]) -> RawPost | None:
+def _post_key(attrs: dict[str, str]) -> tuple[int, int | None, int] | None:
+    """A Posts row's id, parent id (None for a question) and score; None for a row to skip."""
     if "Id" not in attrs:
         return None
     type_id = attrs.get("PostTypeId")
     try:
         if type_id == "1":
-            post_type = POST_TYPE_QUESTION
             parent_id = None
-        elif type_id == "2":
-            post_type = POST_TYPE_ANSWER
-            if "ParentId" not in attrs:
-                return None
+        elif type_id == "2" and "ParentId" in attrs:
             parent_id = int(attrs["ParentId"])
         else:
             return None
-        return RawPost(
-            id=int(attrs["Id"]),
-            post_type=post_type,
-            parent_id=parent_id,
-            score=int(attrs.get("Score", "0")),
-            body=attrs.get("Body", ""),
-            tags=_parse_tags(attrs.get("Tags", "")),
-        )
+        return int(attrs["Id"]), parent_id, int(attrs.get("Score", "0"))
     except ValueError:  # non-numeric Id/ParentId/Score: skip, don't abort the stream
         return None
 
 
-def _comment_from_attrs(attrs: dict[str, str]) -> RawComment | None:
+def _post_from_attrs(attrs: dict[str, str]) -> RawPost | None:
+    key = _post_key(attrs)
+    if key is None:
+        return None
+    post_id, parent_id, score = key
+    return RawPost(
+        id=post_id,
+        post_type=POST_TYPE_QUESTION if parent_id is None else POST_TYPE_ANSWER,
+        parent_id=parent_id,
+        score=score,
+        body=attrs.get("Body", ""),
+        tags=_parse_tags(attrs.get("Tags", "")),
+    )
+
+
+def _comment_key(attrs: dict[str, str]) -> tuple[int, int, int] | None:
+    """A Comments row's id, post id and score; None for a row to skip."""
     if "Id" not in attrs or "PostId" not in attrs:
         return None
     try:
         # Dump exports do not expose comment downvotes; clamp stray negatives.
-        score = max(0, int(attrs.get("Score", "0")))
-        return RawComment(
-            id=int(attrs["Id"]),
-            post_id=int(attrs["PostId"]),
-            score=score,
-            text=attrs.get("Text", ""),
-        )
+        return int(attrs["Id"]), int(attrs["PostId"]), max(0, int(attrs.get("Score", "0")))
     except ValueError:
         return None
+
+
+def _comment_from_attrs(attrs: dict[str, str]) -> RawComment | None:
+    key = _comment_key(attrs)
+    if key is None:
+        return None
+    comment_id, post_id, score = key
+    return RawComment(id=comment_id, post_id=post_id, score=score, text=attrs.get("Text", ""))
 
 
 def parse_dump_rows(
@@ -244,10 +263,11 @@ def is_security_relevant(
     The texts are joined with NUL, lowercased once and searched once per
     phrase. No phrase holds NUL, so a match never spans two texts. NUL is
     neither cased nor case-ignorable, so lowercasing the join lowercases
-    each text as it would alone, final sigma included.
+    each text as it would alone, final sigma included. Only the phrases
+    that hold no other phrase are looked up (see `KeywordSet`).
     """
     haystack = "\x00".join([answer_text, *comment_texts]).lower()
-    return any(map(haystack.__contains__, keywords.keywords))
+    return any(map(haystack.__contains__, keywords._scan))
 
 
 def passes_quality_gate(
@@ -400,6 +420,111 @@ def _judge_chunk(
     return verdicts
 
 
+def _post_row(attrs: dict[str, str]) -> tuple | None:
+    """A Posts row as `(id, tags)` for a question or `(id, parent id, score, body)` for an answer; None to skip it."""
+    key = _post_key(attrs)
+    if key is None:
+        return None
+    if key[1] is None:
+        return key[0], _parse_tags(attrs.get("Tags", ""))
+    return (*key, attrs.get("Body", ""))
+
+
+def _comment_row(attrs: dict[str, str]) -> tuple[int, str, int] | None:
+    """A Comments row as `(post id, text, score)`; None to skip it."""
+    key = _comment_key(attrs)
+    return None if key is None else (key[1], attrs.get("Text", ""), key[2])
+
+
+def _row_of(record: RawPost | RawComment) -> tuple:
+    """A `parse_dump_rows` record as the tuple `_post_row` or `_comment_row` gives for its row."""
+    if isinstance(record, RawComment):
+        return record.post_id, record.text, record.score
+    if record.post_type == POST_TYPE_QUESTION:
+        return record.id, record.tags
+    return record.id, record.parent_id, record.score, record.body
+
+
+def _parse_slice(data: bytes, kind: str) -> tuple[list[tuple], int] | None:
+    """The rows of a slice of a dump's root element, as `_row_of` tuples, and the count of rows skipped.
+
+    The slice is parsed inside a dummy element; None means expat rejected
+    it. It reads nothing but its arguments, so a worker process can run it
+    under any start method.
+    """
+    make_row = _post_row if kind == "posts" else _comment_row
+    rows: list[tuple | None] = []
+    parser = expat.ParserCreate()
+
+    def handle_start(name: str, attrs: dict[str, str]) -> None:
+        if name == "row":
+            rows.append(make_row(attrs))
+
+    parser.StartElementHandler = handle_start
+    try:
+        parser.Parse(b"<slice>", False)
+        parser.Parse(data, False)
+        parser.Parse(b"</slice>", True)
+    except expat.ExpatError:
+        return None
+    kept = [row for row in rows if row is not None]
+    return kept, len(rows) - len(kept)
+
+
+# What a dump may hold before its first row to be sliced: an optional UTF-8
+# XML declaration, then the root start tag with no attribute. Group 4 is the
+# root's name. Compiled on first use (by `re`'s cache), not on import.
+_DUMP_HEAD = (
+    rb"(?:<\?xml[ \t\r\n]+version=([\"'])1\.0\1"
+    rb"(?:[ \t\r\n]+encoding=([\"'])(?i:utf-8)\2)?"
+    rb"(?:[ \t\r\n]+standalone=([\"'])(?:yes|no)\3)?[ \t\r\n]*\?>)?"
+    rb"[ \t\r\n]*<([A-Za-z_][-A-Za-z0-9_.]*)>"
+)
+
+
+def _dump_body(stream: IO[bytes]) -> tuple[int, int, int] | None:
+    """Where a dump to be sliced starts, and where the content of its root element starts and ends.
+
+    None, with the stream where it was, when the dump is to be read
+    serially: the stream cannot seek; the dump fits in one slice; its head
+    is not `_DUMP_HEAD` (a DOCTYPE, a comment, another encoding) or names a
+    `row` root; or it does not end with the root's end tag and optional
+    whitespace.
+    """
+    if not stream.seekable():
+        return None
+    start = stream.tell()
+    end = stream.seek(0, os.SEEK_END)
+    body = None
+    if end - start > _SLICE_BYTES:
+        tail_at = stream.seek(max(start, end - 1024))
+        tail = stream.read().rstrip(b" \t\r\n")
+        stream.seek(start)
+        head = re.match(_DUMP_HEAD, stream.read(1024))
+        if head and head[4] != b"row" and tail.endswith(b"</" + head[4] + b">"):
+            body = start, start + head.end(), tail_at + len(tail) - len(head[4]) - 3
+    stream.seek(start)
+    return body
+
+
+def _slices(stream: IO[bytes], begin: int, end: int) -> Iterator[bytes]:
+    """The stream's bytes from `begin` to `end`, in slices of about _SLICE_BYTES, each cut just before a "<row"."""
+    stream.seek(begin)
+    left, data = end - begin, b""
+    while left:
+        more = stream.read(min(_SLICE_BYTES, left))
+        if not more:
+            break
+        left -= len(more)
+        data += more
+        cut = data.rfind(b"<row", 1) if left else len(data)
+        if cut > 0:
+            yield data[:cut]
+            data = data[cut:]
+    if data:
+        yield data
+
+
 def _cpu_count() -> int:
     """The CPUs this process may run on."""
     try:
@@ -408,36 +533,174 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _judged(batches: Iterable[list], keywords: KeywordSet) -> Iterator[tuple[list, list]]:
-    """Yield each batch of `(post, comments, tags)` with its `_judge_chunk` verdicts, in batch order.
+class _Pool:
+    """The worker processes of one build, started by the first task submitted."""
 
-    A full first batch, when this process may run on more than one CPU,
-    starts one worker process per such CPU, up to _MAX_JUDGES; otherwise
-    every batch is judged in this process. The pool is shut down on the way
-    out, also when the batches raise or the caller stops early.
-    """
-    workers = min(_cpu_count(), _MAX_JUDGES)
-    pool = None
-    in_flight: deque = deque()
-    try:
-        for batch in batches:
-            chunk = [(post.body, [text for text, _ in attached]) for post, attached, _ in batch]
-            if pool is None:
-                if workers < 2 or len(batch) < _JUDGE_CHUNK:
-                    yield batch, _judge_chunk(chunk, keywords)
-                    continue
-                # Imported here, not with this module: it and multiprocessing
-                # would add about 15 ms to the start of every CLI command.
-                from concurrent.futures import ProcessPoolExecutor
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self.executor = None
 
-                pool = ProcessPoolExecutor(max_workers=workers)
-            if len(in_flight) == workers * _IN_FLIGHT_PER_JUDGE:
+    def in_order(self, tasks: Iterable[tuple]) -> Iterator[tuple]:
+        """Run each `(tag, function, args)` of `tasks` in a worker; yield each `(tag, result)` in task order.
+
+        At most _IN_FLIGHT_PER_WORKER tasks per worker are queued or
+        running; `tasks` is drawn from as results are taken. Tasks whose
+        result is not taken are cancelled when the caller stops early.
+        """
+        in_flight: deque = deque()
+        try:
+            for tag, function, args in tasks:
+                if len(in_flight) == self.workers * _IN_FLIGHT_PER_WORKER:
+                    done, future = in_flight.popleft()
+                    yield done, future.result()
+                if self.executor is None:
+                    # Imported here, not with this module: it and multiprocessing
+                    # would add about 15 ms to the start of every CLI command.
+                    from concurrent.futures import ProcessPoolExecutor
+
+                    self.executor = ProcessPoolExecutor(max_workers=self.workers)
+                in_flight.append((tag, self.executor.submit(function, *args)))
+            while in_flight:
                 done, future = in_flight.popleft()
                 yield done, future.result()
-            in_flight.append((batch, pool.submit(_judge_chunk, chunk, keywords)))
-        while in_flight:
-            done, future = in_flight.popleft()
-            yield done, future.result()
+        finally:
+            for _, future in in_flight:
+                future.cancel()
+
+    def shutdown(self) -> None:
+        if self.executor is not None:
+            self.executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _dump_rows(stream: IO[bytes], kind: str, tally: Counter, pool: _Pool | None) -> Iterator[tuple]:
+    """One dump's rows as `_row_of` tuples, in dump order; skipped rows are counted as ``<kind>_skipped``.
+
+    With a pool, a dump that `_dump_body` lets be sliced is parsed slice by
+    slice in the workers. Otherwise, and from the first slice that expat
+    rejects, `parse_dump_rows` reads the dump from its start and the rows
+    already given are passed over. A slice that parses inside a dummy
+    element cannot end inside a tag, comment, CDATA section or processing
+    instruction, so the rows given before it are the serial reader's first
+    rows; the rows, the count and any DumpParseError are the serial reader's.
+    """
+    key = f"{kind}_skipped"
+    body = None if pool is None else _dump_body(stream)
+    given = skipped = 0
+    if body is not None:
+        start, begin, end = body
+        tasks = ((None, _parse_slice, (data, kind)) for data in _slices(stream, begin, end))
+        with closing(pool.in_order(tasks)) as parsed:
+            for _, result in parsed:
+                if result is None:
+                    break
+                rows, slice_skipped = result
+                given += len(rows)
+                skipped += slice_skipped
+                tally[key] += slice_skipped
+                yield from rows
+            else:
+                return
+        stream.seek(start)
+    serial: Counter = Counter()
+    try:
+        yield from map(_row_of, islice(parse_dump_rows(stream, kind, tally=serial), given, None))
+    finally:
+        tally[key] += serial["skipped"] - skipped
+
+
+def _judged(batches: Iterable[list], keywords: KeywordSet, pool: _Pool | None) -> Iterator[tuple[list, list]]:
+    """Yield each batch of `(answer row, comments, tags)` with its `_judge_chunk` verdicts, in batch order.
+
+    Once the pool has started, or a batch is full, the batches go to the
+    pool; until then, and always without a pool, they are judged in this
+    process.
+    """
+
+    def chunk(batch: list) -> list[tuple[str, list[str]]]:
+        return [(row[3], [text for text, _ in attached]) for row, attached, _ in batch]
+
+    batches = iter(batches)
+    for batch in batches:
+        if pool is not None and (pool.executor is not None or len(batch) == _JUDGE_CHUNK):
+            yield from pool.in_order((b, _judge_chunk, (chunk(b), keywords)) for b in chain([batch], batches))
+            return
+        yield batch, _judge_chunk(chunk(batch), keywords)
+
+
+def build_knowledge_base(
+    posts: IO[bytes],
+    comments: IO[bytes],
+    keywords: KeywordSet,
+    min_upvote: int = DEFAULT_MIN_UPVOTE,
+    tally: Counter | None = None,
+) -> list[KnowledgeEntry]:
+    """Read a Posts and a Comments dump, join answers with their comments and keep the security-relevant ones.
+
+    An answer is kept when it passes the upvote gate, contains at least one
+    code block, and matches a keyword (in its text or a comment). The gates
+    run cheapest first, so a body is parsed only once its upvote gate passes.
+    On more than one CPU, up to _MAX_WORKERS worker processes, started by
+    the first task that needs them, parse the dumps in slices (see
+    `_dump_rows`) and judge the upvoted answers in chunks (see `_judged`).
+    This process reads the dump bytes, joins the comments, applies the
+    upvote gate and applies the results in dump order, so the output does
+    not depend on the workers. ``tally`` counts ``posts_skipped`` and
+    ``comments_skipped`` (rows that lack a required attribute, see
+    `parse_dump_rows`), ``unparseable_bodies`` (bodies the HTML parser gives
+    up on, which are dropped) and ``duplicate_answers``. Comments
+    referencing unknown posts are ignored; on duplicate answer ids the later
+    occurrence wins. Output is sorted by ascending answer id.
+    """
+    if tally is None:
+        tally = Counter()
+    workers = min(_cpu_count(), _MAX_WORKERS)
+    pool = _Pool(workers) if workers > 1 else None
+    try:
+        # Comments are grouped up front so the (much larger) posts dump can
+        # be consumed one row at a time.
+        comments_by_post: dict[int, list[tuple[str, int]]] = {}
+        for post_id, text, score in _dump_rows(comments, "comments", tally, pool):
+            comments_by_post.setdefault(post_id, []).append((text, score))
+
+        def upvoted_batches() -> Iterator[list[tuple[tuple, list[tuple[str, int]], list[str]]]]:
+            question_tags: dict[int, list[str]] = {}
+            batch = []
+            for row in _dump_rows(posts, "posts", tally, pool):
+                if len(row) == 2:
+                    question_tags[row[0]] = row[1]
+                    continue
+                attached = comments_by_post.get(row[0], [])
+                if passes_quality_gate(row[2], [s for _, s in attached], min_upvote):
+                    # The tags are read now, as a question later in the dump must not lend them.
+                    batch.append((row, attached, question_tags.get(row[1], [])))
+                    if len(batch) == _JUDGE_CHUNK:
+                        yield batch
+                        batch = []
+            if batch:
+                yield batch
+
+        entries: dict[int, KnowledgeEntry] = {}
+        with closing(_judged(upvoted_batches(), keywords, pool)) as judged:
+            for batch, verdicts in judged:
+                for ((answer_id, question_id, score, _), attached, tags), verdict in zip(batch, verdicts):
+                    if verdict is None:
+                        tally["unparseable_bodies"] += 1
+                        continue
+                    if not verdict:
+                        continue
+                    excerpt, code_blocks = verdict
+                    if answer_id in entries:
+                        tally["duplicate_answers"] += 1
+                    entries[answer_id] = KnowledgeEntry(
+                        answer_id=answer_id,
+                        question_id=question_id,
+                        answer_score=score,
+                        answer_excerpt=excerpt,
+                        code_blocks=code_blocks,
+                        comments=attached,
+                        tags=tags,
+                        url=answer_url(answer_id),
+                    )
     except BrokenExecutor as exc:
         import multiprocessing
 
@@ -449,77 +712,7 @@ def _judged(batches: Iterable[list], keywords: KeywordSet) -> Iterator[tuple[lis
         raise SosecError(f"a build-kb worker process died: {exc}{cause}") from exc
     finally:
         if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-
-def build_knowledge_base(
-    posts: Iterable[RawPost],
-    comments: Iterable[RawComment],
-    keywords: KeywordSet,
-    min_upvote: int = DEFAULT_MIN_UPVOTE,
-    tally: Counter | None = None,
-) -> list[KnowledgeEntry]:
-    """Join answers with their comments and keep the security-relevant ones.
-
-    An answer is kept when it passes the upvote gate, contains at least one
-    code block, and matches a keyword (in its text or a comment). The gates
-    run cheapest first, so a body is parsed only once its upvote gate passes.
-    This process reads the dumps, joins the comments and applies the upvote
-    gate; the answers that pass it are parsed and judged in chunks, by worker
-    processes when there are enough of them (see `_judged`), and the results
-    are applied in dump order. A body the HTML parser gives up on is dropped
-    and tallied as ``unparseable_bodies``. Comments referencing unknown posts
-    are ignored; on duplicate answer ids the later occurrence wins. Output is
-    sorted by ascending answer id.
-    """
-    if tally is None:
-        tally = Counter()
-
-    # Comments are grouped up front so the (much larger) posts stream can be
-    # consumed one row at a time.
-    comments_by_post: dict[int, list[tuple[str, int]]] = {}
-    for comment in comments:
-        comments_by_post.setdefault(comment.post_id, []).append((comment.text, comment.score))
-
-    def upvoted_batches() -> Iterator[list[tuple[RawPost, list[tuple[str, int]], list[str]]]]:
-        question_tags: dict[int, list[str]] = {}
-        batch = []
-        for post in posts:
-            if post.post_type == POST_TYPE_QUESTION:
-                question_tags[post.id] = post.tags
-                continue
-            attached = comments_by_post.get(post.id, [])
-            if passes_quality_gate(post.score, [s for _, s in attached], min_upvote):
-                # The tags are read now, as a question later in the dump must not lend them.
-                batch.append((post, attached, question_tags.get(post.parent_id or 0, [])))
-                if len(batch) == _JUDGE_CHUNK:
-                    yield batch
-                    batch = []
-        if batch:
-            yield batch
-
-    entries: dict[int, KnowledgeEntry] = {}
-    with closing(_judged(upvoted_batches(), keywords)) as judged:
-        for batch, verdicts in judged:
-            for (post, attached, tags), verdict in zip(batch, verdicts):
-                if verdict is None:
-                    tally["unparseable_bodies"] += 1
-                    continue
-                if not verdict:
-                    continue
-                excerpt, code_blocks = verdict
-                if post.id in entries:
-                    tally["duplicate_answers"] += 1
-                entries[post.id] = KnowledgeEntry(
-                    answer_id=post.id,
-                    question_id=post.parent_id or 0,
-                    answer_score=post.score,
-                    answer_excerpt=excerpt,
-                    code_blocks=code_blocks,
-                    comments=attached,
-                    tags=tags,
-                    url=answer_url(post.id),
-                )
+            pool.shutdown()
 
     return [entries[answer_id] for answer_id in sorted(entries)]
 

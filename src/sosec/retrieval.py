@@ -139,10 +139,13 @@ class RetrievalIndex:
         """Decode the KB entry of one document."""
         line = self.blob[int(self.entry_offsets[doc_id]) : int(self.entry_offsets[doc_id + 1])]
         try:
-            return KnowledgeEntry.from_dict(json.loads(line))
+            entry = KnowledgeEntry.from_dict(json.loads(line))
+            if entry.answer_id != self.answer_ids[doc_id]:
+                raise ValueError(f"its answer_id {entry.answer_id} is not the indexed {self.answer_ids[doc_id]}")
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
             where = getattr(self.blob, "path", "the index")
             raise ConfigError(f"{where} has a corrupt entry line for document {doc_id}: {exc}") from exc
+        return entry
 
 
 @dataclass

@@ -278,11 +278,7 @@ def _build_fixture_kb(fixtures_dir, keywords):
     with open(fixtures_dir / "posts_20.xml", "rb") as posts_fh, open(
         fixtures_dir / "comments_20.xml", "rb"
     ) as comments_fh:
-        return build_knowledge_base(
-            parse_dump_rows(posts_fh, "posts"),
-            parse_dump_rows(comments_fh, "comments"),
-            keywords,
-        )
+        return build_knowledge_base(posts_fh, comments_fh, keywords)
 
 
 def test_kb_construction_gates(fixtures_dir, tmp_path):

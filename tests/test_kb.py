@@ -15,6 +15,7 @@ import warnings
 from collections import Counter
 from html.parser import HTMLParser
 from pathlib import Path
+from xml.sax.saxutils import quoteattr
 
 import pytest
 
@@ -41,6 +42,26 @@ KW = KeywordSet.from_iterable(["command injection", "sql injection", "pickle"])
 
 def _rows(xml: str, kind: str, tally=None):
     return list(parse_dump_rows(io.BytesIO(xml.encode("utf-8")), kind, tally=tally))
+
+
+def _dump(root: str, rows: list[dict]) -> io.BytesIO:
+    """A dump stream whose `root` element holds one `<row/>` per dict of attributes, in order."""
+    lines = ["<row " + " ".join(f"{k}={quoteattr(str(v))}" for k, v in row.items()) + " />" for row in rows]
+    return io.BytesIO(
+        "\n".join(['<?xml version="1.0" encoding="utf-8"?>', f"<{root}>", *lines, f"</{root}>"]).encode("utf-8")
+    )
+
+
+def _question(post_id: int, tags=()) -> dict:
+    return {"Id": post_id, "PostTypeId": 1, "Score": 5, "Body": "<p>q</p>", "Tags": "".join(f"<{t}>" for t in tags)}
+
+
+def _answer(post_id: int, parent_id: int, score: int, body: str) -> dict:
+    return {"Id": post_id, "PostTypeId": 2, "ParentId": parent_id, "Score": score, "Body": body}
+
+
+def _kb(posts: list[dict], comments: list[dict], keywords, tally=None):
+    return build_knowledge_base(_dump("posts", posts), _dump("comments", comments), keywords, tally=tally)
 
 
 def test_parse_single_post_row_decodes_entities():
@@ -191,15 +212,15 @@ def test_unparseable_bodies_are_dropped_and_tallied(monkeypatch):
     keywords = KeywordSet.from_iterable(["command injection"])
     code = "<pre><code>a = call()\n</code></pre>"
     posts = [
-        RawPost(1, "question", None, 5, "<p>q</p>", []),
-        RawPost(10, "answer", 1, 2, "<p>command injection</p>" + code),
-        RawPost(11, "answer", 1, 2, "<p>command injection BROKEN</p>" + code),
+        _question(1),
+        _answer(10, 1, 2, "<p>command injection</p>" + code),
+        _answer(11, 1, 2, "<p>command injection BROKEN</p>" + code),
         # the upvote gate fails first, so this body is never parsed
-        RawPost(12, "answer", 1, 0, "<p>command injection BROKEN</p>" + code),
+        _answer(12, 1, 0, "<p>command injection BROKEN</p>" + code),
     ]
     tally = Counter()
-    entries = build_knowledge_base(posts, [], keywords, tally=tally)
-    assert parse_answer_body(posts[2].body) is None
+    entries = _kb(posts, [], keywords, tally=tally)
+    assert parse_answer_body(posts[2]["Body"]) is None
     assert [e.answer_id for e in entries] == [10]
     assert tally["unparseable_bodies"] == 1
 
@@ -209,13 +230,7 @@ def _kb_from_fixture(fixtures_dir, keywords=None, min_upvote=1, tally=None):
     with open(fixtures_dir / "posts_20.xml", "rb") as posts_fh, open(
         fixtures_dir / "comments_20.xml", "rb"
     ) as comments_fh:
-        return build_knowledge_base(
-            parse_dump_rows(posts_fh, "posts"),
-            parse_dump_rows(comments_fh, "comments"),
-            keywords,
-            min_upvote=min_upvote,
-            tally=tally,
-        )
+        return build_knowledge_base(posts_fh, comments_fh, keywords, min_upvote=min_upvote, tally=tally)
 
 
 def test_build_knowledge_base_keeps_expected_answers(fixtures_dir):
@@ -250,18 +265,18 @@ def test_higher_min_upvote_shrinks_output(fixtures_dir):
 def test_gates_drop_unendorsed_keywordless_and_codeless():
     keywords = KeywordSet.from_iterable(["command injection"])
     posts = [
-        RawPost(1, "question", None, 5, "<p>q</p>", ["python"]),
+        _question(1, ["python"]),
         # all gates pass
-        RawPost(10, "answer", 1, 2, "<p>command injection</p><pre><code>a = call()\n</code></pre>"),
+        _answer(10, 1, 2, "<p>command injection</p><pre><code>a = call()\n</code></pre>"),
         # quality gate fails
-        RawPost(11, "answer", 1, 0, "<p>command injection</p><pre><code>b = call()\n</code></pre>"),
+        _answer(11, 1, 0, "<p>command injection</p><pre><code>b = call()\n</code></pre>"),
         # no code block
-        RawPost(12, "answer", 1, 3, "<p>command injection</p>"),
+        _answer(12, 1, 3, "<p>command injection</p>"),
         # no keyword
-        RawPost(13, "answer", 1, 3, "<p>fine</p><pre><code>c = call()\n</code></pre>"),
+        _answer(13, 1, 3, "<p>fine</p><pre><code>c = call()\n</code></pre>"),
     ]
-    comments = [RawComment(100, 11, 0, "agreed")]
-    entries = build_knowledge_base(posts, comments, keywords)
+    comments = [{"Id": 100, "PostId": 11, "Score": 0, "Text": "agreed"}]
+    entries = _kb(posts, comments, keywords)
     assert [e.answer_id for e in entries] == [10]
 
 
@@ -269,13 +284,9 @@ def test_duplicate_answer_id_later_wins():
     keywords = KeywordSet.from_iterable(["command injection"])
     body = "<p>command injection</p><pre><code>call_one()\n</code></pre>"
     body2 = "<p>command injection</p><pre><code>call_two()\n</code></pre>"
-    posts = [
-        RawPost(1, "question", None, 5, "<p>q</p>", []),
-        RawPost(10, "answer", 1, 2, body),
-        RawPost(10, "answer", 1, 4, body2),
-    ]
+    posts = [_question(1), _answer(10, 1, 2, body), _answer(10, 1, 4, body2)]
     tally = Counter()
-    entries = build_knowledge_base(posts, [], keywords, tally=tally)
+    entries = _kb(posts, [], keywords, tally=tally)
     assert len(entries) == 1
     assert entries[0].answer_score == 4
     assert entries[0].code_blocks == ["call_two()"]
@@ -362,6 +373,29 @@ def test_joined_keyword_gate_equals_the_per_text_rule():
             answer, comments, phrases)
         matched += per_text
     assert 300 < matched < 2700  # both outcomes are exercised
+
+
+def test_keyword_gate_scanning_only_the_innermost_phrases_gives_the_full_scan_verdict():
+    rng = random.Random(18)
+    letters = "abc "
+
+    def text(most):
+        return "".join(rng.choice(letters) for _ in range(rng.randint(1, most)))
+
+    # "ab" holds "a" and "b"; the scan keeps "a" and "b" only
+    keywords = KeywordSet.from_iterable(["a", "ab", "b"])
+    assert keywords._scan == ("a", "b")
+    assert not is_security_relevant("cc", [], keywords)
+    assert is_security_relevant("cab", [], keywords)
+    outcomes = Counter()
+    for _ in range(3000):
+        keywords = KeywordSet(frozenset(text(4) for _ in range(rng.randint(1, 6))))
+        answer, comments = text(12), [text(8) for _ in range(rng.randint(0, 2))]
+        full_scan = any(p in t for t in [answer, *comments] for p in keywords.keywords)
+        assert is_security_relevant(answer, comments, keywords) is full_scan, (answer, comments, keywords)
+        outcomes[full_scan, len(keywords._scan) < len(keywords.keywords)] += 1
+    # both verdicts, with and without a phrase that holds another
+    assert min(outcomes.values()) > 100, outcomes
 
 
 class _EventLog(kb._BodyParser):
@@ -493,9 +527,11 @@ def _judge_in_pool(monkeypatch) -> list:
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             self.in_flight = self.most_in_flight = 0
+            self.tasks = []
             started.append(self)
 
         def submit(self, *args, **kwargs):
+            self.tasks.append(args[0].__name__)
             future = super().submit(*args, **kwargs)
             self.in_flight += 1
             self.most_in_flight = max(self.most_in_flight, self.in_flight)
@@ -536,24 +572,24 @@ def test_pool_path_keeps_the_later_duplicate_across_chunks(monkeypatch):
     started = _judge_in_pool(monkeypatch)
     code = "<pre><code>call_{}()\n</code></pre>"
     posts = [
-        RawPost(1, "question", None, 5, "<p>q</p>", ["first"]),
-        RawPost(10, "answer", 1, 2, "<p>command injection</p>" + code.format("one")),
-        RawPost(11, "answer", 1, 2, "<p>command injection</p>" + code.format("two")),
+        _question(1, ["first"]),
+        _answer(10, 1, 2, "<p>command injection</p>" + code.format("one")),
+        _answer(11, 1, 2, "<p>command injection</p>" + code.format("two")),
         # a question that repeats id 1 changes the tags only of answers after it
-        RawPost(1, "question", None, 5, "<p>q</p>", ["second"]),
-        RawPost(12, "answer", 1, 2, "<p>command injection</p>" + code.format("three")),
+        _question(1, ["second"]),
+        _answer(12, 1, 2, "<p>command injection</p>" + code.format("three")),
         # more chunks than two workers may have in flight lie between the two rows of 10
-        *[RawPost(i, "answer", 1, 2, "<p>no keyword</p>" + code.format(i)) for i in range(20, 32)],
-        RawPost(10, "answer", 1, 4, "<p>command injection</p>" + code.format("four")),
+        *[_answer(i, 1, 2, "<p>no keyword</p>" + code.format(i)) for i in range(20, 32)],
+        _answer(10, 1, 4, "<p>command injection</p>" + code.format("four")),
         # two rows of 13 among the last chunks, whose results are collected after the dump ends
-        RawPost(13, "answer", 1, 2, "<p>command injection</p>" + code.format("five")),
-        RawPost(14, "answer", 1, 2, "<p>no keyword</p>" + code.format("six")),
-        RawPost(13, "answer", 1, 3, "<p>command injection</p>" + code.format("seven")),
+        _answer(13, 1, 2, "<p>command injection</p>" + code.format("five")),
+        _answer(14, 1, 2, "<p>no keyword</p>" + code.format("six")),
+        _answer(13, 1, 3, "<p>command injection</p>" + code.format("seven")),
     ]
     tally = Counter()
-    entries = build_knowledge_base(posts, [], KW, tally=tally)
+    entries = _kb(posts, [], KW, tally=tally)
     assert len(started) == 1
-    assert started[0].most_in_flight == 2 * kb._IN_FLIGHT_PER_JUDGE  # two workers
+    assert started[0].most_in_flight == 2 * kb._IN_FLIGHT_PER_WORKER  # two workers
     assert [(e.answer_id, e.answer_score, e.code_blocks, e.tags) for e in entries] == [
         (10, 4, ["call_four()"], ["second"]),
         (11, 2, ["call_two()"], ["first"]),
@@ -571,8 +607,8 @@ def _answers_dump(count: int, tail: str = "") -> bytes:
     return ("<posts>" + "".join(rows) + tail + "</posts>").encode("utf-8")
 
 
-def _build_from_bytes(posts_xml: bytes):
-    return build_knowledge_base(parse_dump_rows(io.BytesIO(posts_xml), "posts"), [], KW)
+def _build_from_bytes(posts_xml: bytes, keywords=KW):
+    return build_knowledge_base(io.BytesIO(posts_xml), io.BytesIO(b"<comments/>"), keywords)
 
 
 def test_malformed_posts_after_the_pool_started_raise_at_the_same_offset(monkeypatch):
@@ -589,18 +625,26 @@ def test_malformed_posts_after_the_pool_started_raise_at_the_same_offset(monkeyp
     assert multiprocessing.active_children() == []
 
 
+class _InterruptedRead(io.BytesIO):
+    """A stream whose read after the first `reads` raises KeyboardInterrupt, as Ctrl-C would."""
+
+    def __init__(self, data: bytes, reads: int):
+        super().__init__(data)
+        self.reads = reads
+
+    def read(self, size=-1):
+        self.reads -= 1
+        if self.reads < 0:
+            raise KeyboardInterrupt
+        return super().read(size)
+
+
 def test_an_interrupt_while_the_pool_runs_leaves_no_child(monkeypatch):
     started = _judge_in_pool(monkeypatch)
-    rows = parse_dump_rows(io.BytesIO(_answers_dump(40)), "posts")
-
-    def interrupted():
-        for n, post in enumerate(rows):
-            if n == 20:
-                raise KeyboardInterrupt
-            yield post
-
+    monkeypatch.setattr(kb, "_CHUNK_SIZE", 512)  # about three rows a read: the interrupt comes near row 20
+    posts = _InterruptedRead(_answers_dump(40), reads=6)
     with pytest.raises(KeyboardInterrupt):
-        build_knowledge_base(interrupted(), [], KW)
+        build_knowledge_base(posts, io.BytesIO(b"<comments/>"), KW)
     assert len(started) == 1
     assert multiprocessing.active_children() == []
 
@@ -614,11 +658,10 @@ class _KillsItsUnpickler(KeywordSet):
 
 def test_a_dead_worker_is_a_sosec_error(monkeypatch):
     keywords = _KillsItsUnpickler(frozenset({"sql injection"}))
-    posts = list(parse_dump_rows(io.BytesIO(_answers_dump(1)), "posts"))
-    assert [e.answer_id for e in build_knowledge_base(posts, [], keywords)] == [2]
+    assert [e.answer_id for e in _build_from_bytes(_answers_dump(1), keywords)] == [2]
     started = _judge_in_pool(monkeypatch)
     with pytest.raises(SosecError, match="worker process died"):
-        build_knowledge_base(posts * 3, [], keywords)
+        _build_from_bytes(_answers_dump(3), keywords)
     assert len(started) == 1
     assert multiprocessing.active_children() == []
 
@@ -639,8 +682,183 @@ def test_one_cpu_judges_in_process(fixtures_dir, monkeypatch):
     assert started == []
 
 
+# --- build_knowledge_base reading the dumps in slices ---
+
+
+class _Unseekable(io.BytesIO):
+    def seekable(self):
+        return False
+
+
+def _serial_and_sliced(monkeypatch, data: bytes, kind: str = "posts", stream=io.BytesIO) -> tuple:
+    """`data` read by `parse_dump_rows`, then by `_dump_rows` with two workers and slices of about 300 bytes.
+
+    Each read is (its rows as `_row_of` tuples, or its DumpParseError's
+    message; its skipped-row count). Also returns the names of the tasks
+    the pool ran and how many times `_dump_rows` called `parse_dump_rows`.
+    """
+    tally = Counter()
+    try:
+        serial = [kb._row_of(r) for r in parse_dump_rows(io.BytesIO(data), kind, tally=tally)]
+    except DumpParseError as exc:
+        serial = str(exc)
+    started = _judge_in_pool(monkeypatch)
+    monkeypatch.setattr(kb, "_SLICE_BYTES", 300)
+    serial_reads = []
+    monkeypatch.setattr(kb, "parse_dump_rows", lambda *args, **kwargs: serial_reads.append(args) or parse_dump_rows(*args, **kwargs))
+    sliced_tally = Counter()
+    pool = kb._Pool(2)
+    try:
+        sliced = list(kb._dump_rows(stream(data), kind, sliced_tally, pool))
+    except DumpParseError as exc:
+        sliced = str(exc)
+    finally:
+        pool.shutdown()
+    assert multiprocessing.active_children() == []
+    tasks = [task for p in started for task in p.tasks]
+    return (serial, tally["skipped"]), (sliced, sliced_tally[f"{kind}_skipped"]), tasks, len(serial_reads)
+
+
+@pytest.mark.parametrize("kind", ["posts", "comments"])
+def test_sliced_fixture_dumps_give_the_serial_rows_and_tallies(fixtures_dir, monkeypatch, kind):
+    data = (fixtures_dir / f"{kind}_20.xml").read_bytes()
+    serial, sliced, tasks, serial_reads = _serial_and_sliced(monkeypatch, data, kind)
+    assert sliced == serial
+    assert serial[1] == 1  # a skipped row is counted once
+    assert tasks.count("_parse_slice") >= len(data) // 300 and serial_reads == 0
+
+
+def _random_dump(rng: random.Random, kind: str, rows: int) -> bytes:
+    """A dump of `rows` rows with entities, character references, non-ASCII text, rows split over
+    lines, long rows, escaped "<row" in text and rows that are skipped."""
+    pieces = ["a", "b ", "&amp;", "&lt;row Id=&quot;1&quot;/&gt;", "&#10;", "&#x41;", "&#233;", "é", "日本",
+              "\n", "\t", "&apos;", "&gt;", " "]
+
+    def text():
+        return "".join(rng.choice(pieces) for _ in range(rng.choice([0, 3, 20, 200])))
+
+    lines = ['<?xml version="1.0" encoding="utf-8"?>', f"<{kind}>"]
+    for n in range(1, rows + 1):
+        if kind == "posts":
+            attrs = {"Id": n, "PostTypeId": rng.choice(["1", "2", "2", "2", "3"]), "ParentId": rng.randint(1, n),
+                     "Score": rng.choice(["0", "1", "-2", "7", "x"]), "Body": text(), "Tags": "&lt;python&gt;&lt;x&gt;"}
+        else:
+            attrs = {"Id": n, "PostId": rng.randint(1, rows), "Score": rng.choice(["0", "1", "-1", "3"]), "Text": text()}
+        for key in list(attrs):
+            if rng.random() < 0.05:
+                del attrs[key]
+        between = rng.choice([" ", "\n    ", "\r\n\t"])
+        row = "<row" + "".join(f'{between}{k}="{v}"' for k, v in attrs.items())
+        lines.append(row + rng.choice([" />", "/>", "></row>", ">\n  </row>"]))
+    lines.append(f"</{kind}>\n")
+    return rng.choice(["\n", "\r\n", "  \n"]).join(lines).encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", ["posts", "comments"])
+def test_sliced_random_dumps_give_the_serial_rows_and_tallies(monkeypatch, kind):
+    rng = random.Random(18)
+    for _ in range(3):
+        data = _random_dump(rng, kind, 150)
+        serial, sliced, tasks, serial_reads = _serial_and_sliced(monkeypatch, data, kind)
+        assert sliced == serial
+        assert type(serial[0]) is list and len(serial[0]) > 50 and serial[1] > 0
+        assert tasks.count("_parse_slice") > 20 and serial_reads == 0
+        monkeypatch.undo()
+
+
+def _posts(*middle: str, head: str = '<?xml version="1.0" encoding="utf-8"?>\n<posts>', tail: str = "</posts>\n") -> bytes:
+    """A posts dump of 12 answer rows, the second of which is skipped, with `middle` after the fourth,
+    between `head` and `tail`."""
+    rows = [f'  <row Id="{i}" PostTypeId="2" ParentId="1" Score="{i}" Body="answer number {i}" />' for i in range(2, 14)]
+    rows[1] = rows[1].replace(' ParentId="1"', "")
+    return "\n".join([head, *rows[:4], *middle, *rows[4:], tail]).encode("utf-8")
+
+
+_ROWS_IN_MARKUP = "".join(f'<row Id="{i}" PostTypeId="1" Score="1" Body="hidden" />' for i in range(90, 96))
+
+
+@pytest.mark.parametrize(
+    "data, slices_tried",
+    [
+        pytest.param(_posts(f"<!-- {_ROWS_IN_MARKUP} -->"), True, id="comment-across-a-cut"),
+        pytest.param(_posts(f"<![CDATA[ {_ROWS_IN_MARKUP} ]]>"), True, id="cdata-across-a-cut"),
+        pytest.param(
+            _posts('<row Id="99" PostTypeId="1" Score="1" Body="&x;" />',
+                   head='<?xml version="1.0"?>\n<!DOCTYPE posts [<!ENTITY x "from the DTD">]>\n<posts>'),
+            False, id="doctype"),
+        # bytes C3 A9 read as Latin-1 are "Ã©", as UTF-8 "é"
+        pytest.param(
+            _posts('<row Id="99" PostTypeId="1" Score="1" Body="café" />',
+                   head='<?xml version="1.0" encoding="ISO-8859-1"?>\n<posts>'),
+            False, id="latin-1"),
+        pytest.param(_posts(tail="</posts>\n<!-- <row Id='99'/> -->\n"), False, id="comment-after-the-root"),
+        pytest.param(_posts(tail="</posts>\njunk\n"), False, id="junk-after-the-root"),
+        pytest.param(_posts(head="<row>", tail="</row>"), False, id="root-named-row"),
+        pytest.param(b'<posts><row Id="2" PostTypeId="2" ParentId="1" Score="1" Body="x" /></posts>', False,
+                     id="one-slice"),
+    ],
+)
+def test_a_dump_that_cannot_be_sliced_safely_gives_the_serial_result(monkeypatch, data, slices_tried):
+    serial, sliced, tasks, serial_reads = _serial_and_sliced(monkeypatch, data)
+    assert sliced == serial
+    assert serial_reads == 1
+    assert ("_parse_slice" in tasks) is slices_tried
+
+
+def test_an_unseekable_dump_is_read_serially(monkeypatch):
+    data = _posts()
+    serial, sliced, tasks, serial_reads = _serial_and_sliced(monkeypatch, data, stream=_Unseekable)
+    assert sliced == serial and (len(serial[0]), serial[1]) == (11, 1)
+    assert tasks == [] and serial_reads == 1
+
+
+def test_a_malformed_byte_in_the_third_slice_raises_the_serial_error(monkeypatch):
+    data = _posts().replace(b"answer number 9", b"answer number \xff")
+    monkeypatch.setattr(kb, "_SLICE_BYTES", 300)
+    body = kb._dump_body(io.BytesIO(data))
+    slices = list(kb._slices(io.BytesIO(data), *body[1:]))
+    assert [b"\xff" in piece for piece in slices[:3]] == [False, False, True]
+    serial, sliced, tasks, serial_reads = _serial_and_sliced(monkeypatch, data)
+    assert sliced == serial
+    assert serial[0].startswith("malformed posts XML at byte ")
+    assert tasks.count("_parse_slice") >= 3 and serial_reads == 1
+
+
+def test_sliced_build_kb_writes_the_in_process_bytes(fixtures_dir, tmp_path, capsys, monkeypatch):
+    serial_bytes, serial_summary = _build_kb_cli(fixtures_dir, tmp_path / "serial.jsonl", capsys)
+    started = _judge_in_pool(monkeypatch)
+    monkeypatch.setattr(kb, "_SLICE_BYTES", 300)
+    sliced_bytes, sliced_summary = _build_kb_cli(fixtures_dir, tmp_path / "sliced.jsonl", capsys)
+    assert len(started) == 1
+    assert started[0].tasks.count("_parse_slice") > 10
+    assert started[0].most_in_flight <= 2 * 2 * kb._IN_FLIGHT_PER_WORKER  # slices and chunks, two workers
+    assert sliced_bytes == serial_bytes
+    assert hashlib.sha256(sliced_bytes).hexdigest() == FIXTURE_KB_SHA256
+    assert sliced_summary | {"out": ""} == serial_summary | {"out": ""}
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupt_while_slices_are_parsed_leaves_no_child(monkeypatch):
+    started = _judge_in_pool(monkeypatch)
+    monkeypatch.setattr(kb, "_SLICE_BYTES", 300)
+    posts = _InterruptedRead(_answers_dump(40), reads=8)
+    with pytest.raises(KeyboardInterrupt):
+        build_knowledge_base(posts, io.BytesIO(b"<comments/>"), KW)
+    assert len(started) == 1 and "_parse_slice" in started[0].tasks
+    assert multiprocessing.active_children() == []
+
+
+def test_one_cpu_reads_the_dumps_serially(fixtures_dir, monkeypatch):
+    started = _judge_in_pool(monkeypatch)
+    monkeypatch.setattr(kb, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(kb, "_SLICE_BYTES", 300)
+    assert [e.answer_id for e in _kb_from_fixture(fixtures_dir)] == [101, 102, 105, 107, 109, 112, 114]
+    assert started == []
+
+
 # A script that runs build-kb on the fixture dump with two workers, in chunks of
-# two answers, under the start method named by its first argument.
+# two answers and slices of about 300 bytes, under the start method named by
+# its first argument.
 _POOL_SCRIPT = """\
 import concurrent.futures, multiprocessing, sys
 from sosec import kb
@@ -654,7 +872,7 @@ class Pool(concurrent.futures.ProcessPoolExecutor):
 def run():
     multiprocessing.set_start_method(sys.argv[1], force=True)
     concurrent.futures.ProcessPoolExecutor = Pool
-    kb._JUDGE_CHUNK, kb._cpu_count = 2, lambda: 2
+    kb._JUDGE_CHUNK, kb._SLICE_BYTES, kb._cpu_count = 2, 300, lambda: 2
     sys.exit(main(sys.argv[2:]))
 
 """

@@ -365,6 +365,21 @@ def test_retrieve_refuses_an_index_entry_line_of_the_wrong_shape(tmp_path):
     assert str(caught.value).startswith(f"{path} has a corrupt entry line for document 0: 'tags' must be")
 
 
+def test_retrieve_refuses_an_index_entry_line_whose_answer_id_was_edited(tmp_path):
+    path = tmp_path / "kb.idx"
+    save_index(build_index([make_entry(3, ["needle = 1"]), make_entry(5, ["needle = 2"])]), path)
+    data = path.read_bytes()
+    assert data.count(b'"answer_id": 3,') == 1
+    # the same byte length, so the entry offsets still hold
+    path.write_bytes(data.replace(b'"answer_id": 3,', b'"answer_id": 4,'))
+    index = load_index(path)
+    with pytest.raises(ConfigError) as caught:
+        retrieve(index, "needle", k=2)
+    assert str(caught.value) == (
+        f"{path} has a corrupt entry line for document 0: its answer_id 4 is not the indexed 3"
+    )
+
+
 def test_save_index_replaces_the_file_and_leaves_a_loaded_index_working(tmp_path):
     path = tmp_path / "kb.idx"
     save_index(_index_abc(), path)
