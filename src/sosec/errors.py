@@ -43,9 +43,9 @@ class AdapterError(SosecError):
 
 @contextmanager
 def open_text(path: str | Path) -> Iterator[IO[str]]:
-    """Open a UTF-8 text input; bytes that are not UTF-8 raise ConfigError naming the file."""
+    """Open a UTF-8 text input, less a leading byte-order mark; bytes not UTF-8 raise ConfigError naming the file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc

@@ -14,6 +14,7 @@ from collections import Counter, deque
 from concurrent.futures import BrokenExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 from html import unescape
 from html.parser import HTMLParser
 from itertools import chain, islice
@@ -22,9 +23,6 @@ from typing import IO, Iterable, Iterator
 from xml.parsers import expat
 
 from .errors import ConfigError, DumpParseError, SosecError, open_text
-
-POST_TYPE_QUESTION = "question"
-POST_TYPE_ANSWER = "answer"
 
 # Stack Exchange encodes tags either as "<python><flask>" or "|python|flask|".
 _TAG_ANGLE_RE = re.compile(r"<([^<>]+)>")
@@ -48,24 +46,6 @@ _MAX_WORKERS = 4
 # It bounds what is held for the workers to (_SLICE_BYTES plus its rows, and
 # _JUDGE_CHUNK answers) x _IN_FLIGHT_PER_WORKER x workers.
 _IN_FLIGHT_PER_WORKER = 2
-
-
-@dataclass(slots=True)
-class RawPost:
-    id: int
-    post_type: str
-    parent_id: int | None
-    score: int
-    body: str
-    tags: list[str] = field(default_factory=list)
-
-
-@dataclass(slots=True)
-class RawComment:
-    id: int
-    post_id: int
-    score: int
-    text: str
 
 
 @dataclass
@@ -158,99 +138,75 @@ def _parse_tags(raw: str) -> list[str]:
     return _TAG_ANGLE_RE.findall(raw) or [t for t in raw.split("|") if t]
 
 
-def _post_key(attrs: dict[str, str]) -> tuple[int, int | None, int] | None:
-    """A Posts row's id, parent id (None for a question) and score; None for a row to skip."""
-    if "Id" not in attrs:
-        return None
-    type_id = attrs.get("PostTypeId")
+def _post_row(attrs: dict[str, str]) -> tuple | None:
+    """A Posts row as `(id, tags)` for a question or `(id, parent id, score, body)` for an answer; None to skip it."""
     try:
+        post_id, score = int(attrs["Id"]), int(attrs.get("Score", "0"))
+        type_id = attrs.get("PostTypeId")
         if type_id == "1":
-            parent_id = None
-        elif type_id == "2" and "ParentId" in attrs:
-            parent_id = int(attrs["ParentId"])
-        else:
-            return None
-        return int(attrs["Id"]), parent_id, int(attrs.get("Score", "0"))
-    except ValueError:  # non-numeric Id/ParentId/Score: skip, don't abort the stream
-        return None
+            return post_id, _parse_tags(attrs.get("Tags", ""))
+        if type_id == "2":
+            return post_id, int(attrs["ParentId"]), score, attrs.get("Body", "")
+    except (KeyError, ValueError):  # a missing or non-numeric Id, ParentId or Score skips the row, not the stream
+        pass
+    return None
 
 
-def _post_from_attrs(attrs: dict[str, str]) -> RawPost | None:
-    key = _post_key(attrs)
-    if key is None:
-        return None
-    post_id, parent_id, score = key
-    return RawPost(
-        id=post_id,
-        post_type=POST_TYPE_QUESTION if parent_id is None else POST_TYPE_ANSWER,
-        parent_id=parent_id,
-        score=score,
-        body=attrs.get("Body", ""),
-        tags=_parse_tags(attrs.get("Tags", "")),
-    )
-
-
-def _comment_key(attrs: dict[str, str]) -> tuple[int, int, int] | None:
-    """A Comments row's id, post id and score; None for a row to skip."""
-    if "Id" not in attrs or "PostId" not in attrs:
-        return None
+def _comment_row(attrs: dict[str, str]) -> tuple[int, str, int] | None:
+    """A Comments row as `(post id, text, score)`; None to skip it."""
     try:
+        int(attrs["Id"])  # not kept, but a row without a numeric Id is skipped
         # Dump exports do not expose comment downvotes; clamp stray negatives.
-        return int(attrs["Id"]), int(attrs["PostId"]), max(0, int(attrs.get("Score", "0")))
-    except ValueError:
+        return int(attrs["PostId"]), attrs.get("Text", ""), max(0, int(attrs.get("Score", "0")))
+    except (KeyError, ValueError):
         return None
 
 
-def _comment_from_attrs(attrs: dict[str, str]) -> RawComment | None:
-    key = _comment_key(attrs)
-    if key is None:
-        return None
-    comment_id, post_id, score = key
-    return RawComment(id=comment_id, post_id=post_id, score=score, text=attrs.get("Text", ""))
+def _parse_rows(chunks: Iterable[bytes], kind: str, tally: Counter) -> Iterator[tuple]:
+    """The rows of the XML document that `chunks` hold, as `_post_row` or `_comment_row` tuples.
 
-
-def parse_dump_rows(
-    stream: IO[bytes],
-    kind: str,
-    tally: Counter | None = None,
-) -> Iterator[RawPost | RawComment]:
-    """Stream `<row .../>` records out of a Posts.xml or Comments.xml dump.
-
-    Memory use is bounded by one parse chunk, not by file size. Rows missing a
-    required attribute (Id; ParentId for answers; PostId for comments) are
-    skipped and counted in ``tally``. Malformed XML raises DumpParseError with
-    the failing byte offset.
+    Parsed one chunk at a time; no chunk may be empty. Rows to skip are
+    counted as ``tally["skipped"]``. Malformed XML raises DumpParseError
+    with the failing byte offset.
     """
     if kind not in ("posts", "comments"):
         raise ValueError(f"unknown dump kind: {kind!r}")
-    if tally is None:
-        tally = Counter()
-    make_record = _post_from_attrs if kind == "posts" else _comment_from_attrs
-
+    make_row = _post_row if kind == "posts" else _comment_row
     parser = expat.ParserCreate()
-    pending: list[RawPost | RawComment] = []
+    pending: list[tuple] = []
 
     def handle_start(name: str, attrs: dict[str, str]) -> None:
         if name != "row":
             return
-        record = make_record(attrs)
-        if record is None:
+        row = make_row(attrs)
+        if row is None:
             tally["skipped"] += 1
         else:
-            pending.append(record)
+            pending.append(row)
 
     parser.StartElementHandler = handle_start
 
-    while True:
-        chunk = stream.read(_CHUNK_SIZE)
+    for chunk in chain(chunks, [b""]):
         try:
             parser.Parse(chunk, not chunk)
         except expat.ExpatError as exc:
             raise DumpParseError(f"malformed {kind} XML at byte {parser.ErrorByteIndex}: {exc}") from exc
         yield from pending
         pending.clear()
-        if not chunk:
-            return
+
+
+def parse_dump_rows(stream: IO[bytes], kind: str, tally: Counter | None = None) -> Iterator[tuple]:
+    """Stream the `<row .../>` records of a Posts.xml or Comments.xml dump as tuples.
+
+    A Posts dump gives `(id, tags)` for a question and `(id, parent id,
+    score, body)` for an answer; a Comments dump gives `(post id, text,
+    score)`. Memory use is bounded by one parse chunk, not by file size.
+    Rows missing a required attribute (Id; ParentId for answers; PostId for
+    comments), holding a non-numeric Id, ParentId, PostId or Score, or of
+    another post type are skipped and counted in ``tally["skipped"]``.
+    Malformed XML raises DumpParseError with the failing byte offset.
+    """
+    yield from _parse_rows(iter(partial(stream.read, _CHUNK_SIZE), b""), kind, Counter() if tally is None else tally)
 
 
 def is_security_relevant(
@@ -420,62 +376,27 @@ def _judge_chunk(
     return verdicts
 
 
-def _post_row(attrs: dict[str, str]) -> tuple | None:
-    """A Posts row as `(id, tags)` for a question or `(id, parent id, score, body)` for an answer; None to skip it."""
-    key = _post_key(attrs)
-    if key is None:
-        return None
-    if key[1] is None:
-        return key[0], _parse_tags(attrs.get("Tags", ""))
-    return (*key, attrs.get("Body", ""))
-
-
-def _comment_row(attrs: dict[str, str]) -> tuple[int, str, int] | None:
-    """A Comments row as `(post id, text, score)`; None to skip it."""
-    key = _comment_key(attrs)
-    return None if key is None else (key[1], attrs.get("Text", ""), key[2])
-
-
-def _row_of(record: RawPost | RawComment) -> tuple:
-    """A `parse_dump_rows` record as the tuple `_post_row` or `_comment_row` gives for its row."""
-    if isinstance(record, RawComment):
-        return record.post_id, record.text, record.score
-    if record.post_type == POST_TYPE_QUESTION:
-        return record.id, record.tags
-    return record.id, record.parent_id, record.score, record.body
-
-
 def _parse_slice(data: bytes, kind: str) -> tuple[list[tuple], int] | None:
-    """The rows of a slice of a dump's root element, as `_row_of` tuples, and the count of rows skipped.
+    """The rows of a slice of a dump's root element, as `_parse_rows` tuples, and the count of rows skipped.
 
-    The slice is parsed inside a dummy element; None means expat rejected
-    it. It reads nothing but its arguments, so a worker process can run it
-    under any start method.
+    The slice is parsed whole inside a dummy element; None means expat
+    rejected it. It reads nothing but its arguments, so a worker process can
+    run it under any start method.
     """
-    make_row = _post_row if kind == "posts" else _comment_row
-    rows: list[tuple | None] = []
-    parser = expat.ParserCreate()
-
-    def handle_start(name: str, attrs: dict[str, str]) -> None:
-        if name == "row":
-            rows.append(make_row(attrs))
-
-    parser.StartElementHandler = handle_start
+    tally: Counter = Counter()
     try:
-        parser.Parse(b"<slice>", False)
-        parser.Parse(data, False)
-        parser.Parse(b"</slice>", True)
-    except expat.ExpatError:
+        rows = list(_parse_rows((b"<slice>", data, b"</slice>"), kind, tally))
+    except DumpParseError:
         return None
-    kept = [row for row in rows if row is not None]
-    return kept, len(rows) - len(kept)
+    return rows, tally["skipped"]
 
 
 # What a dump may hold before its first row to be sliced: an optional UTF-8
-# XML declaration, then the root start tag with no attribute. Group 4 is the
-# root's name. Compiled on first use (by `re`'s cache), not on import.
+# byte-order mark, an optional UTF-8 XML declaration, then the root start tag
+# with no attribute. Group 4 is the root's name. Compiled on first use (by
+# `re`'s cache), not on import.
 _DUMP_HEAD = (
-    rb"(?:<\?xml[ \t\r\n]+version=([\"'])1\.0\1"
+    rb"(?:\xef\xbb\xbf)?(?:<\?xml[ \t\r\n]+version=([\"'])1\.0\1"
     rb"(?:[ \t\r\n]+encoding=([\"'])(?i:utf-8)\2)?"
     rb"(?:[ \t\r\n]+standalone=([\"'])(?:yes|no)\3)?[ \t\r\n]*\?>)?"
     rb"[ \t\r\n]*<([A-Za-z_][-A-Za-z0-9_.]*)>"
@@ -573,7 +494,7 @@ class _Pool:
 
 
 def _dump_rows(stream: IO[bytes], kind: str, tally: Counter, pool: _Pool | None) -> Iterator[tuple]:
-    """One dump's rows as `_row_of` tuples, in dump order; skipped rows are counted as ``<kind>_skipped``.
+    """One dump's rows as `parse_dump_rows` tuples, in dump order; skipped rows are counted as ``<kind>_skipped``.
 
     With a pool, a dump that `_dump_body` lets be sliced is parsed slice by
     slice in the workers. Otherwise, and from the first slice that expat
@@ -603,7 +524,7 @@ def _dump_rows(stream: IO[bytes], kind: str, tally: Counter, pool: _Pool | None)
         stream.seek(start)
     serial: Counter = Counter()
     try:
-        yield from map(_row_of, islice(parse_dump_rows(stream, kind, tally=serial), given, None))
+        yield from islice(parse_dump_rows(stream, kind, tally=serial), given, None)
     finally:
         tally[key] += serial["skipped"] - skipped
 

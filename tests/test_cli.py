@@ -14,8 +14,9 @@ import sosec
 from sosec import __version__
 from sosec.analysis import Finding
 from sosec.cli import main
-from sosec.config import default_data_path
-from sosec.kb import KnowledgeEntry
+from sosec.config import default_data_path, load_config
+from sosec.evaluation import load_samples
+from sosec.kb import KeywordSet, KnowledgeEntry
 from sosec.retrieval import RetrievalHit
 from sosec.revision import RevisionRecord, build_revision_prompt, prompt_hash
 
@@ -429,6 +430,23 @@ def test_non_utf8_input_file_is_runtime_error(tmp_path, fixtures_dir, capsys, fl
     err = capsys.readouterr().err
     assert err.startswith("sosec: error:") and "can't decode" in err
     assert f"{bad} is not UTF-8 text" in err
+
+
+@pytest.mark.parametrize(
+    "source, load",
+    [
+        (default_data_path("keywords.txt"), KeywordSet.from_file),
+        (Path(__file__).parent / "fixtures" / "dataset_10.jsonl", load_samples),
+        (None, load_config),
+    ],
+    ids=["keywords", "dataset", "config"],
+)
+def test_a_text_input_with_a_byte_order_mark_loads_the_same(tmp_path, source, load):
+    data = source.read_bytes() if source else json.dumps({"k": 3, "provider": {"kind": "mock"}}).encode("utf-8")
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(data)
+    marked.write_bytes(b"\xef\xbb\xbf" + data)
+    assert load(marked) == load(plain)
 
 
 def test_eval_with_empty_arm_list_is_usage_error(tmp_path, fixtures_dir, capsys):

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import warnings
+import xml.etree.ElementTree as ET
 from collections import Counter
 from html.parser import HTMLParser
 from pathlib import Path
@@ -26,8 +27,6 @@ from sosec.config import default_data_path
 from sosec.errors import ConfigError, DumpParseError, SosecError
 from sosec.kb import (
     KeywordSet,
-    RawComment,
-    RawPost,
     build_knowledge_base,
     is_security_relevant,
     load_kb_jsonl,
@@ -67,13 +66,13 @@ def _kb(posts: list[dict], comments: list[dict], keywords, tally=None):
 def test_parse_single_post_row_decodes_entities():
     xml = '<posts><row Id="7" PostTypeId="2" ParentId="3" Score="4" Body="&lt;p&gt;hi&lt;/p&gt;"/></posts>'
     (post,) = _rows(xml, "posts")
-    assert post == RawPost(id=7, post_type="answer", parent_id=3, score=4, body="<p>hi</p>", tags=[])
+    assert post == (7, 3, 4, "<p>hi</p>")
 
 
 def test_parse_single_comment_row():
     xml = '<comments><row Id="9" PostId="7" Score="2" Text="careful"/></comments>'
     (comment,) = _rows(xml, "comments")
-    assert comment == RawComment(id=9, post_id=7, score=2, text="careful")
+    assert comment == (7, "careful", 2)
 
 
 def test_answer_without_parent_id_is_skipped_and_tallied():
@@ -93,13 +92,13 @@ def test_comment_without_post_id_is_skipped():
 def test_question_tags_both_encodings():
     angle = '<posts><row Id="1" PostTypeId="1" Tags="&lt;python&gt;&lt;flask&gt;"/></posts>'
     pipe = '<posts><row Id="2" PostTypeId="1" Tags="|python|flask|"/></posts>'
-    assert _rows(angle, "posts")[0].tags == ["python", "flask"]
-    assert _rows(pipe, "posts")[0].tags == ["python", "flask"]
+    assert _rows(angle, "posts") == [(1, ["python", "flask"])]
+    assert _rows(pipe, "posts") == [(2, ["python", "flask"])]
 
 
 def test_negative_comment_score_clamps_to_zero():
     xml = '<comments><row Id="9" PostId="7" Score="-3" Text="why?"/></comments>'
-    assert _rows(xml, "comments")[0].score == 0
+    assert _rows(xml, "comments")[0][2] == 0
 
 
 def test_malformed_xml_raises_with_byte_offset():
@@ -119,13 +118,52 @@ def test_fixture_dump_counts_and_skip_tallies(fixtures_dir):
         posts = list(parse_dump_rows(fh, "posts", tally=posts_tally))
     assert len(posts) == 19
     assert posts_tally["skipped"] == 1
-    assert sum(1 for p in posts if p.post_type == "question") == 6
+    assert sum(1 for p in posts if len(p) == 2) == 6  # questions
 
     comments_tally = Counter()
     with open(fixtures_dir / "comments_20.xml", "rb") as fh:
         comments = list(parse_dump_rows(fh, "comments", tally=comments_tally))
     assert len(comments) == 7
     assert comments_tally["skipped"] == 1
+
+
+# Each rule a dump reader applies to one element: the kind of dump, the
+# element, the rows it gives and the count of rows it skips.
+_ROW_RULES = [
+    pytest.param("posts", '<row Id="1" PostTypeId="1" Score="x" Tags="&lt;a&gt;" />', [], 1,
+                 id="question-score-not-a-number"),
+    pytest.param("posts", '<row Id="1" PostTypeId="1" Tags="&lt;a&gt;" />', [(1, ["a"])], 0,
+                 id="question-without-score"),
+    pytest.param("posts", '<row Id="2" PostTypeId="2" ParentId="x" Score="1" Body="b" />', [], 1,
+                 id="answer-parent-id-not-a-number"),
+    pytest.param("posts", '<row Id="2" PostTypeId="2" Score="1" Body="b" />', [], 1, id="answer-without-parent-id"),
+    pytest.param("posts", '<row Id="2" PostTypeId="2" ParentId="1" Score="x" Body="b" />', [], 1,
+                 id="answer-score-not-a-number"),
+    pytest.param("posts", '<row Id="2" PostTypeId="2" ParentId="1" />', [(2, 1, 0, "")], 0,
+                 id="answer-without-score-or-body"),
+    pytest.param("posts", '<row Id="3" PostTypeId="3" ParentId="1" Score="1" Body="b" />', [], 1,
+                 id="other-post-type"),
+    pytest.param("posts", '<row Id="x" PostTypeId="1" Score="1" />', [], 1, id="post-id-not-a-number"),
+    pytest.param("posts", '<row PostTypeId="1" Score="1" />', [], 1, id="post-without-id"),
+    pytest.param("posts", '<post Id="1" PostTypeId="1" Score="1" />', [], 0, id="post-not-a-row"),
+    pytest.param("comments", '<row Id="x" PostId="1" Score="1" Text="t" />', [], 1, id="comment-id-not-a-number"),
+    pytest.param("comments", '<row PostId="1" Score="1" Text="t" />', [], 1, id="comment-without-id"),
+    pytest.param("comments", '<row Id="5" PostId="x" Score="1" Text="t" />', [], 1,
+                 id="post-id-of-comment-not-a-number"),
+    pytest.param("comments", '<row Id="5" Score="1" Text="t" />', [], 1, id="comment-without-post-id"),
+    pytest.param("comments", '<row Id="5" PostId="1" Score="x" Text="t" />', [], 1, id="comment-score-not-a-number"),
+    pytest.param("comments", '<row Id="5" PostId="1" />', [(1, "", 0)], 0, id="comment-without-score-or-text"),
+    pytest.param("comments", '<row Id="5" PostId="1" Score="-3" Text="t" />', [(1, "t", 0)], 0,
+                 id="negative-comment-score"),
+]
+
+
+@pytest.mark.parametrize("kind, element, rows, skipped", _ROW_RULES)
+def test_each_row_rule_holds_in_the_serial_and_the_slice_reader(kind, element, rows, skipped):
+    tally = Counter()
+    assert _rows(f"<{kind}>{element}</{kind}>", kind, tally=tally) == rows
+    assert tally["skipped"] == skipped
+    assert kb._parse_slice(element.encode("utf-8"), kind) == (rows, skipped)
 
 
 def test_is_security_relevant_answer_side():
@@ -509,9 +547,8 @@ def test_long_unclosed_attribute_body_is_declined_in_linear_time():
 
 
 def test_fixture_bodies_take_the_plain_path(fixtures_dir):
-    with open(fixtures_dir / "posts_20.xml", "rb") as fh:
-        bodies = [post.body for post in parse_dump_rows(fh, "posts")]
-    assert all(kb._plain_pieces(body) is not None for body in bodies)
+    bodies = [row.get("Body", "") for row in ET.parse(fixtures_dir / "posts_20.xml").getroot().iter("row")]
+    assert len(bodies) == 20 and all(kb._plain_pieces(body) is not None for body in bodies)
 
 
 # --- the worker-process path of build_knowledge_base ---
@@ -693,13 +730,13 @@ class _Unseekable(io.BytesIO):
 def _serial_and_sliced(monkeypatch, data: bytes, kind: str = "posts", stream=io.BytesIO) -> tuple:
     """`data` read by `parse_dump_rows`, then by `_dump_rows` with two workers and slices of about 300 bytes.
 
-    Each read is (its rows as `_row_of` tuples, or its DumpParseError's
-    message; its skipped-row count). Also returns the names of the tasks
-    the pool ran and how many times `_dump_rows` called `parse_dump_rows`.
+    Each read is (its rows, or its DumpParseError's message; its
+    skipped-row count). Also returns the names of the tasks the pool ran
+    and how many times `_dump_rows` called `parse_dump_rows`.
     """
     tally = Counter()
     try:
-        serial = [kb._row_of(r) for r in parse_dump_rows(io.BytesIO(data), kind, tally=tally)]
+        serial = list(parse_dump_rows(io.BytesIO(data), kind, tally=tally))
     except DumpParseError as exc:
         serial = str(exc)
     started = _judge_in_pool(monkeypatch)
@@ -812,6 +849,14 @@ def test_an_unseekable_dump_is_read_serially(monkeypatch):
     assert tasks == [] and serial_reads == 1
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_a_dump_with_a_byte_order_mark_is_sliced(monkeypatch, newline):
+    data = b"\xef\xbb\xbf" + _posts().replace(b"\n", newline)
+    serial, sliced, tasks, serial_reads = _serial_and_sliced(monkeypatch, data)
+    assert sliced == serial and (len(serial[0]), serial[1]) == (11, 1)
+    assert tasks.count("_parse_slice") >= len(data) // 300 and serial_reads == 0
+
+
 def test_a_malformed_byte_in_the_third_slice_raises_the_serial_error(monkeypatch):
     data = _posts().replace(b"answer number 9", b"answer number \xff")
     monkeypatch.setattr(kb, "_SLICE_BYTES", 300)
@@ -835,6 +880,22 @@ def test_sliced_build_kb_writes_the_in_process_bytes(fixtures_dir, tmp_path, cap
     assert sliced_bytes == serial_bytes
     assert hashlib.sha256(sliced_bytes).hexdigest() == FIXTURE_KB_SHA256
     assert sliced_summary | {"out": ""} == serial_summary | {"out": ""}
+    assert multiprocessing.active_children() == []
+
+
+def test_sliced_build_kb_of_dumps_with_a_byte_order_mark_writes_the_golden_bytes(fixtures_dir, tmp_path, capsys,
+                                                                                 monkeypatch):
+    _, summary = _build_kb_cli(fixtures_dir, tmp_path / "plain.jsonl", capsys)
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for name in ("posts_20.xml", "comments_20.xml"):
+        (marked / name).write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / name).read_bytes())
+    started = _judge_in_pool(monkeypatch)
+    monkeypatch.setattr(kb, "_SLICE_BYTES", 300)
+    marked_bytes, marked_summary = _build_kb_cli(marked, tmp_path / "marked.jsonl", capsys)
+    assert len(started) == 1 and started[0].tasks.count("_parse_slice") > 10
+    assert hashlib.sha256(marked_bytes).hexdigest() == FIXTURE_KB_SHA256
+    assert marked_summary | {"out": ""} == summary | {"out": ""}
     assert multiprocessing.active_children() == []
 
 
