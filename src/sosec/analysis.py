@@ -1,20 +1,24 @@
-"""Static-analyzer adapters and finding normalization.
+"""Static-analyzer adapters, and the one place code gets analyzed.
 
-Analyzers run as external subprocesses; this module only parses their
-machine-readable output (SARIF 2.1.0 or a Bandit-style JSON report) and
-maps tool rules to CWE classes.
+Analyzers run as external subprocesses on a scratch file; this module
+decides which tools run on a piece of code, parses their machine-readable
+output (SARIF 2.1.0 or a Bandit-style JSON report), reads each tool's own
+"could not analyze" signal and maps tool rules to CWE classes.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import re
 import shutil
 import subprocess
+import tempfile
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import AdapterError, ConfigError, SosecError, ToolMissingError, open_text
 
@@ -24,6 +28,8 @@ FORMAT_SARIF = "sarif"
 FORMAT_BANDIT_JSON = "bandit_json"
 
 DEFAULT_TIMEOUT = 120.0
+
+SUFFIX_BY_LANGUAGE = {"python": ".py", "c": ".c"}
 
 _SARIF_LEVELS = {"error": "high", "warning": "medium", "note": "low"}
 _BANDIT_SEVERITIES = {"HIGH": "high", "MEDIUM": "medium", "LOW": "low"}
@@ -215,30 +221,47 @@ def _findings(results: list, tool: str, finding) -> list[Finding]:
     return findings
 
 
-def parse_sarif(text: str, tool: str) -> list[Finding]:
-    """Parse a SARIF 2.1.0 log into findings with no CWE yet; results are numbered across runs."""
+def _sarif_failed(invocation) -> bool:
+    notes = _field(invocation, "toolExecutionNotifications", list, [])
+    return not _field(invocation, "executionSuccessful", bool, True) or any(
+        _field(note, "level", str, "warning") == "error" for note in notes
+    )
+
+
+def parse_sarif(text: str, tool: str) -> list[Finding] | None:
+    """Parse a SARIF 2.1.0 log into findings with no CWE yet; results are numbered across runs.
+
+    None if an invocation says the tool could not analyze the file: it has
+    `executionSuccessful: false` or an error-level tool execution notification.
+    """
     try:
         runs = _field(json.loads(text), "runs", list, None)
         results = [result for run in runs for result in _field(run, "results", list, [])]
+        failed = any(_sarif_failed(inv) for run in runs for inv in _field(run, "invocations", list, []))
     except (json.JSONDecodeError, TypeError) as exc:
         raise AdapterError(f"not a SARIF log: {exc}") from exc
-    return _findings(results, tool, _sarif_finding)
+    return None if failed else _findings(results, tool, _sarif_finding)
 
 
-def parse_bandit_json(text: str, tool: str) -> list[Finding]:
-    """Parse a Bandit-style JSON report into findings with no CWE yet."""
+def parse_bandit_json(text: str, tool: str) -> list[Finding] | None:
+    """Parse a Bandit-style JSON report into findings with no CWE yet.
+
+    None if `errors` has an entry: a run names one file, so the tool could not read it.
+    """
     try:
-        results = _field(json.loads(text), "results", list, None)
+        report = json.loads(text)
+        results = _field(report, "results", list, None)
+        errors = _field(report, "errors", list, [])
     except (json.JSONDecodeError, TypeError) as exc:
         raise AdapterError(f"not a JSON report: {exc}") from exc
-    return _findings(results, tool, _bandit_finding)
+    return None if errors else _findings(results, tool, _bandit_finding)
 
 
 _PARSERS = {FORMAT_SARIF: parse_sarif, FORMAT_BANDIT_JSON: parse_bandit_json}
 
 
-def run_analyzer(adapter: AdapterConfig, source_file: str | Path) -> list[Finding]:
-    """Invoke one analyzer on a file and parse its report from stdout."""
+def run_analyzer(adapter: AdapterConfig, source_file: str | Path) -> list[Finding] | None:
+    """Invoke one analyzer on a file and parse its report from stdout; None if it could not read the file."""
     source_file = Path(source_file)
     if not source_file.is_file():
         raise SosecError(f"source file not found: {source_file}")
@@ -265,15 +288,53 @@ def run_analyzer(adapter: AdapterConfig, source_file: str | Path) -> list[Findin
         ) from exc
 
 
-def normalize_finding(finding: Finding, cwe_map: CweMap) -> Finding:
-    """Attach the mapped CWE; unmapped rules keep cwe=None."""
-    return replace(finding, cwe=cwe_map.lookup(finding.tool, finding.rule_id))
-
-
 def analyze_file(
     adapter: AdapterConfig, cwe_map: CweMap, source_file: str | Path
-) -> list[Finding]:
-    return [normalize_finding(f, cwe_map) for f in run_analyzer(adapter, source_file)]
+) -> list[Finding] | None:
+    """`run_analyzer` with each finding's CWE mapped; unmapped rules keep cwe=None."""
+    findings = run_analyzer(adapter, source_file)
+    if findings is None:
+        return None
+    return [replace(f, cwe=cwe_map.lookup(f.tool, f.rule_id)) for f in findings]
+
+
+def _analyze_key(
+    adapters: Sequence[AdapterConfig], cwe_map: CweMap, key: tuple[str, str]
+) -> list[list[Finding] | None] | None:
+    language, code = key
+    tools = [a for a in adapters if a.supports_language(language)]
+    with tempfile.TemporaryDirectory(prefix="sosec-") as workdir:
+        source = Path(workdir) / f"sample{SUFFIX_BY_LANGUAGE[language]}"
+        try:
+            source.write_text(code, encoding="utf-8")  # a lone surrogate in a revision raises here
+            if language == "python":
+                try:
+                    ast.parse(code)
+                # ValueError: a NUL byte before 3.12; the other two: nesting too deep for the parser
+                except (SyntaxError, ValueError, RecursionError, MemoryError):
+                    return [None] * len(tools)
+            return [analyze_file(a, cwe_map, source) for a in tools]
+        except (UnicodeEncodeError, SosecError):
+            return None
+
+
+def analyze_codes(
+    adapters: Sequence[AdapterConfig],
+    cwe_map: CweMap,
+    keys: Iterable[tuple[str, str]],
+    map: Callable,
+) -> dict[tuple[str, str], list[list[Finding] | None] | None]:
+    """Analyze each distinct (language, code) key once, through `map` (a pool's, say).
+
+    A key's value has one findings list per adapter that supports its
+    language, in order; a list is None where that tool could not read the
+    code. Python code that the running interpreter's parser rejects is
+    unreadable to every tool, and no analyzer starts for it. The value is None if an analyzer failed or
+    the code cannot be written as UTF-8. Each key's code is written to one
+    scratch file, in its own temporary directory, that all its tools read.
+    """
+    distinct = list(dict.fromkeys(keys))
+    return dict(zip(distinct, map(partial(_analyze_key, adapters, cwe_map), distinct)))
 
 
 def cwe_set(findings: Iterable[Finding]) -> set[str]:

@@ -238,6 +238,8 @@ def _cmd_analyze(args, config: GlobalConfig) -> int:
         )
     cwe_map = CweMap.from_file(config.cwe_map_path)
     findings = analyze_file(adapters[args.adapter], cwe_map, args.file)
+    if findings is None:
+        raise SosecError(f"adapter {args.adapter} could not analyze {args.file}")
     text = "\n".join(
         f"{f.file}:{f.line} [{f.severity}] {f.rule_id} ({f.cwe or 'unmapped'}): {f.message}"
         for f in findings

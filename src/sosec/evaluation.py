@@ -8,7 +8,6 @@ samples; all percentages are reported at one decimal.
 from __future__ import annotations
 
 import json
-import tempfile
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -17,8 +16,8 @@ from functools import partial
 from pathlib import Path
 from typing import Sequence
 
-from .analysis import CWE_RE, AdapterConfig, CweMap, Finding, analyze_file, cwe_set
-from .errors import AdapterError, ConfigError, PromptBudgetError, ProviderError, SosecError, open_text
+from .analysis import CWE_RE, SUFFIX_BY_LANGUAGE, AdapterConfig, CweMap, Finding, analyze_codes, cwe_set
+from .errors import ConfigError, PromptBudgetError, ProviderError, open_text
 from .retrieval import DEFAULT_TOP_K, RetrievalIndex, retrieve
 from .revision import DEFAULT_CHAR_BUDGET, PROMPT_TEMPLATE, revise
 
@@ -29,8 +28,6 @@ ARM_REVISION_ONLY = "revision_only"
 ARM_CWE_LABEL = "cwe_label"
 ARM_SOSECURE = "sosecure"
 ARMS = (ARM_PROMPT_ONLY, ARM_REVISION_ONLY, ARM_CWE_LABEL, ARM_SOSECURE)
-
-_SUFFIX_BY_LANGUAGE = {"python": ".py", "c": ".c"}
 
 # Names for the label-bearing prompt note; labels outside this table are
 # passed through without a name.
@@ -66,9 +63,10 @@ class Trial:
 
     `arm` is None for the dual-tool filter, which runs before any arm.
     `dropped` is the tally reason when the sample left the run here; its
-    after-state is then empty. CWE sets are compared as sets of distinct
-    classes, since line-level matching across a rewritten file is
-    ill-defined.
+    after-state is then empty. `readable` is False for a revision that a
+    filter tool could not read; it is scored as not fixed, so its after-set
+    is its before-set. CWE sets are compared as sets of distinct classes,
+    since line-level matching across a rewritten file is ill-defined.
     """
 
     sample_id: str
@@ -77,6 +75,7 @@ class Trial:
     after_cwes: set[str]
     unchanged: bool
     dropped: str | None = None
+    readable: bool = True
 
     @property
     def fixed(self) -> set[str]:
@@ -104,7 +103,7 @@ def _validate_sample(obj: dict) -> CodeSample:
     if dataset not in DATASETS:
         raise ValueError(f"unknown dataset {dataset!r}")
     language = obj.get("language", "python")
-    if language not in _SUFFIX_BY_LANGUAGE:
+    if language not in SUFFIX_BY_LANGUAGE:
         raise ValueError(f"unknown language {language!r}")
     labeled_cwe = obj.get("labeled_cwe")
     if labeled_cwe is not None and not CWE_RE.match(str(labeled_cwe)):
@@ -158,26 +157,6 @@ def load_supported_cwes(path: str | Path) -> set[str]:
     return supported
 
 
-def analyze_code(
-    adapters: Sequence[AdapterConfig], cwe_map: CweMap, language: str, code: str
-) -> list[list[Finding]]:
-    """One findings list per adapter that supports `language`, in order.
-
-    The code is written to one scratch file, in its own temporary directory,
-    and each of those adapters runs on that file. Raises SosecError if an
-    analyzer fails, and AdapterError if the code cannot be written as UTF-8
-    (a lone surrogate in a revision).
-    """
-    suffix = _SUFFIX_BY_LANGUAGE[language]
-    with tempfile.TemporaryDirectory(prefix="sosec-") as workdir:
-        source = Path(workdir) / f"sample{suffix}"
-        try:
-            source.write_text(code, encoding="utf-8")
-        except UnicodeEncodeError as exc:
-            raise AdapterError(f"code cannot be written as UTF-8: {exc}") from exc
-        return [analyze_file(a, cwe_map, source) for a in adapters if a.supports_language(language)]
-
-
 def _cwe_label_note(sample: CodeSample) -> str:
     name = CWE_NAMES.get(sample.labeled_cwe or "")
     suffix = f" ({name})" if name else ""
@@ -194,16 +173,6 @@ def validate_arms(arms: Sequence[str], has_index: bool) -> None:
         raise ConfigError(f"arm named more than once: {', '.join(repeated)}")
     if ARM_SOSECURE in arms and not has_index:
         raise ConfigError("sosecure arm requires a retrieval index")
-
-
-def _findings_or_none(
-    adapters: Sequence[AdapterConfig], cwe_map: CweMap, key: tuple[str, str]
-) -> list[list[Finding]] | None:
-    """`analyze_code` on a (language, code) key; None if an analyzer fails."""
-    try:
-        return analyze_code(adapters, cwe_map, *key)
-    except SosecError:
-        return None
 
 
 def _revise_for_arm(provider, index, k: int, budget: int, arm: str, sample: CodeSample):
@@ -241,15 +210,16 @@ def run_arms(
     or a short one raises ConfigError before any analyzer runs. First every
     distinct original code is analyzed with its filter tools. A sample
     leaves the run at the filter (`arm` None) as `not_dual_flagged` unless
-    each of them flags it, or as `analyzer_errors` if an analyzer fails; it
-    gets no trial at all if none of its CWEs is in `supported_cwes`, and
-    metrics see only those classes. Then the arms run in order:
-    prompt_only reuses the before findings unchanged; each other arm
-    revises every sample still in the run (with retrieved context only
+    each of them flags it, or as `analyzer_errors` if an analyzer fails or
+    cannot read it; it gets no trial at all if none of its CWEs is in
+    `supported_cwes`, and metrics see only those classes. Then the arms run
+    in order: prompt_only reuses the before findings unchanged; each other
+    arm revises every sample still in the run (with retrieved context only
     under sosecure), then analyzes the revised codes not analyzed yet. A
-    sample on which an arm fails (the provider, the prompt budget or an
-    analyzer) leaves the run at that arm, under that arm's reason, and is
-    not sent to later arms.
+    revision that one of the filter tools cannot read keeps its trial,
+    scored as not fixed (`readable` False). A sample on which an arm fails
+    (the provider, the prompt budget or an analyzer) leaves the run at that
+    arm, under that arm's reason, and is not sent to later arms.
 
     Analysis and revision run on a pool of `workers` threads. Only the
     calling thread reads or writes the results, so each distinct
@@ -268,14 +238,14 @@ def run_arms(
                 + ", ".join(sorted(unlabeled))
             )
     for sample in samples:
-        if sample.language not in _SUFFIX_BY_LANGUAGE:
+        if sample.language not in SUFFIX_BY_LANGUAGE:
             raise ConfigError(f"sample {sample.sample_id!r} has unknown language {sample.language!r}")
     for language in sorted({s.language for s in samples}):
         tools = [a.name for a in adapters if a.supports_language(language)]
         if len(tools) < 2:
             raise ConfigError(f"the dual-tool filter needs two adapters for language {language!r}; found {tools}")
-    # keyed by (language, code); None where an analyzer failed
-    results: dict[tuple[str, str], list[list[Finding]] | None] = {}
+    # keyed by (language, code); see analyze_codes
+    results: dict[tuple[str, str], list[list[Finding] | None] | None] = {}
     before: dict[int, set[str]] = {}  # sample position -> supported CWEs, while in the run
     trials: list[list[Trial]] = [[] for _ in samples]  # by sample position
 
@@ -288,13 +258,12 @@ def run_arms(
     with ThreadPoolExecutor(max_workers=workers) as pool:
 
         def analyze(keys: list[tuple[str, str]]) -> None:
-            new = [key for key in dict.fromkeys(keys) if key not in results]
-            results.update(zip(new, pool.map(partial(_findings_or_none, adapters, cwe_map), new)))
+            results.update(analyze_codes(adapters, cwe_map, [k for k in keys if k not in results], pool.map))
 
         analyze([(sample.language, sample.code) for sample in samples])
         for i, sample in enumerate(samples):
             per_adapter = results[(sample.language, sample.code)]
-            if per_adapter is None:
+            if per_adapter is None or None in per_adapter:
                 drop(i, None, "analyzer_errors")
             elif not all(per_adapter):
                 drop(i, None, "not_dual_flagged")
@@ -316,6 +285,8 @@ def run_arms(
                     drop(i, arm, record)
                 elif (per_adapter := results[(samples[i].language, record.revised_code)]) is None:
                     drop(i, arm, "analyzer_errors")
+                elif None in per_adapter:
+                    trials[i].append(Trial(samples[i].sample_id, arm, before[i], set(before[i]), False, readable=False))
                 else:
                     after = supported(per_adapter)
                     trials[i].append(Trial(samples[i].sample_id, arm, before[i], after, not record.changed))
@@ -324,8 +295,11 @@ def run_arms(
 
 
 def split_trials(trials: Sequence[Trial]) -> tuple[list[Trial], Counter]:
-    """The trials of samples that never left the run, and the drop reasons tallied in trial order."""
-    tally = Counter(t.dropped for t in trials if t.dropped)
+    """The trials of samples that never left the run, and the drop reasons tallied in trial order.
+
+    An unreadable revision is tallied as `unreadable_revisions`, though its sample stays.
+    """
+    tally = Counter(t.dropped or "unreadable_revisions" for t in trials if t.dropped or not t.readable)
     gone = {t.sample_id for t in trials if t.dropped}
     return [t for t in trials if t.sample_id not in gone], tally
 

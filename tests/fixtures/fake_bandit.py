@@ -3,7 +3,10 @@
 
 Stands in for the real Python security linter in offline tests: same report
 shape, same exit-code convention (1 when findings exist), tiny rule set.
+Like the real linter, it reports a `.py` file it cannot parse under
+`errors` with no results, and exits 0.
 """
+import ast
 import json
 import re
 import sys
@@ -23,7 +26,15 @@ RULES = [
 def main():
     path = sys.argv[-1]
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        code = fh.read()
+    try:
+        if path.endswith(".py"):
+            ast.parse(code)
+    except (SyntaxError, ValueError):
+        json.dump({"errors": [{"filename": path, "reason": "syntax error while parsing AST from file"}],
+                   "results": []}, sys.stdout)
+        return 0
+    lines = code.splitlines()
     results = []
     for lineno, line in enumerate(lines, start=1):
         for pattern, rule, severity, text in RULES:

@@ -3,16 +3,18 @@ from __future__ import annotations
 import json
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
+from conftest import logged_adapter_specs
 from sosec.analysis import (
     AdapterConfig,
     CweMap,
     Finding,
+    analyze_codes,
     analyze_file,
     cwe_set,
-    normalize_finding,
     parse_bandit_json,
     parse_sarif,
     run_analyzer,
@@ -85,14 +87,23 @@ def test_bandit_fixture_parses_to_frozen_findings(fixtures_dir):
     assert parse_bandit_json(text, "bandit") == EXPECTED_BANDIT_RAW
 
 
-def test_fixture_normalization_maps_cwes(fixtures_dir, cwe_map):
-    text = (fixtures_dir / "codeql_sample.sarif").read_text(encoding="utf-8")
-    normalized = [normalize_finding(raw, cwe_map) for raw in parse_sarif(text, "codeql")]
-    assert [f.cwe for f in normalized] == ["CWE-78", "CWE-327", None]
+def _replay_adapter(name: str, fmt: str, report) -> AdapterConfig:
+    """An adapter whose tool prints the report file `report`, whatever file it is given."""
+    script = "import sys; sys.stdout.write(open(sys.argv[1], encoding='utf-8').read())"
+    return AdapterConfig(name=name, command=[sys.executable, "-c", script, str(report), "{file}"], format=fmt)
 
-    text = (fixtures_dir / "bandit_sample.json").read_text(encoding="utf-8")
-    normalized = [normalize_finding(raw, cwe_map) for raw in parse_bandit_json(text, "bandit")]
+
+def test_fixture_normalization_maps_cwes(fixtures_dir, cwe_map, tmp_path):
+    source = _write_source(tmp_path, "x = 1\n")
+    codeql = _replay_adapter("codeql", "sarif", fixtures_dir / "codeql_sample.sarif")
+    normalized = analyze_file(codeql, cwe_map, source)
+    assert [f.cwe for f in normalized] == ["CWE-78", "CWE-327", None]
+    assert [replace(f, cwe=None) for f in normalized] == EXPECTED_SARIF_RAW
+
+    bandit = _replay_adapter("bandit", "bandit_json", fixtures_dir / "bandit_sample.json")
+    normalized = analyze_file(bandit, cwe_map, source)
     assert [f.cwe for f in normalized] == ["CWE-78", None]
+    assert [replace(f, cwe=None) for f in normalized] == EXPECTED_BANDIT_RAW
 
 
 @pytest.mark.parametrize("parser", [parse_sarif, parse_bandit_json])
@@ -173,6 +184,75 @@ def test_bandit_results_that_are_not_a_list_are_not_a_report():
         parse_bandit_json('{"results": {"0": {}}}', "bandit")
 
 
+BANDIT_PARSE_ERROR = {"filename": "a.py", "reason": "syntax error while parsing AST from file"}
+
+
+@pytest.mark.parametrize("results", [[], [{"test_id": "B602"}]], ids=["no-results", "with-results"])
+def test_bandit_errors_mean_the_tool_could_not_read_the_file(results):
+    assert parse_bandit_json(json.dumps({"errors": [BANDIT_PARSE_ERROR], "results": results}), "bandit") is None
+
+
+@pytest.mark.parametrize("errors", [{"a.py": "x"}, "syntax error", None], ids=["object", "string", "null"])
+def test_bandit_errors_that_are_not_a_list_are_not_a_report(errors):
+    with pytest.raises(AdapterError, match="not a JSON report"):
+        parse_bandit_json(json.dumps({"errors": errors, "results": []}), "bandit")
+
+
+def _sarif_run(**run):
+    return json.dumps({"runs": [{"results": [], **run}]})
+
+
+def _notification(level):
+    return {"level": level, "message": {"text": "m"}}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _sarif_run(invocations=[{"executionSuccessful": False}]),
+        _sarif_run(invocations=[{"executionSuccessful": True, "toolExecutionNotifications": [_notification("error")]}]),
+        json.dumps({"runs": [
+            {"results": [{"ruleId": "py/x"}], "invocations": [{"executionSuccessful": True}]},
+            {"results": [], "invocations": [{"executionSuccessful": False}]},
+        ]}),
+    ],
+    ids=["execution-unsuccessful", "error-notification", "second-run-unsuccessful"],
+)
+def test_sarif_failed_invocation_means_the_tool_could_not_read_the_file(text):
+    assert parse_sarif(text, "codeql") is None
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _sarif_run(),
+        _sarif_run(invocations=[{"executionSuccessful": True}]),
+        _sarif_run(invocations=[{"executionSuccessful": True,
+                                 "toolExecutionNotifications": [_notification("warning"), {"message": {"text": "m"}}]}]),
+    ],
+    ids=["no-invocations", "successful", "warning-notifications"],
+)
+def test_sarif_successful_run_with_zero_results_is_a_clean_file(text):
+    assert parse_sarif(text, "codeql") == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _sarif_run(invocations={"executionSuccessful": False}),
+        _sarif_run(invocations=[None]),
+        _sarif_run(invocations=[{"executionSuccessful": "false"}]),
+        _sarif_run(invocations=[{"executionSuccessful": True, "toolExecutionNotifications": {}}]),
+        _sarif_run(invocations=[{"executionSuccessful": True, "toolExecutionNotifications": [{"level": 3}]}]),
+    ],
+    ids=["invocations-object", "invocation-null", "executionSuccessful-str", "notifications-object",
+         "notification-level-int"],
+)
+def test_sarif_invocations_of_the_wrong_shape_are_not_a_sarif_log(text):
+    with pytest.raises(AdapterError, match="not a SARIF log"):
+        parse_sarif(text, "codeql")
+
+
 def test_cwe_map_lookup_and_miss(cwe_map):
     assert cwe_map.lookup("bandit", "B602") == "CWE-78"
     assert cwe_map.lookup("bandit", "B000") is None
@@ -192,9 +272,15 @@ def test_cwe_map_rejects_non_object(tmp_path):
         CweMap.from_file(path)
 
 
-def test_normalize_unmapped_rule_keeps_cwe_absent(cwe_map):
-    raw = Finding("bandit", "B000", "low", "msg", "f.py", 2)
-    assert normalize_finding(raw, cwe_map).cwe is None
+def test_normalize_unmapped_rule_keeps_cwe_absent(cwe_map, tmp_path):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"results": [
+        {"test_id": "B000", "issue_severity": "LOW", "issue_text": "msg", "filename": "f.py", "line_number": 2}
+    ]}), encoding="utf-8")
+    adapter = _replay_adapter("bandit", "bandit_json", report)
+    (finding,) = analyze_file(adapter, cwe_map, _write_source(tmp_path, "x = 1\n"))
+    assert finding == Finding("bandit", "B000", "low", "msg", "f.py", 2)
+    assert finding.cwe is None
 
 
 def test_finding_validates_cwe_pattern_and_line():
@@ -302,6 +388,93 @@ def test_analyze_file_normalizes(tmp_path, fake_codeql_adapter, cwe_map):
     source = _write_source(tmp_path, "obj = pickle.loads(blob)\n")
     findings = analyze_file(fake_codeql_adapter, cwe_map, source)
     assert [f.cwe for f in findings] == ["CWE-502"]
+
+
+def test_run_analyzer_and_analyze_file_give_none_for_a_file_the_tool_cannot_read(
+    tmp_path, fake_bandit_adapter, cwe_map
+):
+    source = _write_source(tmp_path, "def f(x:\n    subprocess.call(x, shell=True)\n")
+    assert run_analyzer(fake_bandit_adapter, source) is None
+    assert analyze_file(fake_bandit_adapter, cwe_map, source) is None
+
+
+UNPARSEABLE = "def f(x:\n    subprocess.call(x, shell=True)\n"
+SHELL = "import subprocess\nsubprocess.call(cmd, shell=True)\n"
+
+
+def _logged_adapters(log, **kwargs):
+    return [AdapterConfig.from_dict(name, spec) for name, spec in logged_adapter_specs(log, **kwargs).items()]
+
+
+def _log_lines(log):
+    return log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+
+
+def test_analyze_codes_runs_each_distinct_key_once_in_order_through_map(tmp_path, cwe_map):
+    log = tmp_path / "calls.log"
+    mapped = []
+
+    def recording_map(fn, keys):
+        mapped.append(list(keys))
+        return map(fn, mapped[-1])
+
+    keys = [("python", SHELL), ("python", "x = 1\n"), ("python", SHELL)]
+    results = analyze_codes(_logged_adapters(log), cwe_map, keys, recording_map)
+    assert mapped == [[("python", SHELL), ("python", "x = 1\n")]]
+    assert list(results) == mapped[0]
+    assert [[f.cwe for f in findings] for findings in results[("python", SHELL)]] == [["CWE-78"], ["CWE-78"]]
+    assert results[("python", "x = 1\n")] == [[], []]
+    assert len(_log_lines(log)) == 4
+
+
+def test_analyze_codes_runs_only_the_adapters_that_support_the_language(
+    fake_bandit_adapter, fake_codeql_adapter, cwe_map
+):
+    code = "int run(char *s) { return eval(s); }\n"  # C: no Python parse check
+    (findings,) = analyze_codes([fake_bandit_adapter, fake_codeql_adapter], cwe_map, [("c", code)], map)[("c", code)]
+    assert [f.cwe for f in findings] == ["CWE-94"]
+
+
+@pytest.mark.parametrize(
+    "code", [UNPARSEABLE, "x = 1\0\n", "print 'hi'\n"], ids=["syntax-error", "nul-byte", "python2-print"]
+)
+def test_analyze_codes_python_that_does_not_parse_is_unreadable_to_every_tool(tmp_path, cwe_map, code):
+    log = tmp_path / "calls.log"
+    assert analyze_codes(_logged_adapters(log), cwe_map, [("python", code)], map) == {("python", code): [None, None]}
+    assert not log.exists()  # no analyzer started
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_analyze_codes_python_too_deep_for_the_parser_is_unreadable(tmp_path, cwe_map, monkeypatch, error):
+    def too_deep(code):
+        raise error
+
+    monkeypatch.setattr("sosec.analysis.ast.parse", too_deep)
+    log = tmp_path / "calls.log"
+    assert analyze_codes(_logged_adapters(log), cwe_map, [("python", SHELL)], map) == {("python", SHELL): [None, None]}
+    assert not log.exists()
+
+
+def test_analyze_codes_gives_none_for_a_lone_surrogate(fake_bandit_adapter, cwe_map):
+    key = ("python", "x = '\ud800'\n")
+    assert analyze_codes([fake_bandit_adapter], cwe_map, [key], map) == {key: None}
+
+
+def test_analyze_codes_gives_none_when_an_analyzer_fails(tmp_path, cwe_map):
+    log = tmp_path / "calls.log"
+    key = ("python", SHELL)
+    assert analyze_codes(_logged_adapters(log, fail_on="shell"), cwe_map, [key], map) == {key: None}
+    assert len(_log_lines(log)) == 1  # bandit fails first, so codeql never starts
+
+
+def test_analyze_codes_gives_none_only_for_the_tool_that_could_not_read(tmp_path, fake_codeql_adapter, cwe_map):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"errors": [BANDIT_PARSE_ERROR], "results": []}), encoding="utf-8")
+    unreadable = _replay_adapter("bandit", "bandit_json", report)
+    key = ("python", SHELL)
+    (results,) = analyze_codes([unreadable, fake_codeql_adapter], cwe_map, [key], map).values()
+    assert results[0] is None
+    assert [f.cwe for f in results[1]] == ["CWE-78"]
 
 
 def test_adapter_config_validation():

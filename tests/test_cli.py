@@ -257,6 +257,16 @@ def test_analyze_unknown_adapter_is_runtime_error(tmp_path, stub_adapters_file, 
     assert "clippy" in capsys.readouterr().err
 
 
+def test_analyze_a_file_the_tool_cannot_read_is_runtime_error(tmp_path, stub_adapters_file, capsys):
+    source = tmp_path / "app.py"
+    source.write_text("def f(x:\n    subprocess.call(x, shell=True)\n", encoding="utf-8")
+    rc = main(["analyze", "--file", str(source), "--adapter", "bandit", "--adapters", str(stub_adapters_file)])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"adapter bandit could not analyze {source}" in err
+
+
 def test_config_file_sets_k_and_flags_override(tmp_path, fixtures_dir, capsys):
     index_path = tmp_path / "kb.idx"
     _build_index_fixture(tmp_path, fixtures_dir, index_path, capsys)

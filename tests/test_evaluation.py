@@ -14,12 +14,11 @@ from conftest import FIXTURES, logged_adapter_specs, make_entry, stub_adapter_sp
 from sosec.analysis import AdapterConfig, CweMap
 from sosec.cli import main
 from sosec.config import GlobalConfig, default_data_path
-from sosec.errors import AdapterError, ConfigError, ProviderError
+from sosec.errors import ConfigError, ProviderError
 from sosec.evaluation import (
     ARMS,
     CodeSample,
     Trial,
-    analyze_code,
     compute_metrics,
     load_samples,
     load_supported_cwes,
@@ -372,7 +371,7 @@ def test_eval_makes_one_scratch_dir_per_distinct_code(tmp_path, capsys, monkeypa
         made.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr("sosec.evaluation.tempfile.TemporaryDirectory", counting)
+    monkeypatch.setattr("sosec.analysis.tempfile.TemporaryDirectory", counting)
     assert main(argv) == 0
     capsys.readouterr()
     # echo revisions return the original code: one scratch dir serves both adapters
@@ -504,11 +503,6 @@ def test_sample_that_fails_an_arm_is_not_sent_to_later_arms(tmp_path, cwe_map):
     assert [(o.arm, o.sample_id) for o in outcomes] == [(arm, "pickle") for arm in ARMS]
 
 
-def test_analyze_code_turns_a_lone_surrogate_into_an_adapter_error(fake_bandit_adapter, cwe_map):
-    with pytest.raises(AdapterError, match="UTF-8"):
-        analyze_code([fake_bandit_adapter], cwe_map, "python", "x = '\ud800'\n")
-
-
 class _SurrogateProvider(DeterministicMockProvider):
     """The echo mock; puts a lone surrogate into the revision of prompts that contain `marker`."""
 
@@ -533,6 +527,100 @@ def test_revision_with_a_lone_surrogate_costs_only_its_sample(
     ))
     assert [o.sample_id for o in outcomes] == ["shell"]
     assert tally == {"analyzer_errors": 1}
+
+
+class _ReplyProvider(DeterministicMockProvider):
+    """Replies to every prompt with `code` as the revision."""
+
+    def __init__(self, code: str):
+        super().__init__()
+        self.code = code
+
+    def complete(self, prompt):
+        return f"```python\n{self.code}\n```"
+
+
+BROKEN_SHELL_CODE = "def f(x:\n    subprocess.call(x, shell=True)\n"
+
+
+def test_a_revision_that_does_not_parse_is_not_a_fix(tmp_path, cwe_map):
+    log = tmp_path / "calls.log"
+    adapters = [AdapterConfig.from_dict(name, spec) for name, spec in logged_adapter_specs(log).items()]
+    trials = run_arms(
+        [_sample("s", "import subprocess\nsubprocess.call(x, shell=True)\n")],
+        ["prompt_only", "revision_only"], _ReplyProvider(BROKEN_SHELL_CODE),
+        adapters=adapters, cwe_map=cwe_map, supported_cwes={"CWE-78"},
+    )
+    revision = trials[1]
+    assert (revision.arm, revision.readable, revision.unchanged) == ("revision_only", False, False)
+    assert revision.after_cwes == revision.before_cwes == {"CWE-78"}
+    assert len(_log_lines(log)) == 2  # the original only: no analyzer starts on the revision
+
+    report = compute_metrics(trials, baseline_arm="prompt_only")
+    assert report.per_arm["revision_only"].fix_rate == 0.0
+    assert report.per_arm["revision_only"].intro_rate == 0.0
+    assert report.per_arm["revision_only"].no_change_rate == 0.0
+    assert report.footnotes[0] == "excluded/tallied during the run: {'unreadable_revisions': 1}"
+
+
+def _codeql_unreadable_on(marker: str) -> AdapterConfig:
+    """The codeql stub, except that it reports `executionSuccessful: false` on code containing `marker`."""
+    script = (
+        "import json, runpy, sys\n"
+        "stub, path = sys.argv[1], sys.argv[2]\n"
+        f"if {marker!r} in open(path, encoding='utf-8').read():\n"
+        "    json.dump({'runs': [{'invocations': [{'executionSuccessful': False}], 'results': []}]}, sys.stdout)\n"
+        "    sys.exit(0)\n"
+        "sys.argv = [stub, path]\n"
+        "runpy.run_path(stub, run_name='__main__')\n"
+    )
+    spec = stub_adapter_specs()["codeql"]
+    return AdapterConfig.from_dict("codeql", {**spec, "command": [sys.executable, "-c", script, spec["command"][1], "{file}"]})
+
+
+def test_a_revision_one_tool_cannot_read_keeps_its_trial_as_not_fixed(fake_bandit_adapter, cwe_map):
+    # the fixing mock adds `import shlex`; with the plain stubs this sample is fixed
+    samples = [_sample("shell", SHELL_CODE), _sample("pickle", PICKLE_CODE)]
+    trials = run_arms(
+        samples, ["revision_only"], DeterministicMockProvider(),
+        **_arm_kwargs(fake_bandit_adapter, _codeql_unreadable_on("shlex"), cwe_map),
+    )
+    assert [(t.sample_id, t.readable, t.after_cwes, t.dropped) for t in trials] == [
+        ("shell", False, {"CWE-78"}, None),
+        ("pickle", True, {"CWE-502"}, None),
+    ]
+    kept, tally = split_trials(trials)
+    assert kept == trials
+    assert tally == {"unreadable_revisions": 1}
+    assert compute_metrics(trials).per_arm["revision_only"].fix_rate == 0.0
+
+
+@pytest.mark.parametrize(
+    "code, unreadable_on",
+    [(SHELL_CODE.replace("run(cmd)", "run(cmd"), "no such text"), (SHELL_CODE, "shell=True")],
+    ids=["does-not-parse", "tool-cannot-read"],
+)
+def test_an_unreadable_original_leaves_at_the_filter_as_analyzer_errors(
+    fake_bandit_adapter, cwe_map, code, unreadable_on
+):
+    kept, tally = split_trials(run_arms(
+        [_sample("s", code), _sample("p", PICKLE_CODE)], ["prompt_only"], None,
+        **_arm_kwargs(fake_bandit_adapter, _codeql_unreadable_on(unreadable_on), cwe_map),
+    ))
+    assert [t.sample_id for t in kept] == ["p"]
+    assert tally == {"analyzer_errors": 1}
+
+
+def test_tally_counts_unreadable_revisions_and_drops_in_trial_order():
+    trials = [
+        Trial("a", "revision_only", {"CWE-78"}, set(), False, "provider_errors"),
+        Trial("b", "revision_only", {"CWE-78"}, {"CWE-78"}, False, readable=False),
+        Trial("c", None, set(), set(), False, "not_dual_flagged"),
+        Trial("b", "sosecure", {"CWE-78"}, {"CWE-78"}, False, readable=False),
+    ]
+    kept, tally = split_trials(trials)
+    assert kept == [trials[1], trials[3]]
+    assert list(tally.items()) == [("provider_errors", 1), ("unreadable_revisions", 2), ("not_dual_flagged", 1)]
 
 
 def test_tally_follows_sample_order(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
