@@ -314,7 +314,7 @@ def _analyze_key(
                 except (SyntaxError, ValueError, RecursionError, MemoryError):
                     return [None] * len(tools)
             return [analyze_file(a, cwe_map, source) for a in tools]
-        except (UnicodeEncodeError, SosecError):
+        except (UnicodeEncodeError, AdapterError):  # a missing binary (ToolMissingError) ends the run
             return None
 
 
@@ -330,7 +330,8 @@ def analyze_codes(
     language, in order; a list is None where that tool could not read the
     code. Python code that the running interpreter's parser rejects is
     unreadable to every tool, and no analyzer starts for it. The value is None if an analyzer failed or
-    the code cannot be written as UTF-8. Each key's code is written to one
+    the code cannot be written as UTF-8; an analyzer binary missing from PATH
+    raises ToolMissingError. Each key's code is written to one
     scratch file, in its own temporary directory, that all its tools read.
     """
     distinct = list(dict.fromkeys(keys))

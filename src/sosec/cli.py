@@ -24,7 +24,6 @@ from .evaluation import (
     load_supported_cwes,
     render_report_text,
     run_arms,
-    validate_arms,
 )
 from .kb import DEFAULT_MIN_UPVOTE, KeywordSet, build_knowledge_base, load_kb_jsonl, write_kb_jsonl
 from .retrieval import DEFAULT_B, DEFAULT_K1, build_index, load_index, retrieve, save_index
@@ -253,10 +252,12 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
     arms = [a.strip() for a in args.arm.split(",") if a.strip()]
     if not arms:
         raise UsageError("--arm names no arms")
-    # before any adapter runs: analysis is the costly part of eval
-    validate_arms(arms, has_index=bool(args.index))
     if args.baseline_arm and args.baseline_arm not in arms:
         raise SosecError(f"--baseline-arm {args.baseline_arm!r} is not among --arm {','.join(arms)}")
+    if args.out:
+        # refused now, not after every analyzer and provider call has run;
+        # a missing file is created empty, an existing one is left as it is
+        open(args.out, "a", encoding="utf-8").close()
 
     adapters = load_adapters(config.adapters_path)
     cwe_map = CweMap.from_file(config.cwe_map_path)

@@ -163,7 +163,7 @@ def _cwe_label_note(sample: CodeSample) -> str:
     return PROMPT_TEMPLATE["cwe_label_note"].format(cwe=sample.labeled_cwe, name=suffix)
 
 
-def validate_arms(arms: Sequence[str], has_index: bool) -> None:
+def _validate_arms(arms: Sequence[str], has_index: bool) -> None:
     """Reject unknown or repeated arm names, and sosecure without an index."""
     for arm in arms:
         if arm not in ARMS:
@@ -227,7 +227,7 @@ def run_arms(
     order, and each sample's trials in arm order; a sample that left the
     run has exactly one trial with `dropped` set, its last.
     """
-    validate_arms(arms, index is not None)
+    _validate_arms(arms, index is not None)
     if not supported_cwes:
         raise ConfigError("supported CWE set is empty")
     if ARM_CWE_LABEL in arms:

@@ -162,27 +162,21 @@ def _comment_row(attrs: dict[str, str]) -> tuple[int, str, int] | None:
         return None
 
 
-def _parse_rows(chunks: Iterable[bytes], kind: str, tally: Counter) -> Iterator[tuple]:
-    """The rows of the XML document that `chunks` hold, as `_post_row` or `_comment_row` tuples.
+def _parse_rows(chunks: Iterable[bytes], kind: str) -> Iterator[tuple | None]:
+    """The rows of the XML document that `chunks` hold, as `_post_row` or `_comment_row` tuples; None for a row to skip.
 
-    Parsed one chunk at a time; no chunk may be empty. Rows to skip are
-    counted as ``tally["skipped"]``. Malformed XML raises DumpParseError
-    with the failing byte offset.
+    Parsed one chunk at a time; no chunk may be empty. Malformed XML raises
+    DumpParseError with the failing byte offset.
     """
     if kind not in ("posts", "comments"):
         raise ValueError(f"unknown dump kind: {kind!r}")
     make_row = _post_row if kind == "posts" else _comment_row
     parser = expat.ParserCreate()
-    pending: list[tuple] = []
+    pending: list[tuple | None] = []
 
     def handle_start(name: str, attrs: dict[str, str]) -> None:
-        if name != "row":
-            return
-        row = make_row(attrs)
-        if row is None:
-            tally["skipped"] += 1
-        else:
-            pending.append(row)
+        if name == "row":
+            pending.append(make_row(attrs))
 
     parser.StartElementHandler = handle_start
 
@@ -195,18 +189,18 @@ def _parse_rows(chunks: Iterable[bytes], kind: str, tally: Counter) -> Iterator[
         pending.clear()
 
 
-def parse_dump_rows(stream: IO[bytes], kind: str, tally: Counter | None = None) -> Iterator[tuple]:
-    """Stream the `<row .../>` records of a Posts.xml or Comments.xml dump as tuples.
+def parse_dump_rows(stream: IO[bytes], kind: str) -> Iterator[tuple | None]:
+    """Stream the `<row .../>` records of a Posts.xml or Comments.xml dump as tuples, None for a row to skip.
 
     A Posts dump gives `(id, tags)` for a question and `(id, parent id,
     score, body)` for an answer; a Comments dump gives `(post id, text,
     score)`. Memory use is bounded by one parse chunk, not by file size.
     Rows missing a required attribute (Id; ParentId for answers; PostId for
     comments), holding a non-numeric Id, ParentId, PostId or Score, or of
-    another post type are skipped and counted in ``tally["skipped"]``.
+    another post type are skipped: each gives None in its place.
     Malformed XML raises DumpParseError with the failing byte offset.
     """
-    yield from _parse_rows(iter(partial(stream.read, _CHUNK_SIZE), b""), kind, Counter() if tally is None else tally)
+    yield from _parse_rows(iter(partial(stream.read, _CHUNK_SIZE), b""), kind)
 
 
 def is_security_relevant(
@@ -376,19 +370,17 @@ def _judge_chunk(
     return verdicts
 
 
-def _parse_slice(data: bytes, kind: str) -> tuple[list[tuple], int] | None:
-    """The rows of a slice of a dump's root element, as `_parse_rows` tuples, and the count of rows skipped.
+def _parse_slice(data: bytes, kind: str) -> list[tuple | None] | None:
+    """The rows of a slice of a dump's root element, as `_parse_rows` gives them.
 
     The slice is parsed whole inside a dummy element; None means expat
     rejected it. It reads nothing but its arguments, so a worker process can
     run it under any start method.
     """
-    tally: Counter = Counter()
     try:
-        rows = list(_parse_rows((b"<slice>", data, b"</slice>"), kind, tally))
+        return list(_parse_rows((b"<slice>", data, b"</slice>"), kind))
     except DumpParseError:
         return None
-    return rows, tally["skipped"]
 
 
 # What a dump may hold before its first row to be sliced: an optional UTF-8
@@ -493,8 +485,8 @@ class _Pool:
             self.executor.shutdown(wait=True, cancel_futures=True)
 
 
-def _dump_rows(stream: IO[bytes], kind: str, tally: Counter, pool: _Pool | None) -> Iterator[tuple]:
-    """One dump's rows as `parse_dump_rows` tuples, in dump order; skipped rows are counted as ``<kind>_skipped``.
+def _dump_rows(stream: IO[bytes], kind: str, pool: _Pool | None) -> Iterator[tuple | None]:
+    """One dump's rows as `parse_dump_rows` gives them, in dump order.
 
     With a pool, a dump that `_dump_body` lets be sliced is parsed slice by
     slice in the workers. Otherwise, and from the first slice that expat
@@ -502,31 +494,23 @@ def _dump_rows(stream: IO[bytes], kind: str, tally: Counter, pool: _Pool | None)
     already given are passed over. A slice that parses inside a dummy
     element cannot end inside a tag, comment, CDATA section or processing
     instruction, so the rows given before it are the serial reader's first
-    rows; the rows, the count and any DumpParseError are the serial reader's.
+    rows; the rows and any DumpParseError are the serial reader's.
     """
-    key = f"{kind}_skipped"
     body = None if pool is None else _dump_body(stream)
-    given = skipped = 0
+    given = 0
     if body is not None:
         start, begin, end = body
         tasks = ((None, _parse_slice, (data, kind)) for data in _slices(stream, begin, end))
         with closing(pool.in_order(tasks)) as parsed:
-            for _, result in parsed:
-                if result is None:
+            for _, rows in parsed:
+                if rows is None:
                     break
-                rows, slice_skipped = result
                 given += len(rows)
-                skipped += slice_skipped
-                tally[key] += slice_skipped
                 yield from rows
             else:
                 return
         stream.seek(start)
-    serial: Counter = Counter()
-    try:
-        yield from islice(parse_dump_rows(stream, kind, tally=serial), given, None)
-    finally:
-        tally[key] += serial["skipped"] - skipped
+    yield from islice(parse_dump_rows(stream, kind), given, None)
 
 
 def _judged(batches: Iterable[list], keywords: KeywordSet, pool: _Pool | None) -> Iterator[tuple[list, list]]:
@@ -566,9 +550,9 @@ def build_knowledge_base(
     This process reads the dump bytes, joins the comments, applies the
     upvote gate and applies the results in dump order, so the output does
     not depend on the workers. ``tally`` counts ``posts_skipped`` and
-    ``comments_skipped`` (rows that lack a required attribute, see
-    `parse_dump_rows`), ``unparseable_bodies`` (bodies the HTML parser gives
-    up on, which are dropped) and ``duplicate_answers``. Comments
+    ``comments_skipped`` (the rows `parse_dump_rows` gives as None),
+    ``unparseable_bodies`` (bodies the HTML parser gives up on, which are
+    dropped) and ``duplicate_answers``. Comments
     referencing unknown posts are ignored; on duplicate answer ids the later
     occurrence wins. Output is sorted by ascending answer id.
     """
@@ -580,13 +564,19 @@ def build_knowledge_base(
         # Comments are grouped up front so the (much larger) posts dump can
         # be consumed one row at a time.
         comments_by_post: dict[int, list[tuple[str, int]]] = {}
-        for post_id, text, score in _dump_rows(comments, "comments", tally, pool):
-            comments_by_post.setdefault(post_id, []).append((text, score))
+        for row in _dump_rows(comments, "comments", pool):
+            if row is None:
+                tally["comments_skipped"] += 1
+            else:
+                comments_by_post.setdefault(row[0], []).append(row[1:])
 
         def upvoted_batches() -> Iterator[list[tuple[tuple, list[tuple[str, int]], list[str]]]]:
             question_tags: dict[int, list[str]] = {}
             batch = []
-            for row in _dump_rows(posts, "posts", tally, pool):
+            for row in _dump_rows(posts, "posts", pool):
+                if row is None:
+                    tally["posts_skipped"] += 1
+                    continue
                 if len(row) == 2:
                     question_tags[row[0]] = row[1]
                     continue

@@ -620,6 +620,35 @@ def test_eval_rejects_missing_cwe_label_before_any_analyzer_runs(tmp_path, fixtu
     assert not log.exists()
 
 
+def test_eval_with_a_missing_analyzer_binary_exits_2_naming_it(tmp_path, fixtures_dir, capsys):
+    specs = stub_adapter_specs()
+    specs["bandit"]["command"] = ["no-such-analyzer-xyz", "{file}"]
+    adapters = tmp_path / "adapters.json"
+    adapters.write_text(json.dumps({"adapters": specs}), encoding="utf-8")
+    rc = main([
+        "eval", "--dataset", str(fixtures_dir / "dataset_10.jsonl"), "--arm", "prompt_only", "--adapters", str(adapters),
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "analyzer binary not found on PATH: no-such-analyzer-xyz" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("out", ["no/such/dir/r.json", "."], ids=["missing-directory", "a-directory"])
+def test_eval_refuses_an_out_path_it_cannot_write_before_any_analyzer_runs(tmp_path, fixtures_dir, capsys, out):
+    out = tmp_path / out
+    log = tmp_path / "calls.log"
+    adapters = tmp_path / "adapters.json"
+    adapters.write_text(json.dumps({"adapters": logged_adapter_specs(log)}), encoding="utf-8")
+    rc = main([
+        "eval", "--dataset", str(fixtures_dir / "dataset_10.jsonl"), "--arm", "prompt_only,revision_only",
+        "--adapters", str(adapters), "--out", str(out),
+    ])
+    assert rc == 2
+    assert str(out) in capsys.readouterr().err
+    assert not log.exists()
+
+
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
     # build-kb imports it only when it starts worker processes; loaded with
     # the CLI, it would slow the start of every command.

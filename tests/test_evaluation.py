@@ -29,7 +29,7 @@ from sosec.evaluation import (
     split_trials,
 )
 from sosec.retrieval import build_index, save_index
-from sosec.revision import DeterministicMockProvider, prompt_hash
+from sosec.revision import PROMPT_TEMPLATE, DeterministicMockProvider, build_revision_prompt, prompt_hash
 
 SHELL_CODE = "import subprocess\n\ndef run(cmd):\n    return subprocess.call(cmd, shell=True)\n"
 
@@ -141,7 +141,8 @@ def test_dual_tool_filter_keeps_only_dual_flagged(
 
 
 def test_dual_tool_filter_tallies_analyzer_errors(fake_codeql_adapter, cwe_map):
-    broken = AdapterConfig(name="ghost", command=["no-such-binary-qq", "{file}"], format="sarif")
+    # runs, but exits with a code outside ok_returncodes
+    broken = AdapterConfig(name="ghost", command=[sys.executable, "-c", "raise SystemExit(5)", "{file}"], format="sarif")
     kept, tally = split_trials(run_arms(
         [_sample("s", SHELL_CODE)], ["prompt_only"], None,
         **_arm_kwargs(broken, fake_codeql_adapter, cwe_map),
@@ -237,6 +238,36 @@ def test_revision_only_arm_with_echo_mock(fake_bandit_adapter, fake_codeql_adapt
 # sha256 of the prompt the cwe_label arm sends for SHELL_CODE labeled CWE-78;
 # recorded transcripts are keyed on it, so the label note's text is part of it
 CWE_LABEL_PROMPT_SHA256 = "e0f8ae051b15104a78bcabd6e398a303291df36aaaaaa42260c4b9c71193feb5"
+
+
+def test_sosecure_shows_the_model_what_retrieval_found(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
+    class _ContextProvider:
+        """The fixing mock when the retrieved context holds `shlex.split`; the echo mock otherwise."""
+
+        def complete(self, prompt):
+            context = prompt.partition(PROMPT_TEMPLATE["context_intro"])[2].partition(PROMPT_TEMPLATE["code_intro"])[0]
+            behavior = "fix_shell_true" if "shlex.split" in context else "echo"
+            return DeterministicMockProvider(behavior).complete(prompt)
+
+    index = build_index([
+        make_entry(5, ["subprocess.call(shlex.split(cmd))"], excerpt="use shlex.split, not shell=True"),
+        make_entry(6, ["subprocess.run(cmd, check=True)"], excerpt="check the return code"),
+        make_entry(7, ["sorted(values)"]),
+    ])
+    samples = [_sample("s", SHELL_CODE)]
+    kwargs = _arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map)
+    arms = ["prompt_only", "revision_only", "sosecure"]
+    report = compute_metrics(run_arms(samples, arms, _ContextProvider(), index=index, **kwargs), "prompt_only")
+    assert report.per_arm["sosecure"].fix_rate == 100.0
+    assert report.per_arm["revision_only"].fix_rate == 0.0
+
+    bare = build_revision_prompt(SHELL_CODE, [])
+    bare.context_sections.clear()  # room for the mandatory sections only
+    trials = run_arms(samples, arms, _ContextProvider(), index=index, budget=len(bare.text), **kwargs)
+    report = compute_metrics(trials, "prompt_only")
+    assert report.per_arm["sosecure"] == report.per_arm["revision_only"]
+    assert report.per_arm["sosecure"].fix_rate == 0.0
+    assert trials[1].after_cwes == trials[2].after_cwes == {"CWE-78"}
 
 
 def test_cwe_label_arm_requires_labels_and_injects_them(

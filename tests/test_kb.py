@@ -39,8 +39,8 @@ from sosec.kb import (
 KW = KeywordSet.from_iterable(["command injection", "sql injection", "pickle"])
 
 
-def _rows(xml: str, kind: str, tally=None):
-    return list(parse_dump_rows(io.BytesIO(xml.encode("utf-8")), kind, tally=tally))
+def _rows(xml: str, kind: str):
+    return list(parse_dump_rows(io.BytesIO(xml.encode("utf-8")), kind))
 
 
 def _dump(root: str, rows: list[dict]) -> io.BytesIO:
@@ -76,17 +76,13 @@ def test_parse_single_comment_row():
 
 
 def test_answer_without_parent_id_is_skipped_and_tallied():
-    tally = Counter()
     xml = '<posts><row Id="7" PostTypeId="2" Score="4" Body="x"/></posts>'
-    assert _rows(xml, "posts", tally=tally) == []
-    assert tally["skipped"] == 1
+    assert _rows(xml, "posts") == [None]
 
 
 def test_comment_without_post_id_is_skipped():
-    tally = Counter()
     xml = '<comments><row Id="9" Score="2" Text="careful"/></comments>'
-    assert _rows(xml, "comments", tally=tally) == []
-    assert tally["skipped"] == 1
+    assert _rows(xml, "comments") == [None]
 
 
 def test_question_tags_both_encodings():
@@ -113,57 +109,53 @@ def test_unknown_kind_rejected():
 
 
 def test_fixture_dump_counts_and_skip_tallies(fixtures_dir):
-    posts_tally = Counter()
     with open(fixtures_dir / "posts_20.xml", "rb") as fh:
-        posts = list(parse_dump_rows(fh, "posts", tally=posts_tally))
-    assert len(posts) == 19
-    assert posts_tally["skipped"] == 1
-    assert sum(1 for p in posts if len(p) == 2) == 6  # questions
+        posts = list(parse_dump_rows(fh, "posts"))
+    assert len(posts) == 20
+    assert posts.count(None) == 1
+    assert sum(1 for p in posts if p is not None and len(p) == 2) == 6  # questions
 
-    comments_tally = Counter()
     with open(fixtures_dir / "comments_20.xml", "rb") as fh:
-        comments = list(parse_dump_rows(fh, "comments", tally=comments_tally))
-    assert len(comments) == 7
-    assert comments_tally["skipped"] == 1
+        comments = list(parse_dump_rows(fh, "comments"))
+    assert len(comments) == 8
+    assert comments.count(None) == 1
 
 
 # Each rule a dump reader applies to one element: the kind of dump, the
-# element, the rows it gives and the count of rows it skips.
+# element and the rows it gives, None for a row it skips.
 _ROW_RULES = [
-    pytest.param("posts", '<row Id="1" PostTypeId="1" Score="x" Tags="&lt;a&gt;" />', [], 1,
+    pytest.param("posts", '<row Id="1" PostTypeId="1" Score="x" Tags="&lt;a&gt;" />', [None],
                  id="question-score-not-a-number"),
-    pytest.param("posts", '<row Id="1" PostTypeId="1" Tags="&lt;a&gt;" />', [(1, ["a"])], 0,
+    pytest.param("posts", '<row Id="1" PostTypeId="1" Tags="&lt;a&gt;" />', [(1, ["a"])],
                  id="question-without-score"),
-    pytest.param("posts", '<row Id="2" PostTypeId="2" ParentId="x" Score="1" Body="b" />', [], 1,
+    pytest.param("posts", '<row Id="2" PostTypeId="2" ParentId="x" Score="1" Body="b" />', [None],
                  id="answer-parent-id-not-a-number"),
-    pytest.param("posts", '<row Id="2" PostTypeId="2" Score="1" Body="b" />', [], 1, id="answer-without-parent-id"),
-    pytest.param("posts", '<row Id="2" PostTypeId="2" ParentId="1" Score="x" Body="b" />', [], 1,
+    pytest.param("posts", '<row Id="2" PostTypeId="2" Score="1" Body="b" />', [None], id="answer-without-parent-id"),
+    pytest.param("posts", '<row Id="2" PostTypeId="2" ParentId="1" Score="x" Body="b" />', [None],
                  id="answer-score-not-a-number"),
-    pytest.param("posts", '<row Id="2" PostTypeId="2" ParentId="1" />', [(2, 1, 0, "")], 0,
+    pytest.param("posts", '<row Id="2" PostTypeId="2" ParentId="1" />', [(2, 1, 0, "")],
                  id="answer-without-score-or-body"),
-    pytest.param("posts", '<row Id="3" PostTypeId="3" ParentId="1" Score="1" Body="b" />', [], 1,
+    pytest.param("posts", '<row Id="3" PostTypeId="3" ParentId="1" Score="1" Body="b" />', [None],
                  id="other-post-type"),
-    pytest.param("posts", '<row Id="x" PostTypeId="1" Score="1" />', [], 1, id="post-id-not-a-number"),
-    pytest.param("posts", '<row PostTypeId="1" Score="1" />', [], 1, id="post-without-id"),
-    pytest.param("posts", '<post Id="1" PostTypeId="1" Score="1" />', [], 0, id="post-not-a-row"),
-    pytest.param("comments", '<row Id="x" PostId="1" Score="1" Text="t" />', [], 1, id="comment-id-not-a-number"),
-    pytest.param("comments", '<row PostId="1" Score="1" Text="t" />', [], 1, id="comment-without-id"),
-    pytest.param("comments", '<row Id="5" PostId="x" Score="1" Text="t" />', [], 1,
+    pytest.param("posts", '<row Id="x" PostTypeId="1" Score="1" />', [None], id="post-id-not-a-number"),
+    pytest.param("posts", '<row PostTypeId="1" Score="1" />', [None], id="post-without-id"),
+    pytest.param("posts", '<post Id="1" PostTypeId="1" Score="1" />', [], id="post-not-a-row"),
+    pytest.param("comments", '<row Id="x" PostId="1" Score="1" Text="t" />', [None], id="comment-id-not-a-number"),
+    pytest.param("comments", '<row PostId="1" Score="1" Text="t" />', [None], id="comment-without-id"),
+    pytest.param("comments", '<row Id="5" PostId="x" Score="1" Text="t" />', [None],
                  id="post-id-of-comment-not-a-number"),
-    pytest.param("comments", '<row Id="5" Score="1" Text="t" />', [], 1, id="comment-without-post-id"),
-    pytest.param("comments", '<row Id="5" PostId="1" Score="x" Text="t" />', [], 1, id="comment-score-not-a-number"),
-    pytest.param("comments", '<row Id="5" PostId="1" />', [(1, "", 0)], 0, id="comment-without-score-or-text"),
-    pytest.param("comments", '<row Id="5" PostId="1" Score="-3" Text="t" />', [(1, "t", 0)], 0,
+    pytest.param("comments", '<row Id="5" Score="1" Text="t" />', [None], id="comment-without-post-id"),
+    pytest.param("comments", '<row Id="5" PostId="1" Score="x" Text="t" />', [None], id="comment-score-not-a-number"),
+    pytest.param("comments", '<row Id="5" PostId="1" />', [(1, "", 0)], id="comment-without-score-or-text"),
+    pytest.param("comments", '<row Id="5" PostId="1" Score="-3" Text="t" />', [(1, "t", 0)],
                  id="negative-comment-score"),
 ]
 
 
-@pytest.mark.parametrize("kind, element, rows, skipped", _ROW_RULES)
-def test_each_row_rule_holds_in_the_serial_and_the_slice_reader(kind, element, rows, skipped):
-    tally = Counter()
-    assert _rows(f"<{kind}>{element}</{kind}>", kind, tally=tally) == rows
-    assert tally["skipped"] == skipped
-    assert kb._parse_slice(element.encode("utf-8"), kind) == (rows, skipped)
+@pytest.mark.parametrize("kind, element, rows", _ROW_RULES)
+def test_each_row_rule_holds_in_the_serial_and_the_slice_reader(kind, element, rows):
+    assert _rows(f"<{kind}>{element}</{kind}>", kind) == rows
+    assert kb._parse_slice(element.encode("utf-8"), kind) == rows
 
 
 def test_is_security_relevant_answer_side():
@@ -730,30 +722,28 @@ class _Unseekable(io.BytesIO):
 def _serial_and_sliced(monkeypatch, data: bytes, kind: str = "posts", stream=io.BytesIO) -> tuple:
     """`data` read by `parse_dump_rows`, then by `_dump_rows` with two workers and slices of about 300 bytes.
 
-    Each read is (its rows, or its DumpParseError's message; its
-    skipped-row count). Also returns the names of the tasks the pool ran
-    and how many times `_dump_rows` called `parse_dump_rows`.
+    Each read is its rows, None for each skipped row, or its
+    DumpParseError's message. Also returns the names of the tasks the pool
+    ran and how many times `_dump_rows` called `parse_dump_rows`.
     """
-    tally = Counter()
     try:
-        serial = list(parse_dump_rows(io.BytesIO(data), kind, tally=tally))
+        serial = list(parse_dump_rows(io.BytesIO(data), kind))
     except DumpParseError as exc:
         serial = str(exc)
     started = _judge_in_pool(monkeypatch)
     monkeypatch.setattr(kb, "_SLICE_BYTES", 300)
     serial_reads = []
     monkeypatch.setattr(kb, "parse_dump_rows", lambda *args, **kwargs: serial_reads.append(args) or parse_dump_rows(*args, **kwargs))
-    sliced_tally = Counter()
     pool = kb._Pool(2)
     try:
-        sliced = list(kb._dump_rows(stream(data), kind, sliced_tally, pool))
+        sliced = list(kb._dump_rows(stream(data), kind, pool))
     except DumpParseError as exc:
         sliced = str(exc)
     finally:
         pool.shutdown()
     assert multiprocessing.active_children() == []
     tasks = [task for p in started for task in p.tasks]
-    return (serial, tally["skipped"]), (sliced, sliced_tally[f"{kind}_skipped"]), tasks, len(serial_reads)
+    return serial, sliced, tasks, len(serial_reads)
 
 
 @pytest.mark.parametrize("kind", ["posts", "comments"])
@@ -761,7 +751,7 @@ def test_sliced_fixture_dumps_give_the_serial_rows_and_tallies(fixtures_dir, mon
     data = (fixtures_dir / f"{kind}_20.xml").read_bytes()
     serial, sliced, tasks, serial_reads = _serial_and_sliced(monkeypatch, data, kind)
     assert sliced == serial
-    assert serial[1] == 1  # a skipped row is counted once
+    assert serial.count(None) == 1  # a skipped row is given once
     assert tasks.count("_parse_slice") >= len(data) // 300 and serial_reads == 0
 
 
@@ -798,7 +788,7 @@ def test_sliced_random_dumps_give_the_serial_rows_and_tallies(monkeypatch, kind)
         data = _random_dump(rng, kind, 150)
         serial, sliced, tasks, serial_reads = _serial_and_sliced(monkeypatch, data, kind)
         assert sliced == serial
-        assert type(serial[0]) is list and len(serial[0]) > 50 and serial[1] > 0
+        assert type(serial) is list and len(serial) - serial.count(None) > 50 and None in serial
         assert tasks.count("_parse_slice") > 20 and serial_reads == 0
         monkeypatch.undo()
 
@@ -845,7 +835,7 @@ def test_a_dump_that_cannot_be_sliced_safely_gives_the_serial_result(monkeypatch
 def test_an_unseekable_dump_is_read_serially(monkeypatch):
     data = _posts()
     serial, sliced, tasks, serial_reads = _serial_and_sliced(monkeypatch, data, stream=_Unseekable)
-    assert sliced == serial and (len(serial[0]), serial[1]) == (11, 1)
+    assert sliced == serial and len(serial) == 12 and serial.index(None) == 1 and serial.count(None) == 1
     assert tasks == [] and serial_reads == 1
 
 
@@ -853,7 +843,7 @@ def test_an_unseekable_dump_is_read_serially(monkeypatch):
 def test_a_dump_with_a_byte_order_mark_is_sliced(monkeypatch, newline):
     data = b"\xef\xbb\xbf" + _posts().replace(b"\n", newline)
     serial, sliced, tasks, serial_reads = _serial_and_sliced(monkeypatch, data)
-    assert sliced == serial and (len(serial[0]), serial[1]) == (11, 1)
+    assert sliced == serial and len(serial) == 12 and serial.index(None) == 1 and serial.count(None) == 1
     assert tasks.count("_parse_slice") >= len(data) // 300 and serial_reads == 0
 
 
@@ -865,7 +855,7 @@ def test_a_malformed_byte_in_the_third_slice_raises_the_serial_error(monkeypatch
     assert [b"\xff" in piece for piece in slices[:3]] == [False, False, True]
     serial, sliced, tasks, serial_reads = _serial_and_sliced(monkeypatch, data)
     assert sliced == serial
-    assert serial[0].startswith("malformed posts XML at byte ")
+    assert serial.startswith("malformed posts XML at byte ")
     assert tasks.count("_parse_slice") >= 3 and serial_reads == 1
 
 
@@ -879,6 +869,7 @@ def test_sliced_build_kb_writes_the_in_process_bytes(fixtures_dir, tmp_path, cap
     assert started[0].most_in_flight <= 2 * 2 * kb._IN_FLIGHT_PER_WORKER  # slices and chunks, two workers
     assert sliced_bytes == serial_bytes
     assert hashlib.sha256(sliced_bytes).hexdigest() == FIXTURE_KB_SHA256
+    assert (serial_summary["posts_skipped"], serial_summary["comments_skipped"]) == (1, 1)
     assert sliced_summary | {"out": ""} == serial_summary | {"out": ""}
     assert multiprocessing.active_children() == []
 
