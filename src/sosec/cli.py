@@ -146,12 +146,22 @@ def _emit(args, payload, text: str) -> None:
         raise SosecError(f"output cannot be encoded: {exc}") from exc
 
 
+def _check_out_dir(out: str) -> None:
+    """Refuse an --out path that no file can be written to, before the work that fills it."""
+    path = Path(out)
+    if path.is_dir():
+        raise SosecError(f"--out {out} is a directory")
+    if not path.parent.is_dir():
+        raise SosecError(f"--out {out}: directory {path.parent} does not exist")
+
+
 def _cmd_version(args, config) -> int:
     _emit(args, {"version": __version__}, f"sosec {__version__}")
     return 0
 
 
 def _cmd_build_kb(args, config: GlobalConfig) -> int:
+    _check_out_dir(args.out)
     keywords = KeywordSet.from_file(config.keyword_path)
     tally = Counter()
     with open(args.posts, "rb") as posts_fh, open(args.comments, "rb") as comments_fh:
@@ -176,6 +186,7 @@ def _cmd_build_kb(args, config: GlobalConfig) -> int:
 
 
 def _cmd_index(args, config: GlobalConfig) -> int:
+    _check_out_dir(args.out)
     entries = load_kb_jsonl(args.kb)
     index = build_index(entries, k1=args.k1, b=args.b)
     save_index(index, args.out)

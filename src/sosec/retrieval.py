@@ -45,6 +45,10 @@ _ARRAYS = (
     ("doc_ids", "<i4"),
 )
 
+# A term whose postings cover more than this share of the documents is added
+# to a query's scores as one dense row of impacts rather than posting by posting.
+_DENSE_SHARE = 0.5
+
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 DEFAULT_TOP_K = 5
@@ -123,6 +127,11 @@ class RetrievalIndex:
     each of those postings, computed once by `build_index`. Document ``d`` is
     the KB entry with answer id ``answer_ids[d]``, whose JSONL line is
     ``blob[entry_offsets[d]:entry_offsets[d + 1]]``; `entry` decodes it.
+
+    ``dense`` maps the slot of each term found in more than half the
+    documents to its impacts as one read-only float64 row over all
+    documents, 0.0 where the term is absent. It is built with the index,
+    by `build_index` and `load_index` alike, and is not stored in the file.
     """
 
     k1: float
@@ -134,6 +143,19 @@ class RetrievalIndex:
     answer_ids: np.ndarray  # int64, one per document
     entry_offsets: np.ndarray  # int64, documents + 1
     blob: bytes | _EntryFile = field(repr=False)
+    dense: dict[int, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        import numpy as np
+
+        count = len(self.answer_ids)
+        self.dense = {}
+        for slot in np.flatnonzero(np.diff(self.offsets) > _DENSE_SHARE * count).tolist():
+            lo, hi = self.offsets[slot], self.offsets[slot + 1]
+            row = np.zeros(count)
+            row[self.doc_ids[lo:hi]] = self.impacts[lo:hi]
+            row.flags.writeable = False
+            self.dense[slot] = row
 
     def entry(self, doc_id: int) -> KnowledgeEntry:
         """Decode the KB entry of one document."""
@@ -231,23 +253,21 @@ def retrieve(index: RetrievalIndex, code: str, k: int = DEFAULT_TOP_K) -> list[R
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     offsets = index.offsets
-    docs, impacts = [], []
+    # Each matched term adds its impacts into one score array, in query-term
+    # order, so each document's score is the same IEEE sum, starting from
+    # +0.0, as scoring its postings one by one. A dense row adds +0.0 where
+    # the term is absent, which leaves every score as it was.
+    scores = np.zeros(len(index.answer_ids))
     for term in dict.fromkeys(tokenize_code(code)):
         slot = index.terms.get(term)
-        if slot is not None:
+        if slot is None:
+            continue
+        row = index.dense.get(slot)
+        if row is not None:
+            np.add(scores, row, out=scores)
+        else:
             lo, hi = offsets[slot], offsets[slot + 1]
-            docs.append(index.doc_ids[lo:hi])
-            impacts.append(index.impacts[lo:hi])
-    if not docs:
-        return []
-    # bincount adds the weights in array order, so each document's score is
-    # the same IEEE sum, in query-term order, as one scatter-add per term.
-    # intp doc ids spare bincount a cast of its own.
-    scores = np.bincount(
-        np.concatenate(docs, dtype=np.intp),
-        weights=np.concatenate(impacts),
-        minlength=len(index.answer_ids),
-    )
+            np.add.at(scores, index.doc_ids[lo:hi], index.impacts[lo:hi])
 
     hit_docs = np.flatnonzero(scores > 0.0)
     if len(hit_docs) > k:

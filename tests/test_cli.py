@@ -649,6 +649,37 @@ def test_eval_refuses_an_out_path_it_cannot_write_before_any_analyzer_runs(tmp_p
     assert not log.exists()
 
 
+@pytest.mark.parametrize("out", ["no/such/dir/kb.jsonl", "."], ids=["missing-directory", "a-directory"])
+def test_build_kb_refuses_an_out_path_it_cannot_write_before_any_dump_is_read(
+    tmp_path, fixtures_dir, capsys, monkeypatch, out
+):
+    out = tmp_path / out
+    calls = []
+    monkeypatch.setattr("sosec.cli.build_knowledge_base", lambda *args, **kwargs: calls.append(args))
+    rc = main([
+        "build-kb", "--posts", str(fixtures_dir / "posts_20.xml"), "--comments", str(fixtures_dir / "comments_20.xml"),
+        "--out", str(out),
+    ])
+    assert rc == 2
+    assert str(out) in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("out", ["no/such/dir/kb.idx", "."], ids=["missing-directory", "a-directory"])
+def test_index_refuses_an_out_path_it_cannot_write_before_the_kb_is_read(tmp_path, capsys, monkeypatch, out):
+    out = tmp_path / out
+    kb_path = tmp_path / "kb.jsonl"
+    kb_path.write_text(KnowledgeEntry(1, 0, 1, "ok", ["x = 1"], [], [], "https://stackoverflow.com/a/1").to_jsonl())
+    calls = []
+    monkeypatch.setattr("sosec.cli.load_kb_jsonl", lambda path: calls.append(path))
+    rc = main(["index", "--kb", str(kb_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and ".tmp" not in err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [kb_path]
+
+
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
     # build-kb imports it only when it starts worker processes; loaded with
     # the CLI, it would slow the start of every command.

@@ -464,6 +464,57 @@ def test_retrieve_scores_equal_the_per_posting_sum_exactly():
         assert got == scores
 
 
+def _per_posting_sum(docs: list[list[str]], query: list[str], k1: float = 1.2, b: float = 0.75) -> dict[int, float]:
+    """Each document's score as the scalar BM25 loop adds it up, posting by posting in query-term order."""
+    n, avgdl = len(docs), sum(len(d) for d in docs) / len(docs)
+    scores: dict[int, float] = {}
+    for term in dict.fromkeys(query):
+        holders = [i for i, doc in enumerate(docs) if term in doc]
+        idf = math.log((n - len(holders) + 0.5) / (len(holders) + 0.5) + 1.0)
+        for i in holders:
+            tf = docs[i].count(term)
+            norm = k1 * (1.0 - b + b * len(docs[i]) / avgdl)
+            scores[i] = scores.get(i, 0.0) + idf * (tf * (k1 + 1.0) / (tf + norm))
+    return scores
+
+
+def test_retrieve_scores_dense_and_sparse_terms_as_the_per_posting_sum_exactly(tmp_path):
+    # 20 documents: two terms in more than half of them, one in exactly half
+    # (the boundary, which stays sparse), the rest rare.
+    rng = random.Random(23)
+    share = {"wide": 17, "most": 11, "half": 10}
+    rare = [f"rare{i}" for i in range(12)]
+    docs = []
+    for i in range(20):
+        doc = [term for term, holders in share.items() if i < holders for _ in range(rng.randint(1, 3))]
+        doc += [rng.choice(rare) for _ in range(rng.randint(0, 6))] or ["filler"]
+        rng.shuffle(doc)
+        docs.append(doc)
+    built = build_index([make_entry(i, [" ".join(doc)]) for i, doc in enumerate(docs)])
+    assert sorted(built.dense) == sorted([built.terms["wide"], built.terms["most"]])
+    save_index(built, tmp_path / "kb.idx")
+    loaded = load_index(tmp_path / "kb.idx")
+    assert sorted(loaded.dense) == sorted(built.dense)
+    assert not any(row.flags.writeable for row in loaded.dense.values())
+    vocab = list(share) + rare + ["absent"]
+    for _ in range(40):
+        query = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
+        want = {i: score.hex() for i, score in _per_posting_sum(docs, query).items()}
+        for index in (built, loaded):
+            got = {h.entry.answer_id: h.score.hex() for h in retrieve(index, " ".join(query), k=len(docs))}
+            assert got == want
+
+
+def test_one_document_index_scores_every_term_through_its_dense_row():
+    index = build_index([make_entry(7, ["subprocess.call(cmd, shell=True)"])])
+    assert sorted(index.dense) == sorted(index.terms.values())
+    query = "os.system(cmd); subprocess.call(x, shell=True)"
+    [hit] = retrieve(index, query)
+    assert (hit.entry.answer_id, hit.rank) == (7, 1)
+    assert hit.score == _per_posting_sum([tokenize_code("subprocess.call(cmd, shell=True)")], tokenize_code(query))[0]
+    assert retrieve(index, "unrelated_name") == []
+
+
 def test_retrieve_with_no_indexed_token_returns_no_hits():
     index = build_index([make_entry(1, ["os.system(cmd)"]), make_entry(2, ["pickle.loads(data)"])])
     assert retrieve(index, "unrelated_name + another_one") == []
