@@ -27,20 +27,7 @@ from .evaluation import (
 )
 from .kb import DEFAULT_MIN_UPVOTE, KeywordSet, build_knowledge_base, load_kb_jsonl, write_kb_jsonl
 from .retrieval import DEFAULT_B, DEFAULT_K1, build_index, load_index, retrieve, save_index
-from .revision import (
-    PROVIDER_LIVE,
-    PROVIDER_MOCK,
-    PROVIDER_RECORDED,
-    ProviderConfig,
-    make_provider,
-    revise,
-)
-
-_PROVIDER_ALIASES = {
-    "mock": PROVIDER_MOCK,
-    "recorded": PROVIDER_RECORDED,
-    "live": PROVIDER_LIVE,
-}
+from .revision import PROVIDER_KINDS, ProviderConfig, make_provider, revise
 
 
 class UsageError(Exception):
@@ -90,7 +77,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--index", required=True)
     p.add_argument("--code", required=True)
     p.add_argument("-k", type=int)
-    p.add_argument("--provider", choices=sorted(_PROVIDER_ALIASES))
+    p.add_argument("--provider", help=f"provider kind: {', '.join(PROVIDER_KINDS)}")
     p.add_argument("--transcript")
     p.add_argument("--budget", type=int)
 
@@ -106,7 +93,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--arm", required=True, help="comma-separated arm names")
     p.add_argument("--index")
-    p.add_argument("--provider", choices=sorted(_PROVIDER_ALIASES))
+    p.add_argument("--provider", help=f"provider kind: {', '.join(PROVIDER_KINDS)}")
     p.add_argument("--transcript")
     p.add_argument("--out")
     p.add_argument("--adapters", dest="adapters_path")
@@ -128,13 +115,11 @@ def _layer_flags(config: GlobalConfig, flags: dict) -> GlobalConfig:
     for f in fields(config):
         if f.name != "provider" and flags.get(f.name) is not None:
             setattr(config, f.name, flags[f.name])
-    kind = _PROVIDER_ALIASES.get(flags.get("provider"))
+    kind = flags.get("provider")
     if kind is not None and kind != config.provider.kind:
         config.provider = ProviderConfig(kind=kind)
     if flags.get("transcript"):
         config.provider.transcript_path = flags["transcript"]
-    if kind == PROVIDER_RECORDED and not config.provider.transcript_path:
-        raise UsageError("--provider recorded requires --transcript")
     return config.validate()
 
 

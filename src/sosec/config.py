@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .errors import ConfigError, check_value, open_text
 from .retrieval import DEFAULT_TOP_K
-from .revision import DEFAULT_CHAR_BUDGET, PROVIDER_MOCK, ProviderConfig
+from .revision import DEFAULT_CHAR_BUDGET, ProviderConfig
 
 MIN_BUDGET = 1000
 
@@ -25,7 +25,7 @@ class GlobalConfig:
     cwe_map_path: str = str(default_data_path("cwe_map.json"))
     supported_cwes_path: str = str(default_data_path("supported_cwes.txt"))
     adapters_path: str = str(default_data_path("adapters.json"))
-    provider: ProviderConfig = field(default_factory=lambda: ProviderConfig(kind=PROVIDER_MOCK))
+    provider: ProviderConfig = field(default_factory=lambda: ProviderConfig(kind="mock"))
     k: int = DEFAULT_TOP_K
     budget: int = DEFAULT_CHAR_BUDGET
     workers: int = 1

@@ -26,11 +26,7 @@ class PromptBudgetError(SosecError):
 
 
 class ProviderError(SosecError):
-    """A provider call failed permanently."""
-
-
-class TransientProviderError(SosecError):
-    """A retryable transport failure (connection reset, 5xx, rate limit)."""
+    """A provider call failed, after any retries the provider makes itself."""
 
 
 class ToolMissingError(SosecError):

@@ -17,17 +17,9 @@ import time
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import (
-    OPTIONAL_STR,
-    ConfigError,
-    PromptBudgetError,
-    ProviderError,
-    TransientProviderError,
-    check_value,
-    open_text,
-)
+from .errors import OPTIONAL_STR, ConfigError, PromptBudgetError, ProviderError, check_value, open_text
 from .retrieval import RetrievalHit
 
 if TYPE_CHECKING:
@@ -40,12 +32,9 @@ MAX_COMMENTS_PER_ENTRY = 5
 
 API_KEY_ENV = "SOSEC_API_KEY"
 
-PROVIDER_LIVE = "live_http"
-PROVIDER_RECORDED = "recorded_transcript"
-PROVIDER_MOCK = "deterministic_mock"
-
+PROVIDER_KINDS = ("mock", "recorded", "live")
 MOCK_FIX_SHELL = "fix_shell_true"
-MOCK_ECHO = "echo"
+MOCK_BEHAVIORS = (MOCK_FIX_SHELL, "echo")
 
 
 def _load_template() -> dict:
@@ -83,15 +72,20 @@ class ProviderConfig:
     min_request_interval: float = 0.0
 
     def validate(self) -> None:
-        """Raise ConfigError naming the first field of the wrong type or below its least value."""
+        """Raise ConfigError naming the first field that is of the wrong type, below its least
+        value, not among its choices, or missing for this kind of provider."""
+        for name, choices in (("kind", PROVIDER_KINDS), ("mock_behavior", MOCK_BEHAVIORS)):
+            if (value := getattr(self, name)) not in choices:
+                raise ConfigError(f"provider.{name} must be one of {', '.join(choices)}, got {value!r}")
         check_value("provider.max_retries", self.max_retries, int, 0)
         check_value("provider.max_in_flight", self.max_in_flight, int, 1)
         for name in ("temperature", "retry_base_delay", "min_request_interval"):
             check_value(f"provider.{name}", getattr(self, name), float, 0)
-        for name in ("kind", "mock_behavior"):
-            check_value(f"provider.{name}", getattr(self, name), str)
         for name in ("endpoint", "model_name", "transcript_path"):
             check_value(f"provider.{name}", getattr(self, name), OPTIONAL_STR)
+        required = {"recorded": "transcript_path", "live": "endpoint"}.get(self.kind)
+        if required and not getattr(self, required):
+            raise ConfigError(f"provider.{required} is required when provider.kind is {self.kind!r}")
 
 
 @dataclass
@@ -201,8 +195,6 @@ class DeterministicMockProvider:
     """Offline provider with fixed, auditable behavior."""
 
     def __init__(self, behavior: str = MOCK_FIX_SHELL):
-        if behavior not in (MOCK_FIX_SHELL, MOCK_ECHO):
-            raise ConfigError(f"unknown mock behavior: {behavior!r}")
         self.behavior = behavior
 
     def complete(self, prompt: str) -> str:
@@ -222,26 +214,34 @@ class DeterministicMockProvider:
 
 
 class RecordedTranscriptProvider:
-    """Replays responses keyed by the SHA-256 of the prompt text."""
+    """Replays responses keyed by the SHA-256 of the prompt text.
+
+    A prompt may be recorded more than once, but always with the same response.
+    """
 
     def __init__(self, transcript_path: str | Path):
         path = Path(transcript_path)
         if not path.is_file():
             raise ConfigError(f"transcript file not found: {path}")
         self._responses: dict[str, str] = {}
+        first_line: dict[str, int] = {}
+        # lines end at "\n" only: a response may hold a raw U+2028, U+2029 or U+0085
         with open_text(path) as fh:
-            lines = fh.read().splitlines()
-        for line_no, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                key, response = record["prompt_hash"], record["response"]
-                if not isinstance(key, str) or not isinstance(response, str):
-                    raise TypeError("'prompt_hash' and 'response' must be strings")
-                self._responses[key] = response
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ConfigError(f"{path}: bad transcript record on line {line_no}: {exc}") from exc
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                    key, response = record["prompt_hash"], record["response"]
+                    if not isinstance(key, str) or not isinstance(response, str):
+                        raise TypeError("'prompt_hash' and 'response' must be strings")
+                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    raise ConfigError(f"{path}: bad transcript record on line {line_no}: {exc}") from exc
+                if self._responses.setdefault(key, response) != response:
+                    raise ConfigError(
+                        f"{path}: lines {first_line[key]} and {line_no} give prompt hash {key} different responses"
+                    )
+                first_line.setdefault(key, line_no)
 
     def complete(self, prompt: str) -> str:
         key = prompt_hash(prompt)
@@ -255,12 +255,14 @@ class LiveHttpProvider:
 
     Concurrent callers are bounded by ``max_in_flight`` and paced by
     ``min_request_interval`` so batch runs stay inside endpoint rate limits.
+    A connection error, a timeout, HTTP 429 or a 5xx reply is retried up to
+    ``max_retries`` times; retry n (from 0) first waits ``retry_base_delay *
+    2**n`` seconds, holding no in-flight slot. `make_provider` checks the config.
     """
 
+    sleep = staticmethod(time.sleep)  # the backoff wait; tests set a fake on the instance
+
     def __init__(self, config: ProviderConfig, session: requests.Session | None = None):
-        config.validate()
-        if not config.endpoint:
-            raise ConfigError("live provider requires an endpoint")
         api_key = os.environ.get(API_KEY_ENV, "")
         if not api_key:
             raise ConfigError(f"live provider requires the {API_KEY_ENV} environment variable")
@@ -270,8 +272,6 @@ class LiveHttpProvider:
         import requests
 
         self.config = config
-        self.max_retries = config.max_retries
-        self.retry_base_delay = config.retry_base_delay
         self._session = session or requests.Session()
         self._transient = (requests.ConnectionError, requests.Timeout)
         self._headers = {"Authorization": f"Bearer {api_key}"}
@@ -294,34 +294,39 @@ class LiveHttpProvider:
             "temperature": self.config.temperature,
             "messages": [{"role": "user", "content": prompt}],
         }
-        with self._slots:
-            self._pace()
+        attempts = self.config.max_retries + 1
+        for attempt in range(attempts):
+            if attempt:
+                self.sleep(self.config.retry_base_delay * 2 ** (attempt - 1))
+            with self._slots:
+                self._pace()
+                try:
+                    response = self._session.post(
+                        self.config.endpoint, json=payload, headers=self._headers, timeout=120
+                    )
+                except self._transient as exc:
+                    failure = f"{type(exc).__name__}: {exc}"
+                    continue
+            if response.status_code == 429 or response.status_code >= 500:
+                failure = f"HTTP {response.status_code}"
+                continue
+            if response.status_code != 200:
+                raise ProviderError(f"HTTP {response.status_code}: {response.text[:500]}")
             try:
-                response = self._session.post(
-                    self.config.endpoint, json=payload, headers=self._headers, timeout=120
-                )
-            except self._transient as exc:
-                raise TransientProviderError(str(exc)) from exc
-        if response.status_code in (429,) or response.status_code >= 500:
-            raise TransientProviderError(f"HTTP {response.status_code}")
-        if response.status_code != 200:
-            raise ProviderError(f"HTTP {response.status_code}: {response.text[:500]}")
-        try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise ProviderError(f"malformed completion response: {exc}") from exc
+                return response.json()["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise ProviderError(f"malformed completion response: {exc}") from exc
+        raise ProviderError(f"gave up after {attempts} attempts, the last with {failure}")
 
 
 def make_provider(config: ProviderConfig):
-    if config.kind == PROVIDER_MOCK:
+    """The provider that ``config.kind`` names; ConfigError if ``config`` fails its checks."""
+    config.validate()
+    if config.kind == "mock":
         return DeterministicMockProvider(config.mock_behavior)
-    if config.kind == PROVIDER_RECORDED:
-        if not config.transcript_path:
-            raise ConfigError("recorded provider requires transcript_path")
+    if config.kind == "recorded":
         return RecordedTranscriptProvider(config.transcript_path)
-    if config.kind == PROVIDER_LIVE:
-        return LiveHttpProvider(config)
-    raise ConfigError(f"unknown provider kind: {config.kind!r}")
+    return LiveHttpProvider(config)
 
 
 def revise(
@@ -332,33 +337,24 @@ def revise(
     sample_id: str = "",
     budget: int = DEFAULT_CHAR_BUDGET,
     note: str | None = None,
-    sleep: Callable[[float], None] = time.sleep,
 ) -> RevisionRecord:
     """Run one inference-time revision and record the outcome.
 
-    ``provider`` is a provider instance (see `make_provider`). Transient
-    transport failures are retried with exponential backoff; once they are
-    exhausted, or when the reply is not a string (a refusal can carry null
-    content), ProviderError is raised. A response without a fenced code block
-    keeps the original code (parse_ok=False).
+    ``provider`` is anything with ``complete(prompt) -> str`` that raises
+    ProviderError (see `make_provider`); it is called once. Its ProviderError,
+    or a reply that is not a string (a refusal can carry null content), is
+    raised as a ProviderError naming the sample. A response without a fenced
+    code block keeps the original code (parse_ok=False).
     """
-    retries = getattr(provider, "max_retries", 0)
     name = sample_id or "<unnamed>"
 
     prompt = build_revision_prompt(code, hits, budget=budget, note=note)
     prompt_text = prompt.text
 
-    raw_response = None
-    for attempt in range(retries + 1):
-        try:
-            raw_response = provider.complete(prompt_text)
-            break
-        except TransientProviderError as exc:
-            if attempt == retries:
-                raise ProviderError(
-                    f"provider failed after {retries + 1} attempts for sample {name}: {exc}"
-                ) from exc
-            sleep(provider.retry_base_delay * (2**attempt))
+    try:
+        raw_response = provider.complete(prompt_text)
+    except ProviderError as exc:
+        raise ProviderError(f"provider failed for sample {name}: {exc}") from exc
     if not isinstance(raw_response, str):
         raise ProviderError(f"provider reply for sample {name} is {type(raw_response).__name__}, not text")
 

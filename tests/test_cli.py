@@ -66,7 +66,57 @@ def test_recorded_without_transcript_flag_is_usage_error(tmp_path, capsys, fixtu
     rc = main(
         ["revise", "--index", str(kb_index), "--code", str(code), "--provider", "recorded"]
     )
-    assert rc == 1
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "sosec: error: provider.transcript_path is required when provider.kind is 'recorded'\n"
+    )
+
+
+def test_config_file_mock_kind_revises_as_the_provider_flag_does(tmp_path, capsys, fixtures_dir):
+    kb_index = tmp_path / "kb.idx"
+    _build_index_fixture(tmp_path, fixtures_dir, kb_index, capsys)
+    code = tmp_path / "snippet.py"
+    code.write_text(SHELL_CODE, encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": {"kind": "mock"}}), encoding="utf-8")
+    argv = ["revise", "--index", str(kb_index), "--code", str(code)]
+    assert main(argv + ["--provider", "mock"]) == 0
+    from_flag = capsys.readouterr().out
+    assert main(argv + ["--config", str(config)]) == 0
+    assert capsys.readouterr().out == from_flag
+    assert json.loads(from_flag)["changed"] is True
+
+
+_EVERY_COMMAND = [
+    ["version"],
+    ["build-kb", "--posts", "Posts.xml", "--comments", "Comments.xml", "--out", "kb.jsonl"],
+    ["index", "--kb", "kb.jsonl", "--out", "kb.idx"],
+    ["retrieve", "--index", "kb.idx", "--code", "snippet.py"],
+    ["revise", "--index", "kb.idx", "--code", "snippet.py"],
+    ["analyze", "--file", "snippet.py", "--adapter", "bandit"],
+    ["eval", "--dataset", "data.jsonl", "--arm", "prompt_only"],
+]
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("recorded", "provider.transcript_path is required when provider.kind is 'recorded'"),
+        ("live", "provider.endpoint is required when provider.kind is 'live'"),
+        ("deterministic_mock", "provider.kind must be one of mock, recorded, live, got 'deterministic_mock'"),
+        ("carrier_pigeon", "provider.kind must be one of mock, recorded, live, got 'carrier_pigeon'"),
+    ],
+)
+def test_a_bad_provider_kind_is_refused_alike_from_a_flag_or_a_file(tmp_path, capsys, argv, kind, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": {"kind": kind}}), encoding="utf-8")
+    assert main(argv + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"sosec: error: {message}\n"
+    if argv[0] in ("revise", "eval"):
+        assert main(argv + ["--provider", kind]) == 2
+        assert capsys.readouterr().err == err
 
 
 def test_config_file_provider_applies_without_provider_flag(tmp_path, capsys, fixtures_dir):
@@ -77,7 +127,7 @@ def test_config_file_provider_applies_without_provider_flag(tmp_path, capsys, fi
     missing = tmp_path / "missing.jsonl"
     config = tmp_path / "config.json"
     config.write_text(
-        json.dumps({"provider": {"kind": "recorded_transcript", "transcript_path": str(missing)}}),
+        json.dumps({"provider": {"kind": "recorded", "transcript_path": str(missing)}}),
         encoding="utf-8",
     )
     rc = main(["revise", "--index", str(kb_index), "--code", str(code), "--config", str(config)])
@@ -314,7 +364,7 @@ def test_config_file_with_bad_provider_value_is_runtime_error(tmp_path, fixtures
     _build_index_fixture(tmp_path, fixtures_dir, index_path, capsys)
     code = tmp_path / "snippet.py"
     code.write_text(SHELL_CODE, encoding="utf-8")
-    provider = {"kind": "live_http", "endpoint": "http://localhost:9/v1", key: value}
+    provider = {"kind": "live", "endpoint": "http://localhost:9/v1", key: value}
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"provider": provider}), encoding="utf-8")
     monkeypatch.setenv("SOSEC_API_KEY", "x")
@@ -550,7 +600,7 @@ def test_eval_live_reply_without_text_costs_one_sample(tmp_path, fixtures_dir, s
     dataset = _first_samples(fixtures_dir, tmp_path, 4)
     refused = json.loads(dataset.read_text(encoding="utf-8").splitlines()[2])["code"]
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"provider": {"kind": "live_http", "endpoint": "http://localhost:9/v1"}}),
+    config.write_text(json.dumps({"provider": {"kind": "live", "endpoint": "http://localhost:9/v1"}}),
                       encoding="utf-8")
     monkeypatch.setenv("SOSEC_API_KEY", "x")
 

@@ -367,7 +367,7 @@ def test_eval_analyzes_each_distinct_code_once(tmp_path, capsys):
     log = tmp_path / "calls.log"
     config = tmp_path / "config.json"
     config.write_text(
-        json.dumps({"provider": {"kind": "deterministic_mock", "mock_behavior": "echo"}}),
+        json.dumps({"provider": {"kind": "mock", "mock_behavior": "echo"}}),
         encoding="utf-8",
     )
     argv = _eval_argv(
@@ -388,7 +388,7 @@ def test_eval_makes_one_scratch_dir_per_distinct_code(tmp_path, capsys, monkeypa
     dataset = _eval_dataset(tmp_path)
     config = tmp_path / "config.json"
     config.write_text(
-        json.dumps({"provider": {"kind": "deterministic_mock", "mock_behavior": "echo"}}),
+        json.dumps({"provider": {"kind": "mock", "mock_behavior": "echo"}}),
         encoding="utf-8",
     )
     argv = _eval_argv(

@@ -3,17 +3,19 @@ from __future__ import annotations
 import json
 import random
 import string
+import threading
 
 import pytest
 
 from conftest import make_entry
-from sosec.errors import ConfigError, PromptBudgetError, ProviderError, TransientProviderError
+from sosec.errors import ConfigError, PromptBudgetError, ProviderError
 from sosec.retrieval import RetrievalHit
 from sosec.revision import (
     ANSWER_EXCERPT_CAP,
     COMMENT_CAP,
     MAX_COMMENTS_PER_ENTRY,
     DeterministicMockProvider,
+    LiveHttpProvider,
     ProviderConfig,
     RecordedTranscriptProvider,
     build_revision_prompt,
@@ -168,8 +170,8 @@ def test_echo_mock_keeps_code_unchanged():
 
 
 def test_unknown_mock_behavior_rejected():
-    with pytest.raises(ConfigError):
-        DeterministicMockProvider(behavior="nonsense")
+    with pytest.raises(ConfigError, match="provider.mock_behavior must be one of fix_shell_true, echo, got 'nonsense'"):
+        make_provider(ProviderConfig(kind="mock", mock_behavior="nonsense"))
 
 
 def test_revise_with_no_hits_still_produces_a_record():
@@ -180,8 +182,6 @@ def test_revise_with_no_hits_still_produces_a_record():
 
 
 class _StaticProvider:
-    max_retries = 0
-
     def __init__(self, response: str):
         self.response = response
 
@@ -209,35 +209,86 @@ def test_never_emits_code_not_extracted_from_a_fence():
             assert record.changed is False
 
 
-class _FlakyProvider:
-    max_retries = 3
-    retry_base_delay = 0.25
+class _FakeResponse:
+    def __init__(self, status_code: int, payload=None):
+        self.status_code = status_code
+        self._payload = payload or {}
+        self.text = json.dumps(self._payload)
 
-    def __init__(self, failures: int):
-        self.failures = failures
-        self.calls = 0
-
-    def complete(self, prompt: str) -> str:
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise TransientProviderError("connection reset")
-        return "```python\nok = 1\n```"
+    def json(self):
+        return self._payload
 
 
-def test_transient_failures_retry_with_backoff():
-    delays = []
-    provider = _FlakyProvider(failures=2)
-    record = revise(provider, CODE, [], sleep=delays.append)
+def _reply(content: str) -> _FakeResponse:
+    return _FakeResponse(200, {"choices": [{"message": {"content": content}}]})
+
+
+class _FakeSession:
+    """Answers each post with the next of `responses`, raising it if it is an exception."""
+
+    def __init__(self, responses):
+        self.responses = list(responses)
+        self.requests = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.requests.append({"url": url, "json": json, "headers": headers})
+        response = self.responses.pop(0)
+        if isinstance(response, Exception):
+            raise response
+        return response
+
+
+def _live(monkeypatch, responses, **config) -> tuple[LiveHttpProvider, _FakeSession]:
+    """A live provider on a fake session, whose backoff waits are appended to its `delays`."""
+    monkeypatch.setenv("SOSEC_API_KEY", "test-key")
+    session = _FakeSession(responses)
+    provider = LiveHttpProvider(ProviderConfig(kind="live", endpoint="https://api.example/v1/chat", **config), session)
+    provider.delays = []
+    provider.sleep = provider.delays.append
+    return provider, session
+
+
+def test_transient_failures_retry_with_backoff(monkeypatch):
+    import requests
+
+    responses = [_FakeResponse(503), requests.ConnectionError("reset"), _reply("```\nok = 1\n```")]
+    provider, session = _live(monkeypatch, responses, retry_base_delay=0.25)
+    record = revise(provider, CODE, [])
     assert record.revised_code == "ok = 1"
-    assert provider.calls == 3
-    assert delays == [0.25, 0.5]
+    assert len(session.requests) == 3
+    assert provider.delays == [0.25, 0.5]
 
 
-def test_retries_exhausted_raises_with_sample_id():
-    provider = _FlakyProvider(failures=10)
-    with pytest.raises(ProviderError) as exc_info:
-        revise(provider, CODE, [], sample_id="s042", sleep=lambda _: None)
-    assert "s042" in str(exc_info.value)
+def test_retries_exhausted_raises_with_sample_id(monkeypatch):
+    provider, _ = _live(monkeypatch, [_FakeResponse(503)] * 3)
+    with pytest.raises(ProviderError, match="sample s042: gave up after 3 attempts, the last with HTTP 503"):
+        revise(provider, CODE, [], sample_id="s042")
+    assert provider.delays == [0.5, 1.0]
+
+
+def test_live_provider_posts_a_client_error_once(monkeypatch):
+    provider, session = _live(monkeypatch, [_FakeResponse(400, {"error": "bad request"})])
+    with pytest.raises(ProviderError, match="sample s1: HTTP 400"):
+        revise(provider, CODE, [], sample_id="s1")
+    assert len(session.requests) == 1
+    assert provider.delays == []
+
+
+def test_live_provider_backs_off_outside_its_in_flight_slot(monkeypatch):
+    provider, session = _live(monkeypatch, [_FakeResponse(503), _reply("other"), _reply("first")], max_in_flight=1)
+    others = []
+
+    def sleep(delay):
+        # with the one slot still held, the other request would wait out the timeout
+        other = threading.Thread(target=lambda: others.append(provider.complete("other prompt")))
+        other.start()
+        other.join(timeout=5)
+        assert others == ["other"]
+
+    provider.sleep = sleep
+    assert provider.complete("first prompt") == "first"
+    assert [r["json"]["messages"][0]["content"] for r in session.requests] == [
+        "first prompt", "other prompt", "first prompt"]
 
 
 @pytest.mark.parametrize("reply", [None, 5])
@@ -256,6 +307,32 @@ def test_transcript_record_that_is_not_text_is_refused_by_line(tmp_path, record)
         RecordedTranscriptProvider(transcript)
 
 
+def _write_transcript(path, records) -> None:
+    """One JSON line per (prompt, response), keyed as the recorded provider looks prompts up."""
+    lines = [json.dumps({"prompt_hash": prompt_hash(p), "response": r}, ensure_ascii=False) for p, r in records]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+def test_transcript_response_may_hold_a_unicode_line_separator(tmp_path, char):
+    transcript = tmp_path / "transcript.jsonl"
+    response = f"```\nx = '{char}'\n```"
+    _write_transcript(transcript, [("a", response), ("b", "```\ny\n```")])
+    assert char in transcript.read_text(encoding="utf-8")
+    provider = RecordedTranscriptProvider(transcript)
+    assert (provider.complete("a"), provider.complete("b")) == (response, "```\ny\n```")
+
+
+def test_transcript_that_gives_a_prompt_two_responses_is_refused(tmp_path):
+    transcript = tmp_path / "transcript.jsonl"
+    records = [("a", "```\nx\n```"), ("b", "```\ny\n```"), ("a", "```\nx\n```")]
+    _write_transcript(transcript, records)
+    assert RecordedTranscriptProvider(transcript).complete("a") == "```\nx\n```"
+    _write_transcript(transcript, records + [("a", "```\nz\n```")])
+    with pytest.raises(ConfigError, match=f"lines 1 and 4 give prompt hash {prompt_hash('a')} different responses"):
+        RecordedTranscriptProvider(transcript)
+
+
 def test_transcript_provider_round_trip(tmp_path):
     prompt = build_revision_prompt(CODE, [], budget=8000).text
     transcript = tmp_path / "transcript.jsonl"
@@ -264,7 +341,7 @@ def test_transcript_provider_round_trip(tmp_path):
         + "\n",
         encoding="utf-8",
     )
-    config = ProviderConfig(kind="recorded_transcript", transcript_path=str(transcript))
+    config = ProviderConfig(kind="recorded", transcript_path=str(transcript))
     record = revise(make_provider(config), CODE, [])
     assert record.revised_code == "safe = 1"
     assert record.changed is True
@@ -289,78 +366,44 @@ def test_missing_transcript_file_rejected(tmp_path):
 
 def test_live_provider_requires_endpoint_and_key(monkeypatch):
     monkeypatch.delenv("SOSEC_API_KEY", raising=False)
-    with pytest.raises(ConfigError):
-        make_provider(ProviderConfig(kind="live_http", endpoint=None))
-    with pytest.raises(ConfigError):
-        make_provider(ProviderConfig(kind="live_http", endpoint="https://api.example/v1/chat"))
+    with pytest.raises(ConfigError, match="provider.endpoint is required when provider.kind is 'live'"):
+        make_provider(ProviderConfig(kind="live", endpoint=None))
+    with pytest.raises(ConfigError, match="SOSEC_API_KEY"):
+        make_provider(ProviderConfig(kind="live", endpoint="https://api.example/v1/chat"))
 
 
 def test_unknown_provider_kind_rejected():
-    with pytest.raises(ConfigError):
-        make_provider(ProviderConfig(kind="carrier_pigeon"))
-
-
-class _FakeResponse:
-    def __init__(self, status_code: int, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-        self.text = json.dumps(self._payload)
-
-    def json(self):
-        return self._payload
-
-
-class _FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
-        return self.responses.pop(0)
+    for kind in ("carrier_pigeon", "deterministic_mock", "recorded_transcript", "live_http"):
+        with pytest.raises(ConfigError, match=f"provider.kind must be one of mock, recorded, live, got '{kind}'"):
+            make_provider(ProviderConfig(kind=kind))
 
 
 def test_live_provider_happy_path_and_transient_5xx(monkeypatch):
-    from sosec.revision import LiveHttpProvider
-
-    monkeypatch.setenv("SOSEC_API_KEY", "test-key")
-    config = ProviderConfig(kind="live_http", endpoint="https://api.example/v1/chat", model_name="m1")
-    ok = _FakeResponse(200, {"choices": [{"message": {"content": "```\nx = 1\n```"}}]})
-    provider = LiveHttpProvider(config, session=_FakeSession([ok]))
+    provider, session = _live(monkeypatch, [_reply("```\nx = 1\n```"), _FakeResponse(502), _reply("y")],
+                              model_name="m1")
     assert provider.complete("prompt") == "```\nx = 1\n```"
-
-    provider = LiveHttpProvider(config, session=_FakeSession([_FakeResponse(503)]))
-    with pytest.raises(TransientProviderError):
-        provider.complete("prompt")
-
-    provider = LiveHttpProvider(config, session=_FakeSession([_FakeResponse(400)]))
-    with pytest.raises(ProviderError):
-        provider.complete("prompt")
+    assert session.requests[0]["json"]["model"] == "m1"
+    assert session.requests[0]["headers"] == {"Authorization": "Bearer test-key"}
+    assert provider.complete("prompt") == "y"
+    assert provider.delays == [0.5]
 
 
 def test_live_provider_retries_with_its_configured_delay(monkeypatch):
-    from sosec.revision import LiveHttpProvider
+    import requests
 
-    monkeypatch.setenv("SOSEC_API_KEY", "test-key")
-    config = ProviderConfig(
-        kind="live_http", endpoint="https://api.example/v1/chat", retry_base_delay=0.1
-    )
-    ok = _FakeResponse(200, {"choices": [{"message": {"content": "```\nx = 1\n```"}}]})
-    provider = LiveHttpProvider(config, session=_FakeSession([_FakeResponse(503), ok]))
-    delays = []
-    record = revise(provider, CODE, [], sleep=delays.append)
+    responses = [_FakeResponse(429), requests.Timeout("slow"), _reply("```\nx = 1\n```")]
+    provider, session = _live(monkeypatch, responses, retry_base_delay=0.1)
+    record = revise(provider, CODE, [])
     assert record.revised_code == "x = 1"
-    assert delays == [0.1]
+    assert provider.delays == [0.1, 0.2]
+    assert len(session.requests) == 3
 
 
 def test_live_provider_bounds_concurrent_requests(monkeypatch):
-    import threading
     import time as time_module
 
-    from sosec.revision import LiveHttpProvider
-
     monkeypatch.setenv("SOSEC_API_KEY", "test-key")
-    config = ProviderConfig(kind="live_http", endpoint="https://api.example/v1/chat", max_in_flight=2)
+    config = ProviderConfig(kind="live", endpoint="https://api.example/v1/chat", max_in_flight=2)
 
     state = {"in_flight": 0, "peak": 0}
     gate = threading.Lock()
@@ -373,7 +416,7 @@ def test_live_provider_bounds_concurrent_requests(monkeypatch):
             time_module.sleep(0.02)
             with gate:
                 state["in_flight"] -= 1
-            return _FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
+            return _reply("ok")
 
     provider = LiveHttpProvider(config, session=_SlowSession())
     threads = [threading.Thread(target=provider.complete, args=("p",)) for _ in range(8)]
@@ -387,14 +430,7 @@ def test_live_provider_bounds_concurrent_requests(monkeypatch):
 def test_live_provider_paces_requests(monkeypatch):
     import time as time_module
 
-    from sosec.revision import LiveHttpProvider
-
-    monkeypatch.setenv("SOSEC_API_KEY", "test-key")
-    config = ProviderConfig(
-        kind="live_http", endpoint="https://api.example/v1/chat", min_request_interval=0.05
-    )
-    ok = lambda: _FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
-    provider = LiveHttpProvider(config, session=_FakeSession([ok(), ok(), ok()]))
+    provider, _ = _live(monkeypatch, [_reply("ok") for _ in range(3)], min_request_interval=0.05)
     started = time_module.monotonic()
     for _ in range(3):
         provider.complete("p")
@@ -402,21 +438,17 @@ def test_live_provider_paces_requests(monkeypatch):
 
 
 def test_live_provider_rejects_bad_max_in_flight(monkeypatch):
-    from sosec.revision import LiveHttpProvider
-
     monkeypatch.setenv("SOSEC_API_KEY", "test-key")
-    config = ProviderConfig(kind="live_http", endpoint="https://api.example/v1", max_in_flight=0)
-    with pytest.raises(ConfigError):
-        LiveHttpProvider(config)
+    config = ProviderConfig(kind="live", endpoint="https://api.example/v1", max_in_flight=0)
+    with pytest.raises(ConfigError, match=r"provider.max_in_flight must be >= 1, got 0"):
+        make_provider(config)
 
 
 def test_live_provider_checks_its_config_as_the_cli_does(monkeypatch):
-    from sosec.revision import LiveHttpProvider
-
     monkeypatch.setenv("SOSEC_API_KEY", "test-key")
-    config = ProviderConfig(kind="live_http", endpoint="https://api.example/v1", max_retries=-1)
+    config = ProviderConfig(kind="live", endpoint="https://api.example/v1", max_retries=-1)
     with pytest.raises(ConfigError, match=r"provider.max_retries must be >= 0, got -1"):
-        LiveHttpProvider(config, session=_FakeSession([]))
+        make_provider(config)
 
 
 def test_record_invariant_parse_failure_implies_unchanged():
