@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import fields
@@ -131,13 +132,18 @@ def _emit(args, payload, text: str) -> None:
         raise SosecError(f"output cannot be encoded: {exc}") from exc
 
 
-def _check_out_dir(out: str) -> None:
-    """Refuse an --out path that no file can be written to, before the work that fills it."""
+def _check_out_dir(out: str, inputs: dict[str, str | None]) -> None:
+    """Refuse an --out path that no file can be written to, or that is one of the
+    command's `inputs` (flag: path), before the work that fills it."""
     path = Path(out)
     if path.is_dir():
         raise SosecError(f"--out {out} is a directory")
     if not path.parent.is_dir():
         raise SosecError(f"--out {out}: directory {path.parent} does not exist")
+    if path.exists():
+        for flag, value in inputs.items():
+            if value and os.path.exists(value) and os.path.samefile(out, value):
+                raise SosecError(f"--out {out} is the file that {flag} {value} names")
 
 
 def _cmd_version(args, config) -> int:
@@ -146,7 +152,8 @@ def _cmd_version(args, config) -> int:
 
 
 def _cmd_build_kb(args, config: GlobalConfig) -> int:
-    _check_out_dir(args.out)
+    _check_out_dir(args.out, {"--posts": args.posts, "--comments": args.comments,
+                              "--keywords": args.keyword_path, "--config": args.config})
     keywords = KeywordSet.from_file(config.keyword_path)
     tally = Counter()
     with open(args.posts, "rb") as posts_fh, open(args.comments, "rb") as comments_fh:
@@ -171,7 +178,7 @@ def _cmd_build_kb(args, config: GlobalConfig) -> int:
 
 
 def _cmd_index(args, config: GlobalConfig) -> int:
-    _check_out_dir(args.out)
+    _check_out_dir(args.out, {"--kb": args.kb, "--config": args.config})
     entries = load_kb_jsonl(args.kb)
     index = build_index(entries, k1=args.k1, b=args.b)
     save_index(index, args.out)
@@ -219,7 +226,7 @@ def _cmd_revise(args, config: GlobalConfig) -> int:
     )
     text = (
         f"changed={record.changed} parse_ok={record.parse_ok} "
-        f"context_answers={record.retrieved_answer_ids}\n{record.revised_code}"
+        f"context_answers={record.context_answer_ids}\n{record.revised_code}"
     )
     _emit(args, record.to_dict(), text)
     return 0
@@ -253,6 +260,11 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
     if args.out:
         # refused now, not after every analyzer and provider call has run;
         # a missing file is created empty, an existing one is left as it is
+        _check_out_dir(args.out, {
+            "--dataset": args.dataset, "--index": args.index, "--transcript": args.transcript,
+            "--adapters": args.adapters_path, "--cwe-map": args.cwe_map_path,
+            "--supported-cwes": args.supported_cwes_path, "--config": args.config,
+        })
         open(args.out, "a", encoding="utf-8").close()
 
     adapters = load_adapters(config.adapters_path)

@@ -19,7 +19,7 @@ from typing import Sequence
 from .analysis import CWE_RE, SUFFIX_BY_LANGUAGE, AdapterConfig, CweMap, Finding, analyze_codes, cwe_set
 from .errors import ConfigError, PromptBudgetError, ProviderError, open_text
 from .retrieval import DEFAULT_TOP_K, RetrievalIndex, retrieve
-from .revision import DEFAULT_CHAR_BUDGET, PROMPT_TEMPLATE, revise
+from .revision import DEFAULT_CHAR_BUDGET, revise
 
 DATASETS = ("sallm", "llmseceval", "lmsys", "custom")
 
@@ -29,24 +29,6 @@ ARM_CWE_LABEL = "cwe_label"
 ARM_SOSECURE = "sosecure"
 ARMS = (ARM_PROMPT_ONLY, ARM_REVISION_ONLY, ARM_CWE_LABEL, ARM_SOSECURE)
 
-# Names for the label-bearing prompt note; labels outside this table are
-# passed through without a name.
-CWE_NAMES = {
-    "CWE-20": "Improper Input Validation",
-    "CWE-22": "Path Traversal",
-    "CWE-78": "OS Command Injection",
-    "CWE-79": "Cross-site Scripting",
-    "CWE-89": "SQL Injection",
-    "CWE-94": "Code Injection",
-    "CWE-190": "Integer Overflow or Wraparound",
-    "CWE-295": "Improper Certificate Validation",
-    "CWE-327": "Use of a Broken or Risky Cryptographic Algorithm",
-    "CWE-330": "Use of Insufficiently Random Values",
-    "CWE-377": "Insecure Temporary File",
-    "CWE-502": "Deserialization of Untrusted Data",
-    "CWE-601": "Open Redirect",
-    "CWE-798": "Use of Hard-coded Credentials",
-}
 
 @dataclass
 class CodeSample:
@@ -157,12 +139,6 @@ def load_supported_cwes(path: str | Path) -> set[str]:
     return supported
 
 
-def _cwe_label_note(sample: CodeSample) -> str:
-    name = CWE_NAMES.get(sample.labeled_cwe or "")
-    suffix = f" ({name})" if name else ""
-    return PROMPT_TEMPLATE["cwe_label_note"].format(cwe=sample.labeled_cwe, name=suffix)
-
-
 def _validate_arms(arms: Sequence[str], has_index: bool) -> None:
     """Reject unknown or repeated arm names, and sosecure without an index."""
     for arm in arms:
@@ -177,13 +153,10 @@ def _validate_arms(arms: Sequence[str], has_index: bool) -> None:
 
 def _revise_for_arm(provider, index, k: int, budget: int, arm: str, sample: CodeSample):
     """The arm's RevisionRecord for `sample`, or the tally reason it could not be revised."""
-    hits, note = [], None
-    if arm == ARM_SOSECURE:
-        hits = retrieve(index, sample.code, k=k)
-    elif arm == ARM_CWE_LABEL:
-        note = _cwe_label_note(sample)
+    hits = retrieve(index, sample.code, k=k) if arm == ARM_SOSECURE else []
+    labeled_cwe = sample.labeled_cwe if arm == ARM_CWE_LABEL else None
     try:
-        return revise(provider, sample.code, hits, sample_id=sample.sample_id, budget=budget, note=note)
+        return revise(provider, sample.code, hits, sample_id=sample.sample_id, budget=budget, labeled_cwe=labeled_cwe)
     except ProviderError:
         return "provider_errors"
     except PromptBudgetError:

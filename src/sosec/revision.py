@@ -44,18 +44,23 @@ def _load_template() -> dict:
 
 PROMPT_TEMPLATE = _load_template()
 
-
-@dataclass
-class RevisionPrompt:
-    system_instruction: str
-    context_sections: list[str]
-    code_section: str
-    output_contract: str
-
-    @property
-    def text(self) -> str:
-        parts = [self.system_instruction, *self.context_sections, self.code_section, self.output_contract]
-        return "\n\n".join(parts)
+# Names for the cwe_label note; a label outside this table is given without a name.
+CWE_NAMES = {
+    "CWE-20": "Improper Input Validation",
+    "CWE-22": "Path Traversal",
+    "CWE-78": "OS Command Injection",
+    "CWE-79": "Cross-site Scripting",
+    "CWE-89": "SQL Injection",
+    "CWE-94": "Code Injection",
+    "CWE-190": "Integer Overflow or Wraparound",
+    "CWE-295": "Improper Certificate Validation",
+    "CWE-327": "Use of a Broken or Risky Cryptographic Algorithm",
+    "CWE-330": "Use of Insufficiently Random Values",
+    "CWE-377": "Insecure Temporary File",
+    "CWE-502": "Deserialization of Untrusted Data",
+    "CWE-601": "Open Redirect",
+    "CWE-798": "Use of Hard-coded Credentials",
+}
 
 
 @dataclass
@@ -92,7 +97,7 @@ class ProviderConfig:
 class RevisionRecord:
     sample_id: str
     original_code: str
-    retrieved_answer_ids: list[int]
+    context_answer_ids: list[int]
     prompt_text: str
     raw_response: str
     revised_code: str
@@ -119,16 +124,21 @@ def build_revision_prompt(
     code: str,
     hits: Sequence[RetrievalHit],
     budget: int = DEFAULT_CHAR_BUDGET,
-    note: str | None = None,
-) -> RevisionPrompt:
-    """Assemble the revision prompt within a character budget.
+    labeled_cwe: str | None = None,
+) -> tuple[str, list[RetrievalHit]]:
+    """The revision prompt within a character budget, and the hits whose sections it shows.
 
     Context sections appear in retrieval-rank order; when the budget is
-    tight, the lowest-ranked sections are dropped first. The system
-    instruction, code block, and output contract are mandatory.
+    tight, the lowest-ranked sections are dropped first, so the hits shown
+    are a prefix of ``hits``. When no section fits, the prompt is the one
+    for no hits: it says that no context was retrieved, if that fits. The
+    system instruction, with a note naming ``labeled_cwe`` if given, the
+    code block and the output contract are mandatory.
     """
     system = PROMPT_TEMPLATE["system_instruction"]
-    if note:
+    if labeled_cwe:
+        name = CWE_NAMES.get(labeled_cwe)
+        note = PROMPT_TEMPLATE["cwe_label_note"].format(cwe=labeled_cwe, name=f" ({name})" if name else "")
         system = f"{system}\n\n{note}"
     code_section = f"{PROMPT_TEMPLATE['code_intro']}\n```\n{code}\n```"
     contract = PROMPT_TEMPLATE["output_contract"]
@@ -136,22 +146,14 @@ def build_revision_prompt(
     sections = [render_hit_section(h) for h in hits]
     if sections:
         sections[0] = f"{PROMPT_TEMPLATE['context_intro']}\n{sections[0]}"
-    else:
-        sections = [PROMPT_TEMPLATE["no_context_section"]]
-
-    prompt = RevisionPrompt(
-        system_instruction=system,
-        context_sections=sections,
-        code_section=code_section,
-        output_contract=contract,
-    )
-    while len(prompt.text) > budget and prompt.context_sections:
-        prompt.context_sections.pop()
-    if len(prompt.text) > budget:
-        raise PromptBudgetError(
-            f"budget {budget} cannot fit the mandatory prompt sections ({len(prompt.text)} chars)"
-        )
-    return prompt
+    # the contexts to try, longest first, each with the hits it shows
+    options = [(sections[:n], hits[:n]) for n in range(len(sections), 0, -1)]
+    options += [([PROMPT_TEMPLATE["no_context_section"]], []), ([], [])]
+    for context, shown in options:
+        text = "\n\n".join([system, *context, code_section, contract])
+        if len(text) <= budget:
+            return text, list(shown)
+    raise PromptBudgetError(f"budget {budget} cannot fit the mandatory prompt sections ({len(text)} chars)")
 
 
 _FENCE_RE = re.compile(r"```[ \t]*[\w+-]*[ \t]*\r?\n(.*?)(?:\r?\n)?```", re.DOTALL)
@@ -336,7 +338,7 @@ def revise(
     *,
     sample_id: str = "",
     budget: int = DEFAULT_CHAR_BUDGET,
-    note: str | None = None,
+    labeled_cwe: str | None = None,
 ) -> RevisionRecord:
     """Run one inference-time revision and record the outcome.
 
@@ -344,12 +346,12 @@ def revise(
     ProviderError (see `make_provider`); it is called once. Its ProviderError,
     or a reply that is not a string (a refusal can carry null content), is
     raised as a ProviderError naming the sample. A response without a fenced
-    code block keeps the original code (parse_ok=False).
+    code block keeps the original code (parse_ok=False). The record's
+    ``context_answer_ids`` name the hits the prompt shows, in rank order.
     """
     name = sample_id or "<unnamed>"
 
-    prompt = build_revision_prompt(code, hits, budget=budget, note=note)
-    prompt_text = prompt.text
+    prompt_text, shown = build_revision_prompt(code, hits, budget, labeled_cwe)
 
     try:
         raw_response = provider.complete(prompt_text)
@@ -367,7 +369,7 @@ def revise(
     return RevisionRecord(
         sample_id=sample_id,
         original_code=code,
-        retrieved_answer_ids=[h.entry.answer_id for h in hits],
+        context_answer_ids=[h.entry.answer_id for h in shown],
         prompt_text=prompt_text,
         raw_response=raw_response,
         revised_code=revised_code,

@@ -210,7 +210,7 @@ def test_pipeline_build_kb_index_retrieve_revise(tmp_path, fixtures_dir, capsys)
     record = RevisionRecord(**json.loads(capsys.readouterr().out))
     assert record.changed is True
     assert "shell=True" not in record.revised_code
-    assert record.retrieved_answer_ids[0] == 101
+    assert record.context_answer_ids[0] == 101
 
 
 def test_revise_json_keeps_record_key_order(tmp_path, fixtures_dir, capsys):
@@ -220,9 +220,24 @@ def test_revise_json_keeps_record_key_order(tmp_path, fixtures_dir, capsys):
     code.write_text(SHELL_CODE, encoding="utf-8")
     assert main(["revise", "--index", str(index_path), "--code", str(code)]) == 0
     assert list(json.loads(capsys.readouterr().out)) == [
-        "sample_id", "original_code", "retrieved_answer_ids", "prompt_text",
+        "sample_id", "original_code", "context_answer_ids", "prompt_text",
         "raw_response", "revised_code", "changed", "parse_ok",
     ]
+
+
+def test_revise_names_only_the_answers_its_prompt_shows(tmp_path, fixtures_dir, capsys):
+    index_path = tmp_path / "kb.idx"
+    _build_index_fixture(tmp_path, fixtures_dir, index_path, capsys)
+    code = tmp_path / "snippet.py"
+    code.write_text(SHELL_CODE, encoding="utf-8")
+    argv = ["revise", "--index", str(index_path), "--code", str(code), "--budget", "1200"]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["context_answer_ids"] == [101]  # of the hits 101, 102 and 114
+    assert "https://stackoverflow.com/a/101" in record["prompt_text"]
+    assert "https://stackoverflow.com/a/102" not in record["prompt_text"]
+    assert main(argv + ["--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("changed=True parse_ok=True context_answers=[101]\n")
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -568,7 +583,7 @@ def test_eval_transcript_miss_costs_one_sample_in_every_arm(tmp_path, fixtures_d
         for record in records:
             if record["sample_id"] == "s003":
                 continue  # no response recorded for this sample's prompt
-            prompt = build_revision_prompt(record["code"], [], budget=8000).text
+            prompt, _ = build_revision_prompt(record["code"], [], budget=8000)
             fh.write(json.dumps({"prompt_hash": prompt_hash(prompt),
                                  "response": f"```python\n{record['code']}```"}) + "\n")
 
@@ -684,50 +699,68 @@ def test_eval_with_a_missing_analyzer_binary_exits_2_naming_it(tmp_path, fixture
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("out", ["no/such/dir/r.json", "."], ids=["missing-directory", "a-directory"])
+# an --out that is an input would be overwritten with the output
+_BAD_OUTS = ["no/such/dir/out", ".", "input"]
+_BAD_OUT_IDS = ["missing-directory", "a-directory", "an-input"]
+
+
+def _refusal(out, tmp_path, input_flag: str) -> str:
+    if out == tmp_path / "input":
+        return f"--out {out} is the file that {input_flag} {out} names"
+    return str(out)
+
+
+@pytest.mark.parametrize("out", _BAD_OUTS, ids=_BAD_OUT_IDS)
 def test_eval_refuses_an_out_path_it_cannot_write_before_any_analyzer_runs(tmp_path, fixtures_dir, capsys, out):
     out = tmp_path / out
+    dataset = tmp_path / "input"
+    dataset.write_bytes((fixtures_dir / "dataset_10.jsonl").read_bytes())
     log = tmp_path / "calls.log"
     adapters = tmp_path / "adapters.json"
     adapters.write_text(json.dumps({"adapters": logged_adapter_specs(log)}), encoding="utf-8")
     rc = main([
-        "eval", "--dataset", str(fixtures_dir / "dataset_10.jsonl"), "--arm", "prompt_only,revision_only",
+        "eval", "--dataset", str(dataset), "--arm", "prompt_only,revision_only",
         "--adapters", str(adapters), "--out", str(out),
     ])
     assert rc == 2
-    assert str(out) in capsys.readouterr().err
+    assert _refusal(out, tmp_path, "--dataset") in capsys.readouterr().err
     assert not log.exists()
+    assert dataset.read_bytes() == (fixtures_dir / "dataset_10.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("out", ["no/such/dir/kb.jsonl", "."], ids=["missing-directory", "a-directory"])
+@pytest.mark.parametrize("out", _BAD_OUTS, ids=_BAD_OUT_IDS)
 def test_build_kb_refuses_an_out_path_it_cannot_write_before_any_dump_is_read(
     tmp_path, fixtures_dir, capsys, monkeypatch, out
 ):
     out = tmp_path / out
+    comments = tmp_path / "input"
+    comments.write_bytes((fixtures_dir / "comments_20.xml").read_bytes())
     calls = []
     monkeypatch.setattr("sosec.cli.build_knowledge_base", lambda *args, **kwargs: calls.append(args))
     rc = main([
-        "build-kb", "--posts", str(fixtures_dir / "posts_20.xml"), "--comments", str(fixtures_dir / "comments_20.xml"),
+        "build-kb", "--posts", str(fixtures_dir / "posts_20.xml"), "--comments", str(comments),
         "--out", str(out),
     ])
     assert rc == 2
-    assert str(out) in capsys.readouterr().err
+    assert _refusal(out, tmp_path, "--comments") in capsys.readouterr().err
     assert calls == []
 
 
-@pytest.mark.parametrize("out", ["no/such/dir/kb.idx", "."], ids=["missing-directory", "a-directory"])
+@pytest.mark.parametrize("out", _BAD_OUTS, ids=_BAD_OUT_IDS)
 def test_index_refuses_an_out_path_it_cannot_write_before_the_kb_is_read(tmp_path, capsys, monkeypatch, out):
     out = tmp_path / out
-    kb_path = tmp_path / "kb.jsonl"
+    kb_path = tmp_path / "input"
     kb_path.write_text(KnowledgeEntry(1, 0, 1, "ok", ["x = 1"], [], [], "https://stackoverflow.com/a/1").to_jsonl())
+    kb_bytes = kb_path.read_bytes()
     calls = []
     monkeypatch.setattr("sosec.cli.load_kb_jsonl", lambda path: calls.append(path))
     rc = main(["index", "--kb", str(kb_path), "--out", str(out)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert str(out) in err and ".tmp" not in err
+    assert _refusal(out, tmp_path, "--kb") in err and ".tmp" not in err
     assert calls == []
     assert list(tmp_path.iterdir()) == [kb_path]
+    assert kb_path.read_bytes() == kb_bytes
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -244,13 +245,18 @@ def test_sosecure_shows_the_model_what_retrieval_found(fake_bandit_adapter, fake
     class _ContextProvider:
         """The fixing mock when the retrieved context holds `shlex.split`; the echo mock otherwise."""
 
+        def __init__(self):
+            self.prompts = []
+
         def complete(self, prompt):
+            self.prompts.append(prompt)
             context = prompt.partition(PROMPT_TEMPLATE["context_intro"])[2].partition(PROMPT_TEMPLATE["code_intro"])[0]
             behavior = "fix_shell_true" if "shlex.split" in context else "echo"
             return DeterministicMockProvider(behavior).complete(prompt)
 
     index = build_index([
-        make_entry(5, ["subprocess.call(shlex.split(cmd))"], excerpt="use shlex.split, not shell=True"),
+        make_entry(5, ["subprocess.call(shlex.split(cmd))"],
+                   excerpt="use shlex.split to build an argument list; shell=True hands the whole string to /bin/sh"),
         make_entry(6, ["subprocess.run(cmd, check=True)"], excerpt="check the return code"),
         make_entry(7, ["sorted(values)"]),
     ])
@@ -261,13 +267,20 @@ def test_sosecure_shows_the_model_what_retrieval_found(fake_bandit_adapter, fake
     assert report.per_arm["sosecure"].fix_rate == 100.0
     assert report.per_arm["revision_only"].fix_rate == 0.0
 
-    bare = build_revision_prompt(SHELL_CODE, [])
-    bare.context_sections.clear()  # room for the mandatory sections only
-    trials = run_arms(samples, arms, _ContextProvider(), index=index, budget=len(bare.text), **kwargs)
-    report = compute_metrics(trials, "prompt_only")
-    assert report.per_arm["sosecure"] == report.per_arm["revision_only"]
-    assert report.per_arm["sosecure"].fix_rate == 0.0
-    assert trials[1].after_cwes == trials[2].after_cwes == {"CWE-78"}
+    bare, _ = build_revision_prompt(SHELL_CODE, [])
+    mandatory = len(bare) - len(PROMPT_TEMPLATE["no_context_section"]) - 2
+    # room for the mandatory sections only, then for those and the no-context section only
+    for budget in (mandatory, len(bare)):
+        provider = _ContextProvider()
+        trials = run_arms(samples, arms, provider, index=index, budget=budget, **kwargs)
+        report = compute_metrics(trials, "prompt_only")
+        assert report.per_arm["sosecure"] == report.per_arm["revision_only"]
+        assert report.per_arm["sosecure"].fix_rate == 0.0
+        assert trials[1].after_cwes == trials[2].after_cwes == {"CWE-78"}
+        assert dataclasses.replace(trials[2], arm="revision_only") == trials[1]
+        # with no hit section that fits, sosecure sends revision_only's prompt
+        assert provider.prompts == [build_revision_prompt(SHELL_CODE, [], budget=budget)[0]] * 2
+    assert provider.prompts[0] == bare
 
 
 def test_cwe_label_arm_requires_labels_and_injects_them(

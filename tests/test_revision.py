@@ -9,11 +9,13 @@ import pytest
 
 from conftest import make_entry
 from sosec.errors import ConfigError, PromptBudgetError, ProviderError
+from sosec.kb import KnowledgeEntry
 from sosec.retrieval import RetrievalHit
 from sosec.revision import (
     ANSWER_EXCERPT_CAP,
     COMMENT_CAP,
     MAX_COMMENTS_PER_ENTRY,
+    PROMPT_TEMPLATE,
     DeterministicMockProvider,
     LiveHttpProvider,
     ProviderConfig,
@@ -45,28 +47,39 @@ def _hits(n: int) -> list[RetrievalHit]:
 
 
 def test_prompt_contains_all_sections_in_rank_order():
-    prompt = build_revision_prompt(CODE, _hits(5), budget=8000)
-    assert len(prompt.context_sections) == 5
-    text = prompt.text
+    text, shown = build_revision_prompt(CODE, _hits(5), budget=8000)
+    assert [h.rank for h in shown] == [1, 2, 3, 4, 5]
     positions = [text.index(f"https://stackoverflow.com/a/{1000 + r}") for r in range(1, 6)]
     assert positions == sorted(positions)
-    assert text.index(prompt.system_instruction[:40]) < positions[0]
-    assert text.rstrip().endswith(prompt.output_contract)
+    assert text.index(PROMPT_TEMPLATE["system_instruction"][:40]) < positions[0]
+    assert text.rstrip().endswith(PROMPT_TEMPLATE["output_contract"])
     assert CODE.strip() in text
 
 
 def test_prompt_drops_lowest_ranked_sections_first():
-    full = build_revision_prompt(CODE, _hits(5), budget=100_000)
-    tight_budget = len(full.text) - 1
-    trimmed = build_revision_prompt(CODE, _hits(5), budget=tight_budget)
-    assert len(trimmed.context_sections) == 4
-    assert "1004" in trimmed.text and "1005" not in trimmed.text
-    assert len(trimmed.text) <= tight_budget
+    full, _ = build_revision_prompt(CODE, _hits(5), budget=100_000)
+    tight_budget = len(full) - 1
+    trimmed, shown = build_revision_prompt(CODE, _hits(5), budget=tight_budget)
+    assert [h.rank for h in shown] == [1, 2, 3, 4]
+    assert "1004" in trimmed and "1005" not in trimmed
+    assert len(trimmed) <= tight_budget
 
 
 def test_prompt_with_no_hits_states_missing_context():
-    prompt = build_revision_prompt(CODE, [], budget=8000)
-    assert any("No community context" in s for s in prompt.context_sections)
+    text, shown = build_revision_prompt(CODE, [], budget=8000)
+    assert "No community context" in text
+    assert shown == []
+
+
+def test_prompt_with_no_section_that_fits_is_the_no_hit_prompt():
+    bare, _ = build_revision_prompt(CODE, [], budget=10**9)
+    one_section, _ = build_revision_prompt(CODE, _hits(1), budget=10**9)
+    assert len(one_section) > len(bare)
+    for budget in (len(bare), len(one_section) - 1):
+        text, shown = build_revision_prompt(CODE, _hits(3), budget=budget)
+        assert text == build_revision_prompt(CODE, [], budget=budget)[0]
+        assert "No community context" in text and PROMPT_TEMPLATE["context_intro"] not in text
+        assert shown == []
 
 
 def test_prompt_budget_too_small_for_mandatory_sections():
@@ -75,8 +88,8 @@ def test_prompt_budget_too_small_for_mandatory_sections():
 
 
 def test_prompt_determinism():
-    first = build_revision_prompt(CODE, _hits(3), budget=4000).text
-    second = build_revision_prompt(CODE, _hits(3), budget=4000).text
+    first = build_revision_prompt(CODE, _hits(3), budget=4000)
+    second = build_revision_prompt(CODE, _hits(3), budget=4000)
     assert first == second
 
 
@@ -87,8 +100,8 @@ def test_prompt_truncation_caps():
         excerpt="x" * (ANSWER_EXCERPT_CAP + 500),
         comments=[("c" * (COMMENT_CAP + 100), i) for i in range(MAX_COMMENTS_PER_ENTRY + 3)],
     )
-    prompt = build_revision_prompt(CODE, [long_hit], budget=100_000)
-    section = prompt.context_sections[0]
+    section, shown = build_revision_prompt(CODE, [long_hit], budget=100_000)
+    assert shown == [long_hit]
     assert "x" * ANSWER_EXCERPT_CAP in section
     assert "x" * (ANSWER_EXCERPT_CAP + 1) not in section
     assert section.count("- comment") == MAX_COMMENTS_PER_ENTRY
@@ -97,7 +110,7 @@ def test_prompt_truncation_caps():
 
 def test_prompt_budget_invariant_over_random_hit_sets():
     rng = random.Random(99)
-    floor = len(build_revision_prompt(CODE, [], budget=10**9).text)
+    floor = len(build_revision_prompt(CODE, [], budget=10**9)[0])
     for _ in range(50):
         hits = [
             _hit(
@@ -109,13 +122,81 @@ def test_prompt_budget_invariant_over_random_hit_sets():
             for rank in range(1, rng.randint(1, 7))
         ]
         budget = rng.randint(floor + 10, 12_000)
-        prompt = build_revision_prompt(CODE, hits, budget=budget)
-        assert len(prompt.text) <= budget
+        text, shown = build_revision_prompt(CODE, hits, budget=budget)
+        assert len(text) <= budget
+        assert shown == hits[: len(shown)]
+        assert [h for h in hits if f"[{h.rank}] {h.entry.url} " in text] == shown
 
 
 def test_label_note_is_rendered_into_the_prompt():
-    prompt = build_revision_prompt(CODE, [], budget=8000, note="The code may contain CWE-78.")
-    assert "CWE-78" in prompt.text
+    text, shown = build_revision_prompt(CODE, [], budget=8000, labeled_cwe="CWE-78")
+    assert "may contain CWE-78 (OS Command Injection)." in text
+    assert shown == []
+    # a label outside the name table is given without a name
+    assert "may contain CWE-1333." in build_revision_prompt(CODE, [], budget=8000, labeled_cwe="CWE-1333")[0]
+
+
+# Transcripts are keyed by the sha256 of the prompt, so these bytes are a
+# compatibility contract: a recorded transcript stops matching when they change.
+GOLDEN_HITS = [
+    RetrievalHit(
+        entry=KnowledgeEntry(
+            answer_id=4001,
+            question_id=41,
+            answer_score=12,
+            answer_excerpt="Pass an argument list and leave shell=False; shlex.split turns a command string into one.",
+            code_blocks=["subprocess.call(shlex.split(cmd))"],
+            comments=[("shell=True hands the string to /bin/sh", 7), ("quote user input with shlex.quote", 3)],
+            tags=["python", "subprocess"],
+            url="https://stackoverflow.com/a/4001",
+        ),
+        score=9.5,
+        rank=1,
+    ),
+    RetrievalHit(
+        entry=KnowledgeEntry(
+            answer_id=4002,
+            question_id=42,
+            answer_score=5,
+            answer_excerpt="check=True raises CalledProcessError when the command fails.",
+            code_blocks=["subprocess.run(args, check=True)"],
+            comments=[("also set a timeout", 2)],
+            tags=["python"],
+            url="https://stackoverflow.com/a/4002",
+        ),
+        score=6.25,
+        rank=2,
+    ),
+    RetrievalHit(
+        entry=KnowledgeEntry(
+            answer_id=4003,
+            question_id=43,
+            answer_score=1,
+            answer_excerpt="os.system runs its argument through the shell, too.",
+            code_blocks=["os.system(cmd)"],
+            comments=[],
+            tags=[],
+            url="https://stackoverflow.com/a/4003",
+        ),
+        score=2.0,
+        rank=3,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "hits,budget,shown_ranks,sha256",
+    [
+        ([], 8000, [], "7ce237188ba9577301108a2a433f9dcd69d7547730ab8f6228e06679fc30addc"),
+        (GOLDEN_HITS, 8000, [1, 2, 3], "aaacff56f97753de5b1914068d99d1408da668c3ff4607a951c44b9b2bc0748a"),
+        (GOLDEN_HITS, 1300, [1, 2], "d6144cee24f085d952874ae9cae4806c0a2a168d799620616b983757645bd66a"),
+    ],
+    ids=["revision_only", "sosecure", "sosecure-third-hit-dropped"],
+)
+def test_prompt_bytes_are_golden(hits, budget, shown_ranks, sha256):
+    text, shown = build_revision_prompt(CODE, hits, budget=budget)
+    assert [h.rank for h in shown] == shown_ranks
+    assert prompt_hash(text) == sha256
 
 
 def test_extract_single_fenced_block():
@@ -159,7 +240,15 @@ def test_mock_provider_rewrites_shell_true():
     assert "shell=True" not in record.revised_code
     assert "shlex.split(cmd)" in record.revised_code
     assert record.revised_code.startswith("import shlex")
-    assert record.retrieved_answer_ids == [1001, 1002]
+    assert record.context_answer_ids == [1001, 1002]
+
+
+def test_record_names_only_the_answers_the_prompt_shows():
+    one_section, _ = build_revision_prompt(CODE, _hits(1), budget=10**9)
+    record = revise(DeterministicMockProvider(), CODE, _hits(5), budget=len(one_section))
+    assert record.context_answer_ids == [1001]
+    assert "https://stackoverflow.com/a/1001" in record.prompt_text
+    assert "https://stackoverflow.com/a/1002" not in record.prompt_text
 
 
 def test_echo_mock_keeps_code_unchanged():
@@ -176,7 +265,7 @@ def test_unknown_mock_behavior_rejected():
 
 def test_revise_with_no_hits_still_produces_a_record():
     record = revise(DeterministicMockProvider(behavior="echo"), CODE, [])
-    assert record.retrieved_answer_ids == []
+    assert record.context_answer_ids == []
     assert record.parse_ok is True
     assert "No community context" in record.prompt_text
 
@@ -334,7 +423,7 @@ def test_transcript_that_gives_a_prompt_two_responses_is_refused(tmp_path):
 
 
 def test_transcript_provider_round_trip(tmp_path):
-    prompt = build_revision_prompt(CODE, [], budget=8000).text
+    prompt, _ = build_revision_prompt(CODE, [], budget=8000)
     transcript = tmp_path / "transcript.jsonl"
     transcript.write_text(
         json.dumps({"prompt_hash": prompt_hash(prompt), "response": "```python\nsafe = 1\n```"})
@@ -353,7 +442,7 @@ def test_transcript_miss_names_the_prompt_hash(tmp_path):
         json.dumps({"prompt_hash": "0" * 64, "response": "```\nx\n```"}) + "\n", encoding="utf-8"
     )
     provider = RecordedTranscriptProvider(transcript)
-    prompt = build_revision_prompt(CODE, [], budget=8000).text
+    prompt, _ = build_revision_prompt(CODE, [], budget=8000)
     with pytest.raises(ProviderError) as exc_info:
         revise(provider, CODE, [])
     assert prompt_hash(prompt) in str(exc_info.value)
