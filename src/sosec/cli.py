@@ -318,7 +318,16 @@ def main(argv: list[str] | None = None) -> int:
         if not args.command:
             raise UsageError(parser.format_usage() + "sosec: error: a subcommand is required")
         config = _layer_flags(load_config(args.config), vars(args))
-        return _COMMANDS[args.command](args, config)
+        code = _COMMANDS[args.command](args, config)
+        sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at exit does not fail
+        # again, and exit 1 as Python does on EPIPE, with nothing on stderr.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

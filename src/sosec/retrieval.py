@@ -45,6 +45,9 @@ _ARRAYS = (
     ("doc_ids", "<i4"),
 )
 
+# Values per read when an array is converted as it is loaded.
+_READ_CHUNK = 1 << 16
+
 # A term whose postings cover more than this share of the documents is added
 # to a query's scores as one dense row of impacts rather than posting by posting.
 _DENSE_SHARE = 0.5
@@ -63,6 +66,7 @@ _TOKEN_RE = re.compile(
 
 _CAMEL_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
 _WS_RE = re.compile(r"\s+")
+_PART_RE = re.compile(r"\w+")
 
 
 def _word_tokens(word: str) -> list[str]:
@@ -74,30 +78,32 @@ def _word_tokens(word: str) -> list[str]:
     return [whole] + pieces
 
 
-def tokenize_code(text: str, word_tokens: Callable[[str], list[str]] = _word_tokens) -> list[str]:
+def tokenize_code(text: str, word_tokens: Callable[[str], list[str]] | None = None) -> list[str]:
     """Tokenize source text, keeping appearance order and duplicates.
 
-    `word_tokens` splits one identifier; `build_index` passes a memoized
-    `_word_tokens`, since the same identifiers recur across entries.
+    `word_tokens` splits one identifier. By default each call memoizes
+    `_word_tokens` for itself; `build_index` passes one memoized
+    `_word_tokens` for the whole build, since identifiers recur across entries.
     """
+    if word_tokens is None:
+        word_tokens = functools.cache(_word_tokens)
     tokens: list[str] = []
-    for match in _TOKEN_RE.finditer(text):
-        group = match.lastgroup
-        raw = match.group()
-        if group == "assign":
-            compound = _WS_RE.sub("", raw).lower()
+    # Exactly one of the three groups is non-empty in each match.
+    for assign, dotted, word in _TOKEN_RE.findall(text):
+        if assign:
+            compound = _WS_RE.sub("", assign).lower()
             tokens.append(compound)
             lhs = compound.split("=", 1)[0]
             if "." in lhs:
                 tokens.append(lhs)
-            for part in re.findall(r"\w+", raw):
+            for part in _PART_RE.findall(assign):
                 tokens.extend(word_tokens(part))
-        elif group == "dotted":
-            tokens.append(raw.lower())
-            for part in raw.split("."):
+        elif dotted:
+            tokens.append(dotted.lower())
+            for part in dotted.split("."):
                 tokens.extend(word_tokens(part))
         else:
-            tokens.extend(word_tokens(raw))
+            tokens.extend(word_tokens(word))
     return tokens
 
 
@@ -138,7 +144,7 @@ class RetrievalIndex:
     b: float
     terms: dict[str, int]
     offsets: np.ndarray  # int64, len(terms) + 1
-    doc_ids: np.ndarray  # int32
+    doc_ids: np.ndarray  # intp, the index type np.add.at is fastest with; int32 in the file
     impacts: np.ndarray  # float64
     answer_ids: np.ndarray  # int64, one per document
     entry_offsets: np.ndarray  # int64, documents + 1
@@ -234,7 +240,7 @@ def build_index(
         b=b,
         terms=terms,
         offsets=offsets,
-        doc_ids=doc_ids.astype(np.int32),
+        doc_ids=doc_ids.astype(np.intp, copy=False),
         impacts=np.repeat(idf, df) * weight,
         answer_ids=np.array(answer_ids, dtype=np.int64),
         entry_offsets=entry_offsets,
@@ -269,11 +275,12 @@ def retrieve(index: RetrievalIndex, code: str, k: int = DEFAULT_TOP_K) -> list[R
             lo, hi = offsets[slot], offsets[slot + 1]
             np.add.at(scores, index.doc_ids[lo:hi], index.impacts[lo:hi])
 
-    hit_docs = np.flatnonzero(scores > 0.0)
-    if len(hit_docs) > k:
-        hit_scores = scores[hit_docs]
-        kth = np.partition(hit_scores, len(hit_docs) - k)[len(hit_docs) - k]
-        hit_docs = hit_docs[hit_scores >= kth]  # every document tied at the cut stays
+    # Scores are never negative: if the k-th highest is positive, the hits
+    # are the documents that reach it, every one tied at the cut included;
+    # otherwise every document that scores is a hit.
+    n = len(scores)
+    kth = np.partition(scores, n - k)[n - k] if n > k else 0.0
+    hit_docs = np.flatnonzero(scores >= kth if kth > 0.0 else scores > 0.0)
     ranked = sorted(
         zip(scores[hit_docs].tolist(), index.answer_ids[hit_docs].tolist(), hit_docs.tolist()),
         key=lambda item: (-item[0], item[1]),
@@ -340,6 +347,26 @@ def _read_header(fh, path) -> tuple[float, float, dict[str, int], int]:
         raise ConfigError(f"{path} has a corrupt index header: {exc}") from exc
 
 
+def _read_array(fh, length: int, dtype: str, memory_dtype: type | str) -> np.ndarray:
+    """Read `length` values stored as `dtype` into a new array of `memory_dtype`.
+
+    When the two differ the values are read and converted `_READ_CHUNK` at
+    a time, so no second whole-size copy is made.
+    """
+    import numpy as np
+
+    values = np.empty(length, dtype=memory_dtype)
+    if values.dtype == np.dtype(dtype):
+        fh.readinto(values)
+        return values
+    chunk = np.empty(min(length, _READ_CHUNK), dtype=dtype)
+    for lo in range(0, length, _READ_CHUNK):
+        part = chunk[: length - lo]
+        fh.readinto(part)
+        values[lo : lo + len(part)] = part
+    return values
+
+
 def load_index(path: str | Path) -> RetrievalIndex:
     """Read a file written by `save_index`: the header and the arrays, but no entry line.
 
@@ -359,8 +386,7 @@ def load_index(path: str | Path) -> RetrievalIndex:
                 size = np.dtype(dtype).itemsize * length
                 if file_size - fh.tell() < size:
                     raise ConfigError(f"{path} is truncated: {name} needs {size} bytes at file offset {fh.tell()}")
-                values = np.empty(length, dtype=dtype)
-                fh.readinto(values)
+                values = _read_array(fh, length, dtype, np.intp if name == "doc_ids" else dtype)
                 if name in ("offsets", "entry_offsets") and (values[0] != 0 or np.any(values[1:] < values[:-1])):
                     raise ConfigError(f"{path} has corrupt {name}")
                 if name == "offsets":  # impacts and doc_ids hold one value per posting

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,41 @@ def test_build_kb_fixture_bytes_are_golden(tmp_path, fixtures_dir, capsys):
     )
     assert rc == 0
     assert hashlib.sha256(kb_path.read_bytes()).hexdigest() == FIXTURE_KB_SHA256
+
+
+# The sha256 of the index that `build-kb` then `index` write from the fixture dumps.
+FIXTURE_INDEX_SHA256 = "dc02cf0ea97250c9c1e649612d24b363d89d89fad1aed31e4cc0ad77871b7a2b"
+
+
+def test_index_fixture_bytes_are_golden(tmp_path, fixtures_dir, capsys):
+    index_path = tmp_path / "kb.idx"
+    _build_index_fixture(tmp_path, fixtures_dir, index_path, capsys)
+    assert hashlib.sha256(index_path.read_bytes()).hexdigest() == FIXTURE_INDEX_SHA256
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_retrieve_into_a_closed_pipe_exits_1_with_nothing_on_stderr(tmp_path, fixtures_dir, capsys, unbuffered):
+    # Buffered, the output first meets the closed pipe in the final flush;
+    # unbuffered, in the print itself.
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    index_path = tmp_path / "kb.idx"
+    _build_index_fixture(tmp_path, fixtures_dir, index_path, capsys)
+    code = tmp_path / "snippet.py"
+    code.write_text(SHELL_CODE, encoding="utf-8")
+    src = str(Path(sosec.__file__).parent.parent)
+    argv = ["retrieve", "--index", str(index_path), "--code", str(code), "--format", "json"]
+    script = f"import sys; sys.path.insert(0, {src!r}); from sosec.cli import main; sys.exit(main({argv!r}))"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-c", script], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
 
 
 def test_build_kb_reports_unparseable_bodies(tmp_path, fixtures_dir, capsys, monkeypatch):

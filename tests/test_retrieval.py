@@ -4,6 +4,8 @@ import dataclasses
 import json
 import math
 import random
+import re
+import string
 import subprocess
 import sys
 import threading
@@ -13,8 +15,10 @@ import numpy as np
 import pytest
 
 from conftest import bm25_brute_force, make_entry
+from sosec import retrieval
+from sosec.config import default_data_path
 from sosec.errors import ConfigError
-from sosec.kb import KnowledgeEntry, write_kb_jsonl
+from sosec.kb import KeywordSet, KnowledgeEntry, build_knowledge_base, write_kb_jsonl
 from sosec.retrieval import (
     INDEX_MAGIC,
     build_index,
@@ -64,6 +68,69 @@ def test_tokenize_assignment_with_spaces_normalized():
 
 def test_tokenize_duplicates_kept_in_order():
     assert tokenize_code("a a b a") == ["a", "a", "b", "a"]
+
+
+# A reference tokenizer that `tokenize_code` must equal token for token:
+# one Match object per token, its group read by name, every word split anew.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<assign>[A-Za-z_]\w*(?:\.\w+)*[ \t]*=(?!=)[ \t]*\w+(?:\.\w+)*)"
+    r"|(?P<dotted>[A-Za-z_]\w*(?:\.\w+)+)"
+    r"|(?P<word>\w+)"
+)
+_REFERENCE_CAMEL_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
+
+
+def _reference_word_tokens(word):
+    whole = word.lower()
+    pieces = [p.lower() for p in _REFERENCE_CAMEL_RE.findall(word)]
+    if pieces == [whole]:
+        return [whole]
+    return [whole] + pieces
+
+
+def _reference_tokenize(text):
+    tokens = []
+    for match in _REFERENCE_TOKEN_RE.finditer(text):
+        group = match.lastgroup
+        raw = match.group()
+        if group == "assign":
+            compound = re.sub(r"\s+", "", raw).lower()
+            tokens.append(compound)
+            lhs = compound.split("=", 1)[0]
+            if "." in lhs:
+                tokens.append(lhs)
+            for part in re.findall(r"\w+", raw):
+                tokens.extend(_reference_word_tokens(part))
+        elif group == "dotted":
+            tokens.append(raw.lower())
+            for part in raw.split("."):
+                tokens.extend(_reference_word_tokens(part))
+        else:
+            tokens.extend(_reference_word_tokens(raw))
+    return tokens
+
+
+_TOKENIZER_ALPHABET = (
+    list(string.ascii_letters + string.digits)
+    + ["_", ".", "=", "==", "\t", " ", "\n", "(", ")", ",", "é", "ß", "İ", "ǅ", "Σ"]
+)
+
+
+def test_tokenize_matches_the_per_match_reference_on_random_text():
+    rng = random.Random(26)
+    for _ in range(2000):
+        text = "".join(rng.choice(_TOKENIZER_ALPHABET) for _ in range(rng.randint(0, 40)))
+        assert tokenize_code(text) == _reference_tokenize(text), repr(text)
+
+
+def test_tokenize_matches_the_per_match_reference_on_every_fixture_code_block(fixtures_dir):
+    keywords = KeywordSet.from_file(default_data_path("keywords.txt"))
+    with open(fixtures_dir / "posts_20.xml", "rb") as posts, open(fixtures_dir / "comments_20.xml", "rb") as comments:
+        entries = build_knowledge_base(posts, comments, keywords)
+    blocks = [block for entry in entries for block in entry.code_blocks]
+    assert blocks
+    for text in blocks + ["\n".join(entry.code_blocks) for entry in entries]:
+        assert tokenize_code(text) == _reference_tokenize(text)
 
 
 def _index_abc(k1=1.2, b=0.75):
@@ -228,6 +295,28 @@ def test_index_persistence_round_trip(tmp_path):
     original = [(h.entry.answer_id, h.score) for h in retrieve(index, "shell=True", k=2)]
     reloaded = [(h.entry.answer_id, h.score) for h in retrieve(loaded, "shell=True", k=2)]
     assert original == reloaded
+
+
+@pytest.mark.parametrize(
+    "docs, query, k",
+    [
+        (["needle a", "needle b", "needle c", "x", "y", "z", "w", "v"], "needle", 3),
+        (["needle a", "x", "needle b", "y", "z", "w", "v", "u"], "needle b", 5),
+        (["needle a", "x", "needle needle"], "needle", 5),
+        (["needle a", "x", "needle needle"], "needle", 3),
+        (["x", "needle a", "needle b", "needle needle", "needle c", "y", "needle d", "z"], "needle", 3),
+    ],
+    ids=["exactly-k-hits", "fewer-hits-than-k", "fewer-documents-than-k", "k-documents", "tie-at-the-cut"],
+)
+def test_top_k_cut_matches_a_brute_force_ranking(docs, query, k):
+    tokens = [doc.split() for doc in docs]
+    oracle = bm25_brute_force(tokens, query.split(), k1=1.2, b=0.75)
+    expected = sorted(((10 + d, s) for d, s in enumerate(oracle) if s > 0), key=lambda item: (-item[1], item[0]))[:k]
+    hits = retrieve(build_index([make_entry(10 + d, [doc]) for d, doc in enumerate(docs)]), query, k=k)
+    assert [h.entry.answer_id for h in hits] == [aid for aid, _ in expected]
+    assert [h.rank for h in hits] == list(range(1, len(expected) + 1))
+    for hit, (_, want) in zip(hits, expected):
+        assert hit.score == pytest.approx(want, abs=1e-12)
 
 
 def test_load_index_rejects_wrong_magic(tmp_path):
@@ -529,9 +618,29 @@ def test_loaded_index_scores_equal_the_built_index_bit_for_bit(tmp_path):
     built = build_index([make_entry(i, [" ".join(doc)]) for i, doc in enumerate(docs)])
     save_index(built, tmp_path / "kb.idx")
     loaded = load_index(tmp_path / "kb.idx")
-    assert loaded.doc_ids.dtype == np.int32
+    assert loaded.doc_ids.dtype == np.intp
     for _ in range(20):
         query = " ".join(rng.choice(vocab) for _ in range(rng.randint(1, 8)))
         want = [(h.entry.answer_id, h.score.hex(), h.rank) for h in retrieve(built, query, k=len(docs))]
         got = [(h.entry.answer_id, h.score.hex(), h.rank) for h in retrieve(loaded, query, k=len(docs))]
         assert want and got == want
+
+
+def test_load_index_widens_doc_ids_across_read_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(retrieval, "_READ_CHUNK", 7)  # several chunks, the last one partial
+    entries = [make_entry(i, [f"tok{i % 5} tok{i % 3} shared w{i}"]) for i in range(12)]
+    built = build_index(entries)
+    assert len(built.doc_ids) % 7
+    save_index(built, tmp_path / "kb.idx")
+    loaded = load_index(tmp_path / "kb.idx")
+    assert loaded.doc_ids.dtype == np.intp
+    assert loaded.doc_ids.tolist() == built.doc_ids.tolist()
+    assert loaded.impacts.tolist() == built.impacts.tolist()
+
+
+def test_an_index_without_postings_round_trips(tmp_path):
+    built = build_index([make_entry(1, ["+ - ("]), make_entry(2, [""])])
+    save_index(built, tmp_path / "kb.idx")
+    loaded = load_index(tmp_path / "kb.idx")
+    assert (len(loaded.doc_ids), loaded.doc_ids.dtype, loaded.terms) == (0, np.intp, {})
+    assert retrieve(loaded, "os.system(cmd)") == []
