@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -155,17 +154,16 @@ def _cmd_build_kb(args, config: GlobalConfig) -> int:
     _check_out_dir(args.out, {"--posts": args.posts, "--comments": args.comments,
                               "--keywords": args.keyword_path, "--config": args.config})
     keywords = KeywordSet.from_file(config.keyword_path)
-    tally = Counter()
     with open(args.posts, "rb") as posts_fh, open(args.comments, "rb") as comments_fh:
-        entries = build_knowledge_base(posts_fh, comments_fh, keywords, min_upvote=args.min_upvote, tally=tally)
+        entries = build_knowledge_base(posts_fh, comments_fh, keywords, min_upvote=args.min_upvote)
     write_kb_jsonl(entries, args.out)
     summary = {
         "out": args.out,
         "entries": len(entries),
-        "posts_skipped": tally["posts_skipped"],
-        "comments_skipped": tally["comments_skipped"],
-        "duplicate_answers": tally["duplicate_answers"],
-        "unparseable_bodies": tally["unparseable_bodies"],
+        "posts_skipped": entries.counts["posts_skipped"],
+        "comments_skipped": entries.counts["comments_skipped"],
+        "duplicate_answers": entries.counts["duplicate_answers"],
+        "unparseable_bodies": entries.counts["unparseable_bodies"],
     }
     _emit(
         args,

@@ -532,13 +532,26 @@ def _judged(batches: Iterable[list], keywords: KeywordSet, pool: _Pool | None) -
         yield batch, _judge_chunk(chunk(batch), keywords)
 
 
+class KnowledgeBase(list):
+    """The entries `build_knowledge_base` keeps, with the build's ``counts``.
+
+    ``counts`` is a `Counter` of ``posts_skipped`` and ``comments_skipped``
+    (the rows `parse_dump_rows` gives as None), ``unparseable_bodies``
+    (bodies the HTML parser gives up on, which are dropped) and
+    ``duplicate_answers``.
+    """
+
+    def __init__(self, entries: Iterable[KnowledgeEntry], counts: Counter):
+        super().__init__(entries)
+        self.counts = counts
+
+
 def build_knowledge_base(
     posts: IO[bytes],
     comments: IO[bytes],
     keywords: KeywordSet,
     min_upvote: int = DEFAULT_MIN_UPVOTE,
-    tally: Counter | None = None,
-) -> list[KnowledgeEntry]:
+) -> KnowledgeBase:
     """Read a Posts and a Comments dump, join answers with their comments and keep the security-relevant ones.
 
     An answer is kept when it passes the upvote gate, contains at least one
@@ -549,15 +562,11 @@ def build_knowledge_base(
     `_dump_rows`) and judge the upvoted answers in chunks (see `_judged`).
     This process reads the dump bytes, joins the comments, applies the
     upvote gate and applies the results in dump order, so the output does
-    not depend on the workers. ``tally`` counts ``posts_skipped`` and
-    ``comments_skipped`` (the rows `parse_dump_rows` gives as None),
-    ``unparseable_bodies`` (bodies the HTML parser gives up on, which are
-    dropped) and ``duplicate_answers``. Comments
-    referencing unknown posts are ignored; on duplicate answer ids the later
-    occurrence wins. Output is sorted by ascending answer id.
+    not depend on the workers. Comments referencing unknown posts are
+    ignored; on duplicate answer ids the later occurrence wins. The entries
+    are returned in ascending answer id order, with the build's counts.
     """
-    if tally is None:
-        tally = Counter()
+    tally = Counter()
     workers = min(_cpu_count(), _MAX_WORKERS)
     pool = _Pool(workers) if workers > 1 else None
     try:
@@ -625,7 +634,7 @@ def build_knowledge_base(
         if pool is not None:
             pool.shutdown()
 
-    return [entries[answer_id] for answer_id in sorted(entries)]
+    return KnowledgeBase((entries[answer_id] for answer_id in sorted(entries)), tally)
 
 
 def write_kb_jsonl(entries: Iterable[KnowledgeEntry], path: str | Path) -> None:

@@ -52,21 +52,23 @@ _READ_CHUNK = 1 << 16
 # to a query's scores as one dense row of impacts rather than posting by posting.
 _DENSE_SHARE = 0.5
 
+# `retrieve` bounds the k-th highest score from below by the k-th highest of
+# every this-many-th score.
+_SAMPLE_STRIDE = 16
+
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 DEFAULT_TOP_K = 5
 
 # One scan, three shapes: `name=value` argument patterns (== etc. excluded),
-# dotted call paths, bare identifiers/numbers.
+# dotted call paths, bare identifiers/numbers. An identifier is matched once
+# as `head`; `rhs` then extends it to `name=value` when an `=` follows.
 _TOKEN_RE = re.compile(
-    r"(?P<assign>[A-Za-z_]\w*(?:\.\w+)*[ \t]*=(?!=)[ \t]*\w+(?:\.\w+)*)"
-    r"|(?P<dotted>[A-Za-z_]\w*(?:\.\w+)+)"
+    r"(?P<head>[A-Za-z_]\w*(?:\.\w+)*)(?P<rhs>[ \t]*=(?!=)[ \t]*\w+(?:\.\w+)*)?"
     r"|(?P<word>\w+)"
 )
 
 _CAMEL_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
-_WS_RE = re.compile(r"\s+")
-_PART_RE = re.compile(r"\w+")
 
 
 def _word_tokens(word: str) -> list[str]:
@@ -88,22 +90,26 @@ def tokenize_code(text: str, word_tokens: Callable[[str], list[str]] | None = No
     if word_tokens is None:
         word_tokens = functools.cache(_word_tokens)
     tokens: list[str] = []
-    # Exactly one of the three groups is non-empty in each match.
-    for assign, dotted, word in _TOKEN_RE.findall(text):
-        if assign:
-            compound = _WS_RE.sub("", assign).lower()
+    # Each match fills `head` (and maybe `rhs`) or `word`, never both.
+    for head, rhs, word in _TOKEN_RE.findall(text):
+        if rhs:
+            # `rhs` is blanks, one `=`, blanks, then the value, whose first
+            # character is a word character.
+            value = rhs.lstrip(" \t=")
+            compound = f"{head}={value}".lower()
             tokens.append(compound)
-            lhs = compound.split("=", 1)[0]
-            if "." in lhs:
-                tokens.append(lhs)
-            for part in _PART_RE.findall(assign):
+            if "." in head:
+                tokens.append(compound.split("=", 1)[0])
+            for part in head.split("."):
                 tokens.extend(word_tokens(part))
-        elif dotted:
-            tokens.append(dotted.lower())
-            for part in dotted.split("."):
+            for part in value.split("."):
+                tokens.extend(word_tokens(part))
+        elif "." in head:
+            tokens.append(head.lower())
+            for part in head.split("."):
                 tokens.extend(word_tokens(part))
         else:
-            tokens.extend(word_tokens(word))
+            tokens.extend(word_tokens(head or word))
     return tokens
 
 
@@ -258,29 +264,45 @@ def retrieve(index: RetrievalIndex, code: str, k: int = DEFAULT_TOP_K) -> list[R
 
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    offsets = index.offsets
+    offsets = memoryview(index.offsets)  # its items are Python ints, cheaper to slice with
     # Each matched term adds its impacts into one score array, in query-term
     # order, so each document's score is the same IEEE sum, starting from
     # +0.0, as scoring its postings one by one. A dense row adds +0.0 where
-    # the term is absent, which leaves every score as it was.
-    scores = np.zeros(len(index.answer_ids))
+    # the term is absent, which leaves every score as it was; the first
+    # matched term's row can be the array itself, as +0.0 + x == x for x >= 0.
+    scores = None
     for term in dict.fromkeys(tokenize_code(code)):
         slot = index.terms.get(term)
         if slot is None:
             continue
         row = index.dense.get(slot)
+        if scores is None:
+            if row is not None:
+                scores = row.copy()
+                continue
+            scores = np.zeros(len(index.answer_ids))
         if row is not None:
             np.add(scores, row, out=scores)
         else:
             lo, hi = offsets[slot], offsets[slot + 1]
             np.add.at(scores, index.doc_ids[lo:hi], index.impacts[lo:hi])
+    if scores is None:
+        return []
 
     # Scores are never negative: if the k-th highest is positive, the hits
     # are the documents that reach it, every one tied at the cut included;
-    # otherwise every document that scores is a hit.
-    n = len(scores)
-    kth = np.partition(scores, n - k)[n - k] if n > k else 0.0
-    hit_docs = np.flatnonzero(scores >= kth if kth > 0.0 else scores > 0.0)
+    # otherwise every document that scores is a hit. The k-th highest of
+    # every _SAMPLE_STRIDE-th score is never above the k-th highest of all,
+    # so only the scores at or above it need to be partitioned.
+    sample = scores[::_SAMPLE_STRIDE]
+    if len(sample) >= k:
+        docs = np.flatnonzero(scores >= np.partition(sample, len(sample) - k)[len(sample) - k])
+    else:
+        docs = np.arange(len(scores))
+    candidates = scores[docs]
+    n = len(candidates)
+    kth = np.partition(candidates, n - k)[n - k] if n > k else 0.0
+    hit_docs = docs[candidates >= kth if kth > 0.0 else candidates > 0.0]
     ranked = sorted(
         zip(scores[hit_docs].tolist(), index.answer_ids[hit_docs].tolist(), hit_docs.tolist()),
         key=lambda item: (-item[0], item[1]),
@@ -338,7 +360,7 @@ def _read_header(fh, path) -> tuple[float, float, dict[str, int], int]:
         raise ConfigError(f"{path} is truncated: it ends in the header")
     try:
         header = json.loads(line)
-        terms = {term: slot for slot, term in enumerate(header["terms"])}
+        terms = dict(zip(header["terms"], range(len(header["terms"]))))
         count = header["entries"]
         if type(count) is not int or count < 0:
             raise ValueError(f"entry count {count!r} is not a count")
@@ -401,7 +423,11 @@ def load_index(path: str | Path) -> RetrievalIndex:
     except OSError as exc:
         raise ConfigError(f"cannot read index file {path}: {exc}") from exc
 
-    doc_ids = arrays["doc_ids"]
+    doc_ids, impacts = arrays["doc_ids"], arrays["impacts"]
     if len(doc_ids) and not 0 <= int(doc_ids.min()) <= int(doc_ids.max()) < count:
         raise ConfigError(f"{path} has posting doc ids outside its {count} entries")
+    # `retrieve` relies on every score being a sum of positive impacts; a NaN
+    # minimum fails the test too.
+    if len(impacts) and not (impacts.min() > 0.0 and impacts.max() < math.inf):
+        raise ConfigError(f"{path} has posting impacts that are not finite and positive")
     return RetrievalIndex(k1=k1, b=b, terms=terms, blob=blob, **arrays)

@@ -59,8 +59,8 @@ def _answer(post_id: int, parent_id: int, score: int, body: str) -> dict:
     return {"Id": post_id, "PostTypeId": 2, "ParentId": parent_id, "Score": score, "Body": body}
 
 
-def _kb(posts: list[dict], comments: list[dict], keywords, tally=None):
-    return build_knowledge_base(_dump("posts", posts), _dump("comments", comments), keywords, tally=tally)
+def _kb(posts: list[dict], comments: list[dict], keywords):
+    return build_knowledge_base(_dump("posts", posts), _dump("comments", comments), keywords)
 
 
 def test_parse_single_post_row_decodes_entities():
@@ -248,19 +248,18 @@ def test_unparseable_bodies_are_dropped_and_tallied(monkeypatch):
         # the upvote gate fails first, so this body is never parsed
         _answer(12, 1, 0, "<p>command injection BROKEN</p>" + code),
     ]
-    tally = Counter()
-    entries = _kb(posts, [], keywords, tally=tally)
+    entries = _kb(posts, [], keywords)
     assert parse_answer_body(posts[2]["Body"]) is None
     assert [e.answer_id for e in entries] == [10]
-    assert tally["unparseable_bodies"] == 1
+    assert entries.counts["unparseable_bodies"] == 1
 
 
-def _kb_from_fixture(fixtures_dir, keywords=None, min_upvote=1, tally=None):
+def _kb_from_fixture(fixtures_dir, keywords=None, min_upvote=1):
     keywords = keywords or KeywordSet.from_file(default_data_path("keywords.txt"))
     with open(fixtures_dir / "posts_20.xml", "rb") as posts_fh, open(
         fixtures_dir / "comments_20.xml", "rb"
     ) as comments_fh:
-        return build_knowledge_base(posts_fh, comments_fh, keywords, min_upvote=min_upvote, tally=tally)
+        return build_knowledge_base(posts_fh, comments_fh, keywords, min_upvote=min_upvote)
 
 
 def test_build_knowledge_base_keeps_expected_answers(fixtures_dir):
@@ -315,12 +314,11 @@ def test_duplicate_answer_id_later_wins():
     body = "<p>command injection</p><pre><code>call_one()\n</code></pre>"
     body2 = "<p>command injection</p><pre><code>call_two()\n</code></pre>"
     posts = [_question(1), _answer(10, 1, 2, body), _answer(10, 1, 4, body2)]
-    tally = Counter()
-    entries = _kb(posts, [], keywords, tally=tally)
+    entries = _kb(posts, [], keywords)
     assert len(entries) == 1
     assert entries[0].answer_score == 4
     assert entries[0].code_blocks == ["call_two()"]
-    assert tally["duplicate_answers"] == 1
+    assert entries.counts["duplicate_answers"] == 1
 
 
 def test_keyword_superset_never_shrinks_output(fixtures_dir):
@@ -615,8 +613,7 @@ def test_pool_path_keeps_the_later_duplicate_across_chunks(monkeypatch):
         _answer(14, 1, 2, "<p>no keyword</p>" + code.format("six")),
         _answer(13, 1, 3, "<p>command injection</p>" + code.format("seven")),
     ]
-    tally = Counter()
-    entries = _kb(posts, [], KW, tally=tally)
+    entries = _kb(posts, [], KW)
     assert len(started) == 1
     assert started[0].most_in_flight == 2 * kb._IN_FLIGHT_PER_WORKER  # two workers
     assert [(e.answer_id, e.answer_score, e.code_blocks, e.tags) for e in entries] == [
@@ -625,7 +622,7 @@ def test_pool_path_keeps_the_later_duplicate_across_chunks(monkeypatch):
         (12, 2, ["call_three()"], ["second"]),
         (13, 3, ["call_seven()"], ["second"]),
     ]
-    assert tally["duplicate_answers"] == 2
+    assert entries.counts["duplicate_answers"] == 2
 
 
 def _answers_dump(count: int, tail: str = "") -> bytes:

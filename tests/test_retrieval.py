@@ -297,6 +297,13 @@ def test_index_persistence_round_trip(tmp_path):
     assert original == reloaded
 
 
+def _placed(count: int, texts: dict[int, str]) -> list[str]:
+    """`count` documents, each a one-word filler of its own unless `texts` gives its text."""
+    return [texts.get(d, f"filler{d}") for d in range(count)]
+
+
+# With k = 3, an index of 64 documents samples the scores at 0, 16, 32 and 48
+# for the lower bound on the k-th highest; one of 20 samples fewer than k.
 @pytest.mark.parametrize(
     "docs, query, k",
     [
@@ -305,8 +312,16 @@ def test_index_persistence_round_trip(tmp_path):
         (["needle a", "x", "needle needle"], "needle", 5),
         (["needle a", "x", "needle needle"], "needle", 3),
         (["x", "needle a", "needle b", "needle needle", "needle c", "y", "needle d", "z"], "needle", 3),
+        (_placed(64, {**{d: "needle a" for d in (0, 16, 32, 48)}, 5: "needle needle", 21: "needle needle",
+                      37: "needle needle"}), "needle", 3),
+        (_placed(64, {**{d: "needle a" for d in (0, 16, 32, 48)}, 5: "needle needle", 7: "needle b",
+                      40: "needle b"}), "needle", 3),
+        (_placed(64, {3: "needle a", 20: "needle needle"}), "needle", 3),
+        (_placed(20, {0: "needle needle", 4: "needle a", 9: "needle b", 16: "needle c"}), "needle", 3),
     ],
-    ids=["exactly-k-hits", "fewer-hits-than-k", "fewer-documents-than-k", "k-documents", "tie-at-the-cut"],
+    ids=["exactly-k-hits", "fewer-hits-than-k", "fewer-documents-than-k", "k-documents", "tie-at-the-cut",
+         "top-k-off-the-sample", "tie-at-the-sampled-bound", "fewer-scores-than-k-in-16k-documents",
+         "fewer-samples-than-k"],
 )
 def test_top_k_cut_matches_a_brute_force_ranking(docs, query, k):
     tokens = [doc.split() for doc in docs]
@@ -390,6 +405,15 @@ def test_load_index_rejects_non_monotone_entry_offsets(tmp_path):
     entry_offsets[1] = entry_offsets[2] + 1
     path.write_bytes(data[:at] + entry_offsets.tobytes() + data[at + 32 :])
     with pytest.raises(ConfigError, match="corrupt entry_offsets"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("impact", [math.nan, -1.0, 0.0, math.inf], ids=["nan", "negative", "zero", "infinite"])
+def test_load_index_rejects_impacts_that_are_not_finite_and_positive(tmp_path, impact):
+    path, data, at = _saved_abc(tmp_path)
+    at += 8 * (4 + 3) + 8  # past entry_offsets and answer_ids, to the second of the four impacts
+    path.write_bytes(data[:at] + np.array([impact], dtype="<f8").tobytes() + data[at + 8 :])
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))} has posting impacts that are not finite"):
         load_index(path)
 
 
