@@ -264,41 +264,32 @@ def retrieve(index: RetrievalIndex, code: str, k: int = DEFAULT_TOP_K) -> list[R
 
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    offsets = memoryview(index.offsets)  # its items are Python ints, cheaper to slice with
+    offsets = index.offsets
     # Each matched term adds its impacts into one score array, in query-term
     # order, so each document's score is the same IEEE sum, starting from
     # +0.0, as scoring its postings one by one. A dense row adds +0.0 where
-    # the term is absent, which leaves every score as it was; the first
-    # matched term's row can be the array itself, as +0.0 + x == x for x >= 0.
-    scores = None
+    # the term is absent, which leaves every score as it was.
+    scores = np.zeros(len(index.answer_ids))
     for term in dict.fromkeys(tokenize_code(code)):
         slot = index.terms.get(term)
         if slot is None:
             continue
         row = index.dense.get(slot)
-        if scores is None:
-            if row is not None:
-                scores = row.copy()
-                continue
-            scores = np.zeros(len(index.answer_ids))
         if row is not None:
             np.add(scores, row, out=scores)
         else:
             lo, hi = offsets[slot], offsets[slot + 1]
             np.add.at(scores, index.doc_ids[lo:hi], index.impacts[lo:hi])
-    if scores is None:
-        return []
 
     # Scores are never negative: if the k-th highest is positive, the hits
     # are the documents that reach it, every one tied at the cut included;
     # otherwise every document that scores is a hit. The k-th highest of
     # every _SAMPLE_STRIDE-th score is never above the k-th highest of all,
-    # so only the scores at or above it need to be partitioned.
+    # so only the scores at or above it need to be partitioned; with fewer
+    # than k samples the bound is 0.0, which every score reaches.
     sample = scores[::_SAMPLE_STRIDE]
-    if len(sample) >= k:
-        docs = np.flatnonzero(scores >= np.partition(sample, len(sample) - k)[len(sample) - k])
-    else:
-        docs = np.arange(len(scores))
+    bound = np.partition(sample, len(sample) - k)[len(sample) - k] if len(sample) >= k else 0.0
+    docs = np.flatnonzero(scores >= bound)
     candidates = scores[docs]
     n = len(candidates)
     kth = np.partition(candidates, n - k)[n - k] if n > k else 0.0
@@ -360,7 +351,7 @@ def _read_header(fh, path) -> tuple[float, float, dict[str, int], int]:
         raise ConfigError(f"{path} is truncated: it ends in the header")
     try:
         header = json.loads(line)
-        terms = dict(zip(header["terms"], range(len(header["terms"]))))
+        terms = {term: slot for slot, term in enumerate(header["terms"])}
         count = header["entries"]
         if type(count) is not int or count < 0:
             raise ValueError(f"entry count {count!r} is not a count")

@@ -317,11 +317,12 @@ def _placed(count: int, texts: dict[int, str]) -> list[str]:
         (_placed(64, {**{d: "needle a" for d in (0, 16, 32, 48)}, 5: "needle needle", 7: "needle b",
                       40: "needle b"}), "needle", 3),
         (_placed(64, {3: "needle a", 20: "needle needle"}), "needle", 3),
+        (_placed(64, {0: "needle a", 16: "needle b", 32: "needle c"}), "needle", 3),
         (_placed(20, {0: "needle needle", 4: "needle a", 9: "needle b", 16: "needle c"}), "needle", 3),
     ],
     ids=["exactly-k-hits", "fewer-hits-than-k", "fewer-documents-than-k", "k-documents", "tie-at-the-cut",
          "top-k-off-the-sample", "tie-at-the-sampled-bound", "fewer-scores-than-k-in-16k-documents",
-         "fewer-samples-than-k"],
+         "only-k-reach-the-sampled-bound", "fewer-samples-than-k"],
 )
 def test_top_k_cut_matches_a_brute_force_ranking(docs, query, k):
     tokens = [doc.split() for doc in docs]
