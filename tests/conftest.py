@@ -67,7 +67,7 @@ def stub_adapter_specs() -> dict[str, dict]:
     """Adapter config entries that invoke the bundled stub analyzers."""
     return {
         "bandit": {
-            "command": [sys.executable, str(FIXTURES / "fake_bandit.py"), "{file}"],
+            "command": [sys.executable, str(FIXTURES / "fake_bandit.py"), "--ignore-nosec", "{file}"],
             "format": "bandit_json",
             "timeout": 60,
             "ok_returncodes": [0, 1],
@@ -91,10 +91,10 @@ def logged_adapter_specs(log_path: Path, fail_on: str = "", delay: float = 0.0) 
     """
     specs = stub_adapter_specs()
     for name, spec in specs.items():
-        stub = spec["command"][1]
+        stub, *stub_args = spec["command"][1:]
         spec["command"] = [
             sys.executable, str(FIXTURES / "logging_analyzer.py"),
-            str(log_path), name, stub, str(delay), fail_on, "{file}",
+            str(log_path), name, stub, str(delay), fail_on, *stub_args,
         ]
     return specs
 

@@ -4,7 +4,10 @@
 Stands in for the real Python security linter in offline tests: same report
 shape, same exit-code convention (1 when findings exist), tiny rule set.
 Like the real linter, it reports a `.py` file it cannot parse under
-`errors` with no results, and exits 0.
+`errors` with no results, and exits 0, and it skips a line marked `# nosec`
+unless it is given `--ignore-nosec`.
+
+Usage: fake_bandit.py [--ignore-nosec] FILE
 """
 import ast
 import json
@@ -21,10 +24,12 @@ RULES = [
     (re.compile(r"tempfile\.mktemp"), "B306", "MEDIUM",
      "use of insecure and deprecated tempfile.mktemp."),
 ]
+NOSEC = re.compile(r"#\s*nosec\b")
 
 
 def main():
     path = sys.argv[-1]
+    ignore_nosec = "--ignore-nosec" in sys.argv[1:-1]
     with open(path, encoding="utf-8") as fh:
         code = fh.read()
     try:
@@ -37,6 +42,8 @@ def main():
     lines = code.splitlines()
     results = []
     for lineno, line in enumerate(lines, start=1):
+        if not ignore_nosec and NOSEC.search(line):
+            continue
         for pattern, rule, severity, text in RULES:
             if pattern.search(line):
                 results.append({

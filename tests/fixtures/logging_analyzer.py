@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Runs another stub analyzer after logging the call, for counting subprocesses.
 
-Usage: logging_analyzer.py LOG NAME STUB DELAY FAIL_ON FILE
+Usage: logging_analyzer.py LOG NAME STUB DELAY FAIL_ON [STUB_ARG...] FILE
 
 Appends one line (NAME and the file's SHA-256) to LOG, sleeps DELAY
 seconds, exits 3 when FAIL_ON is non-empty and occurs in FILE, and
-otherwise runs STUB on FILE as if STUB had been invoked directly.
+otherwise runs STUB with the STUB_ARGs on FILE as if STUB had been invoked
+directly.
 """
 import hashlib
 import runpy
@@ -14,7 +15,8 @@ import time
 
 
 def main():
-    log, name, stub, delay, fail_on, path = sys.argv[1:7]
+    log, name, stub, delay, fail_on = sys.argv[1:6]
+    path = sys.argv[-1]
     with open(path, encoding="utf-8") as fh:
         code = fh.read()
     with open(log, "a", encoding="utf-8") as fh:
@@ -23,7 +25,7 @@ def main():
     if fail_on and fail_on in code:
         print("analysis failed", file=sys.stderr)
         sys.exit(3)
-    sys.argv = [stub, path]
+    sys.argv = [stub, *sys.argv[6:]]
     runpy.run_path(stub, run_name="__main__")
 
 

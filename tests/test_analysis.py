@@ -15,6 +15,7 @@ from sosec.analysis import (
     analyze_codes,
     analyze_file,
     cwe_set,
+    load_adapters,
     parse_bandit_json,
     parse_sarif,
     run_analyzer,
@@ -309,6 +310,16 @@ def test_run_analyzer_flags_shell_true(tmp_path, fake_bandit_adapter):
             line=2,
         )
     ]
+
+
+def test_bandit_stub_reports_a_nosec_line_only_with_ignore_nosec(tmp_path, fake_bandit_adapter):
+    # the packaged Bandit command passes the flag, as the stub spec does
+    assert "--ignore-nosec" in load_adapters(default_data_path("adapters.json"))["bandit"].command
+    assert "--ignore-nosec" in fake_bandit_adapter.command
+    source = _write_source(tmp_path, "import subprocess\nsubprocess.call(cmd, shell=True)  # nosec\n")
+    assert [(f.rule_id, f.line) for f in run_analyzer(fake_bandit_adapter, source)] == [("B602", 2)]
+    honouring = replace(fake_bandit_adapter, command=[a for a in fake_bandit_adapter.command if a != "--ignore-nosec"])
+    assert run_analyzer(honouring, source) == []
 
 
 def test_run_analyzer_clean_file_has_no_findings(tmp_path, fake_codeql_adapter):

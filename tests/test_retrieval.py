@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import random
@@ -131,6 +132,36 @@ def test_tokenize_matches_the_per_match_reference_on_every_fixture_code_block(fi
     assert blocks
     for text in blocks + ["\n".join(entry.code_blocks) for entry in entries]:
         assert tokenize_code(text) == _reference_tokenize(text)
+
+
+def test_tokenize_with_the_shared_memo_matches_a_fresh_memo_per_call():
+    # Snippets over a small vocabulary, so that later calls reuse the splits
+    # of earlier ones, each tokenized twice, then random texts over the
+    # alphabet above, Unicode letters included.
+    rng = random.Random(28)
+    names = ["fooBar", "foo_bar", "HTTPServer", "x1", "shell", "True", "pickle", "loads", "ǅx", "İd", "straße"]
+    snippets = []
+    for _ in range(300):
+        parts = []
+        for _ in range(rng.randint(1, 6)):
+            a, b = rng.choice(names), rng.choice(names)
+            parts.append(rng.choice([f"{a}.{b}({a})", f"{a} = {b}", f"{a}.{b}={b}.{a}", f"{a} == {b}", a]))
+        snippets.append("\n".join(parts))
+    texts = snippets + snippets
+    for _ in range(500):
+        texts.append("".join(rng.choice(_TOKENIZER_ALPHABET) for _ in range(rng.randint(0, 40))))
+    for text in texts:
+        assert tokenize_code(text) == tokenize_code(text, functools.cache(retrieval._word_tokens)), repr(text)
+
+
+def test_the_shared_tokenizer_memo_is_bounded():
+    memo = retrieval._query_word_tokens
+    bound = memo.cache_info().maxsize
+    assert bound is not None and bound > 0
+    for i in range(bound + 10):
+        tokenize_code(f"ident{i}")
+    assert memo.cache_info().currsize == bound
+    assert tokenize_code("pickle.loads(fooBar)") == ["pickle.loads", "pickle", "loads", "foobar", "foo", "bar"]
 
 
 def _index_abc(k1=1.2, b=0.75):
@@ -593,15 +624,18 @@ def _per_posting_sum(docs: list[list[str]], query: list[str], k1: float = 1.2, b
 
 
 def test_retrieve_scores_dense_and_sparse_terms_as_the_per_posting_sum_exactly(tmp_path):
-    # 20 documents: two terms in more than half of them, one in exactly half
-    # (the boundary, which stays sparse), the rest rare.
+    # Two terms in more than the dense share of the documents, one in exactly
+    # that share (the boundary, which stays sparse), the rest each in two.
+    count = 40
+    edge = retrieval._DENSE_SHARE * count
+    assert edge.is_integer() and 2 < edge < count - 3
     rng = random.Random(23)
-    share = {"wide": 17, "most": 11, "half": 10}
-    rare = [f"rare{i}" for i in range(12)]
+    share = {"wide": count - 3, "most": int(edge) + 1, "edge": int(edge)}
+    rare = [f"rare{i}" for i in range(count)]
     docs = []
-    for i in range(20):
+    for i in range(count):
         doc = [term for term, holders in share.items() if i < holders for _ in range(rng.randint(1, 3))]
-        doc += [rng.choice(rare) for _ in range(rng.randint(0, 6))] or ["filler"]
+        doc += [rare[i]] * rng.randint(1, 3) + [rare[(i + 1) % count]] * rng.randint(0, 2)
         rng.shuffle(doc)
         docs.append(doc)
     built = build_index([make_entry(i, [" ".join(doc)]) for i, doc in enumerate(docs)])
@@ -611,12 +645,20 @@ def test_retrieve_scores_dense_and_sparse_terms_as_the_per_posting_sum_exactly(t
     assert sorted(loaded.dense) == sorted(built.dense)
     assert not any(row.flags.writeable for row in loaded.dense.values())
     vocab = list(share) + rare + ["absent"]
-    for _ in range(40):
+    for _ in range(60):
         query = [rng.choice(vocab) for _ in range(rng.randint(1, 8))]
         want = {i: score.hex() for i, score in _per_posting_sum(docs, query).items()}
         for index in (built, loaded):
             got = {h.entry.answer_id: h.score.hex() for h in retrieve(index, " ".join(query), k=len(docs))}
             assert got == want
+
+
+def test_retrieve_adds_a_dense_term_from_its_row():
+    index = build_index([make_entry(i, ["common" + " rare" * (i == 0)]) for i in range(4)])
+    slot = index.terms["common"]
+    assert slot in index.dense
+    index.dense[slot] = np.array([0.0, 0.0, 0.0, 5.0])  # not the term's postings, which cover every document
+    assert [(h.entry.answer_id, h.score) for h in retrieve(index, "common")] == [(3, 5.0)]
 
 
 def test_one_document_index_scores_every_term_through_its_dense_row():
