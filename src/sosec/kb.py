@@ -92,6 +92,14 @@ class KnowledgeEntry:
             url=obj["url"],
         )
 
+    @classmethod
+    def from_jsonl(cls, line: str) -> "KnowledgeEntry":
+        """Read one KB JSONL line; raise ValueError if it is not JSON or a record, or holds a lone surrogate."""
+        entry = cls.from_dict(json.loads(line))
+        if "\\u" in line:  # only an escape can decode to a lone surrogate
+            entry.to_jsonl().encode("utf-8")
+        return entry
+
     def to_jsonl(self) -> str:
         """The entry's line in a KB JSONL file, newline included, keys in a stable order."""
         return json.dumps(self.to_dict(), ensure_ascii=False) + "\n"
@@ -690,9 +698,7 @@ def load_kb_jsonl(path: str | Path) -> list[KnowledgeEntry]:
             if not line:
                 continue
             try:
-                entry = KnowledgeEntry.from_dict(json.loads(line))
-                if "\\u" in line:  # only an escape can decode to a lone surrogate
-                    entry.to_jsonl().encode("utf-8")
+                entry = KnowledgeEntry.from_jsonl(line)
             except ValueError as exc:  # JSONDecodeError and UnicodeEncodeError too
                 raise ConfigError(f"{path}: bad knowledge-base record on line {line_no}: {exc}") from exc
             seen = first_line.setdefault(entry.answer_id, line_no)

@@ -13,13 +13,12 @@ import json
 import math
 import os
 import re
-import uuid
 import weakref
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigError
 from .kb import KnowledgeEntry
@@ -74,7 +73,11 @@ _TOKEN_RE = re.compile(
 _CAMEL_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
 
 
-def _word_tokens(word: str) -> list[str]:
+# One memo for index builds and queries, since the entries and queries about one
+# codebase repeat its names. Its lists are shared, so none is ever changed. It
+# keeps at most this many, least recently used out first: about 5 MB.
+@functools.lru_cache(maxsize=1 << 14)
+def _query_word_tokens(word: str) -> list[str]:
     """The identifier lowercased, plus camelCase/snake_case constituents."""
     whole = word.lower()
     pieces = [p.lower() for p in _CAMEL_RE.findall(word)]
@@ -83,20 +86,8 @@ def _word_tokens(word: str) -> list[str]:
     return [whole] + pieces
 
 
-# The splits of the identifiers that queries held, shared by every query in the
-# process, since queries about one codebase repeat its names. Bounded, so that a
-# process that sees ever new names keeps at most this many: about 5 MB.
-_query_word_tokens = functools.lru_cache(maxsize=1 << 14)(_word_tokens)
-
-
-def tokenize_code(text: str, word_tokens: Callable[[str], list[str]] = _query_word_tokens) -> list[str]:
-    """Tokenize source text, keeping appearance order and duplicates.
-
-    `word_tokens` splits one identifier; the lists it returns are shared and
-    never changed. By default it is `_word_tokens` through one bounded memo
-    shared by all queries; `build_index` passes a memo of its own that lives
-    for one build, since identifiers recur across entries.
-    """
+def tokenize_code(text: str) -> list[str]:
+    """Tokenize source text, keeping appearance order and duplicates."""
     tokens: list[str] = []
     # Each match fills `head` (and maybe `rhs`) or `word`, never both.
     for head, rhs, word in _TOKEN_RE.findall(text):
@@ -109,15 +100,15 @@ def tokenize_code(text: str, word_tokens: Callable[[str], list[str]] = _query_wo
             if "." in head:
                 tokens.append(compound.split("=", 1)[0])
             for part in head.split("."):
-                tokens.extend(word_tokens(part))
+                tokens.extend(_query_word_tokens(part))
             for part in value.split("."):
-                tokens.extend(word_tokens(part))
+                tokens.extend(_query_word_tokens(part))
         elif "." in head:
             tokens.append(head.lower())
             for part in head.split("."):
-                tokens.extend(word_tokens(part))
+                tokens.extend(_query_word_tokens(part))
         else:
-            tokens.extend(word_tokens(head or word))
+            tokens.extend(_query_word_tokens(head or word))
     return tokens
 
 
@@ -181,10 +172,10 @@ class RetrievalIndex:
         """Decode the KB entry of one document."""
         line = self.blob[int(self.entry_offsets[doc_id]) : int(self.entry_offsets[doc_id + 1])]
         try:
-            entry = KnowledgeEntry.from_dict(json.loads(line))
+            entry = KnowledgeEntry.from_jsonl(line.decode("utf-8"))
             if entry.answer_id != self.answer_ids[doc_id]:
                 raise ValueError(f"its answer_id {entry.answer_id} is not the indexed {self.answer_ids[doc_id]}")
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
+        except ValueError as exc:  # JSONDecodeError and the Unicode errors too
             where = getattr(self.blob, "path", "the index")
             raise ConfigError(f"{where} has a corrupt entry line for document {doc_id}: {exc}") from exc
         return entry
@@ -222,9 +213,8 @@ def build_index(
     terms: dict[str, int] = {}
     slots, docs, tfs = array("q"), array("q"), array("q")
     doc_len: list[int] = []
-    word_tokens = functools.cache(_word_tokens)  # lives for this call only
     for doc_id, entry in enumerate(entries):
-        tokens = tokenize_code("\n".join(entry.code_blocks), word_tokens)
+        tokens = tokenize_code("\n".join(entry.code_blocks))
         doc_len.append(len(tokens))
         for term, tf in Counter(tokens).items():
             slots.append(terms.setdefault(term, len(terms)))
@@ -331,7 +321,7 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
     head = f"{INDEX_MAGIC}\n".encode() + json.dumps(header, ensure_ascii=False).encode("utf-8")
     head += b" " * (-(len(head) + 1) % 8) + b"\n"
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(head)

@@ -8,7 +8,6 @@ code unchanged. Providers cover live HTTP endpoints, recorded transcripts
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -183,6 +182,8 @@ def is_unchanged(original: str, revised: str) -> bool:
 
 
 def prompt_hash(prompt_text: str) -> str:
+    import hashlib  # here, not at module level: only the recorded provider hashes prompts
+
     return hashlib.sha256(prompt_text.encode("utf-8")).hexdigest()
 
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import random
@@ -150,8 +149,19 @@ def test_tokenize_with_the_shared_memo_matches_a_fresh_memo_per_call():
     texts = snippets + snippets
     for _ in range(500):
         texts.append("".join(rng.choice(_TOKENIZER_ALPHABET) for _ in range(rng.randint(0, 40))))
+    retrieval._query_word_tokens.cache_clear()
     for text in texts:
-        assert tokenize_code(text) == tokenize_code(text, functools.cache(retrieval._word_tokens)), repr(text)
+        assert tokenize_code(text) == _reference_tokenize(text), repr(text)
+
+
+def test_tokenize_with_more_distinct_identifiers_than_the_memo_holds():
+    # The second pass finds each identifier evicted by the ones after it.
+    bound = retrieval._query_word_tokens.cache_info().maxsize
+    text = "\n".join(f"fooBar{i}.HTTPx{i} = snake_{i}" for i in range(bound // 2 + 100))
+    expected = _reference_tokenize(text)
+    assert tokenize_code(text) == expected
+    assert retrieval._query_word_tokens.cache_info().currsize == bound
+    assert tokenize_code(text) == expected
 
 
 def test_the_shared_tokenizer_memo_is_bounded():
@@ -162,6 +172,22 @@ def test_the_shared_tokenizer_memo_is_bounded():
         tokenize_code(f"ident{i}")
     assert memo.cache_info().currsize == bound
     assert tokenize_code("pickle.loads(fooBar)") == ["pickle.loads", "pickle", "loads", "foobar", "foo", "bar"]
+
+
+def test_build_index_twice_gives_the_same_file_with_the_memo_cold_and_then_warm_and_evicting(tmp_path):
+    rng = random.Random(30)
+    bound = retrieval._query_word_tokens.cache_info().maxsize
+    # Identifiers in many entries and identifiers in one, more of them than the memo holds.
+    common = [f"{rng.choice(['get', 'set', 'is'])}{rng.choice(['Name', 'Value', 'URL'])}{i}" for i in range(50)]
+    entries = [
+        make_entry(i, [f"x{i}_{j}.camelCase{j} = {rng.choice(common)}({rng.choice(common)}_{i})" for j in range(30)])
+        for i in range(bound // 40)
+    ]
+    retrieval._query_word_tokens.cache_clear()
+    save_index(build_index(entries), tmp_path / "cold.idx")
+    assert retrieval._query_word_tokens.cache_info().currsize == bound
+    save_index(build_index(entries), tmp_path / "warm.idx")
+    assert (tmp_path / "cold.idx").read_bytes() == (tmp_path / "warm.idx").read_bytes()
 
 
 def _index_abc(k1=1.2, b=0.75):
@@ -497,17 +523,25 @@ def test_load_index_decodes_no_entry_and_retrieve_only_the_hits(tmp_path, monkey
         retrieve(index, "needle", k=3)
 
 
-def test_retrieve_refuses_an_index_entry_line_of_the_wrong_shape(tmp_path):
+@pytest.mark.parametrize(
+    "edited, reason",
+    [
+        (b'"tags": "python"  ', "'tags' must be"),
+        (b'"tags": ["\\ud800"]', "'utf-8' codec can't encode character '\\ud800'"),
+    ],
+    ids=["tags-not-a-list", "lone-surrogate"],
+)
+def test_retrieve_refuses_an_index_entry_line_of_the_wrong_shape(tmp_path, edited, reason):
     path = tmp_path / "kb.idx"
     save_index(build_index([make_entry(3, ["needle = 1"], tags=["python"])]), path)
     data = path.read_bytes()
     assert data.count(b'"tags": ["python"]') == 1
     # the same byte length, so the entry offsets still hold
-    path.write_bytes(data.replace(b'"tags": ["python"]', b'"tags": "python"  '))
+    path.write_bytes(data.replace(b'"tags": ["python"]', edited))
     index = load_index(path)
     with pytest.raises(ConfigError) as caught:
         retrieve(index, "needle", k=1)
-    assert str(caught.value).startswith(f"{path} has a corrupt entry line for document 0: 'tags' must be")
+    assert str(caught.value).startswith(f"{path} has a corrupt entry line for document 0: {reason}")
 
 
 def test_retrieve_refuses_an_index_entry_line_whose_answer_id_was_edited(tmp_path):
@@ -581,10 +615,10 @@ def test_cli_import_leaves_numpy_unloaded():
     src = Path(__file__).resolve().parent.parent / "src"
     probe = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import sosec.cli; "
-        "print('numpy' in sys.modules, 'requests' in sys.modules)"
+        "print([m for m in ('numpy', 'requests', '_hashlib', 'uuid') if m in sys.modules])"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_retrieve_scores_equal_the_per_posting_sum_exactly():
