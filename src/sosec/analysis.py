@@ -24,9 +24,6 @@ from .errors import AdapterError, ConfigError, SosecError, ToolMissingError, ope
 
 CWE_RE = re.compile(r"^CWE-[0-9]+$")
 
-FORMAT_SARIF = "sarif"
-FORMAT_BANDIT_JSON = "bandit_json"
-
 DEFAULT_TIMEOUT = 120.0
 
 SUFFIX_BY_LANGUAGE = {"python": ".py", "c": ".c"}
@@ -37,7 +34,7 @@ _BANDIT_SEVERITIES = {"HIGH": "high", "MEDIUM": "medium", "LOW": "low"}
 
 @dataclass(frozen=True)
 class Finding:
-    """One analyzer result; `cwe` is None until mapped, and stays None for an unmapped rule."""
+    """One analyzer result; the parsers leave `cwe` None, and `run_analyzer` maps it (None for an unmapped rule)."""
 
     tool: str
     rule_id: str
@@ -126,14 +123,14 @@ class AdapterConfig:
     languages: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.format not in (FORMAT_SARIF, FORMAT_BANDIT_JSON):
+        if self.format not in _PARSERS:
             raise ConfigError(f"adapter {self.name}: unknown output format {self.format!r}")
         if not self.command:
             raise ConfigError(f"adapter {self.name}: empty command")
 
     @classmethod
     def from_dict(cls, name: str, obj: dict) -> "AdapterConfig":
-        """Read one adapters-config entry; an unknown key or a value of the wrong type raises ConfigError."""
+        """Read one adapters-config entry; a bad key or value, or a command with no `{file}`, raises ConfigError."""
         if not isinstance(obj, dict):
             raise ConfigError(f"adapter {name}: entry must be a JSON object, got {obj!r}")
         for key in obj:
@@ -143,16 +140,19 @@ class AdapterConfig:
             if key in obj and not ok(obj[key]):
                 raise ConfigError(f"adapter {name}: {key} must be {what}, got {obj[key]!r}")
         try:
-            return cls(
-                name=name,
-                command=list(obj["command"]),
-                format=obj["format"],
-                timeout=float(obj.get("timeout", DEFAULT_TIMEOUT)),
-                ok_returncodes=tuple(obj.get("ok_returncodes", (0, 1))),
-                languages=tuple(obj["languages"]) if obj.get("languages") else None,
-            )
+            command, fmt = obj["command"], obj["format"]
         except KeyError as exc:
             raise ConfigError(f"adapter {name}: missing key {exc}") from exc
+        if not any("{file}" in part for part in command):
+            raise ConfigError(f"adapter {name}: command has no {{file}} placeholder")
+        return cls(
+            name=name,
+            command=list(command),
+            format=fmt,
+            timeout=float(obj.get("timeout", DEFAULT_TIMEOUT)),
+            ok_returncodes=tuple(obj.get("ok_returncodes", (0, 1))),
+            languages=tuple(obj["languages"]) if obj.get("languages") else None,
+        )
 
     def supports_language(self, language: str) -> bool:
         return self.languages is None or language in self.languages
@@ -257,11 +257,15 @@ def parse_bandit_json(text: str, tool: str) -> list[Finding] | None:
     return None if errors else _findings(results, tool, _bandit_finding)
 
 
-_PARSERS = {FORMAT_SARIF: parse_sarif, FORMAT_BANDIT_JSON: parse_bandit_json}
+# report format, as an adapters-config `format` names it -> its parser
+_PARSERS = {"sarif": parse_sarif, "bandit_json": parse_bandit_json}
 
 
-def run_analyzer(adapter: AdapterConfig, source_file: str | Path) -> list[Finding] | None:
-    """Invoke one analyzer on a file and parse its report from stdout; None if it could not read the file."""
+def run_analyzer(adapter: AdapterConfig, source_file: str | Path, cwe_map: CweMap) -> list[Finding] | None:
+    """Invoke one analyzer on a file and parse its report from stdout, each finding's CWE mapped.
+
+    An unmapped rule keeps cwe=None. None if the tool could not read the file.
+    """
     source_file = Path(source_file)
     if not source_file.is_file():
         raise SosecError(f"source file not found: {source_file}")
@@ -281,21 +285,12 @@ def run_analyzer(adapter: AdapterConfig, source_file: str | Path) -> list[Findin
             f"adapter {adapter.name} exited with {proc.returncode}: {proc.stderr.strip()[:500]}"
         )
     try:
-        return _PARSERS[adapter.format](proc.stdout, adapter.name)
+        findings = _PARSERS[adapter.format](proc.stdout, adapter.name)
     except AdapterError as exc:
         raise AdapterError(
             f"adapter {adapter.name} produced unparseable output ({exc}); stderr: {proc.stderr.strip()[:500]}"
         ) from exc
-
-
-def analyze_file(
-    adapter: AdapterConfig, cwe_map: CweMap, source_file: str | Path
-) -> list[Finding] | None:
-    """`run_analyzer` with each finding's CWE mapped; unmapped rules keep cwe=None."""
-    findings = run_analyzer(adapter, source_file)
-    if findings is None:
-        return None
-    return [replace(f, cwe=cwe_map.lookup(f.tool, f.rule_id)) for f in findings]
+    return None if findings is None else [replace(f, cwe=cwe_map.lookup(f.tool, f.rule_id)) for f in findings]
 
 
 def _analyze_key(
@@ -313,7 +308,7 @@ def _analyze_key(
                 # ValueError: a NUL byte before 3.12; the other two: nesting too deep for the parser
                 except (SyntaxError, ValueError, RecursionError, MemoryError):
                     return [None] * len(tools)
-            return [analyze_file(a, cwe_map, source) for a in tools]
+            return [run_analyzer(a, source, cwe_map) for a in tools]
         except (UnicodeEncodeError, AdapterError):  # a missing binary (ToolMissingError) ends the run
             return None
 

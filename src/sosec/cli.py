@@ -14,7 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .analysis import CweMap, analyze_file, load_adapters
+from .analysis import CweMap, load_adapters, run_analyzer
 from .config import GlobalConfig, load_config
 from .errors import SosecError, open_text
 from .evaluation import (
@@ -237,7 +237,7 @@ def _cmd_analyze(args, config: GlobalConfig) -> int:
             f"unknown adapter {args.adapter!r}; configured: {', '.join(sorted(adapters))}"
         )
     cwe_map = CweMap.from_file(config.cwe_map_path)
-    findings = analyze_file(adapters[args.adapter], cwe_map, args.file)
+    findings = run_analyzer(adapters[args.adapter], args.file, cwe_map)
     if findings is None:
         raise SosecError(f"adapter {args.adapter} could not analyze {args.file}")
     text = "\n".join(

@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -44,6 +45,10 @@ class Trial:
     """One sample in one arm, or the point where the sample left the run.
 
     `arm` is None for the dual-tool filter, which runs before any arm.
+    `before_cwes` holds the supported classes flagged before. `after_cwes`
+    holds the supported classes flagged after, and every other mapped class
+    that was not flagged before. So `fixed` counts only supported classes,
+    and `introduced` every mapped class that is new after the revision.
     `dropped` is the tally reason when the sample left the run here; its
     after-state is then empty. `readable` is False for a revision that a
     filter tool could not read; it is scored as not fixed, so its after-set
@@ -185,7 +190,9 @@ def run_arms(
     leaves the run at the filter (`arm` None) as `not_dual_flagged` unless
     each of them flags it, or as `analyzer_errors` if an analyzer fails or
     cannot read it; it gets no trial at all if none of its CWEs is in
-    `supported_cwes`, and metrics see only those classes. Then the arms run
+    `supported_cwes`. Only those classes count as flagged or fixed; a
+    revision introduces every mapped class that the original code did not
+    have, supported or not (see `Trial`). Then the arms run
     in order: prompt_only reuses the before findings unchanged; each other
     arm revises every sample still in the run (with retrieved context only
     under sosecure), then analyzes the revised codes not analyzed yet. A
@@ -222,9 +229,6 @@ def run_arms(
     before: dict[int, set[str]] = {}  # sample position -> supported CWEs, while in the run
     trials: list[list[Trial]] = [[] for _ in samples]  # by sample position
 
-    def supported(per_adapter: list[list[Finding]]) -> set[str]:
-        return cwe_set(f for findings in per_adapter for f in findings) & supported_cwes
-
     def drop(i: int, arm: str | None, reason: str) -> None:
         trials[i].append(Trial(samples[i].sample_id, arm, before.pop(i, set()), set(), False, reason))
 
@@ -240,7 +244,7 @@ def run_arms(
                 drop(i, None, "analyzer_errors")
             elif not all(per_adapter):
                 drop(i, None, "not_dual_flagged")
-            elif cwes := supported(per_adapter):
+            elif cwes := cwe_set(chain.from_iterable(per_adapter)) & supported_cwes:
                 before[i] = cwes
             # else outside the supported CWE set: no trial, not tallied
 
@@ -261,8 +265,11 @@ def run_arms(
                 elif None in per_adapter:
                     trials[i].append(Trial(samples[i].sample_id, arm, before[i], set(before[i]), False, readable=False))
                 else:
-                    after = supported(per_adapter)
-                    trials[i].append(Trial(samples[i].sample_id, arm, before[i], after, not record.changed))
+                    after = cwe_set(chain.from_iterable(per_adapter))
+                    original = cwe_set(chain.from_iterable(results[(samples[i].language, samples[i].code)]))
+                    # an unsupported class that the original had is neither fixed nor introduced
+                    scored = after - (original - before[i])
+                    trials[i].append(Trial(samples[i].sample_id, arm, before[i], scored, not record.changed))
 
     return [trial for per_sample in trials for trial in per_sample]
 

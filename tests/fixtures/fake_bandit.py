@@ -23,6 +23,8 @@ RULES = [
      "use of eval detected."),
     (re.compile(r"tempfile\.mktemp"), "B306", "MEDIUM",
      "use of insecure and deprecated tempfile.mktemp."),
+    (re.compile(r"\bmark_safe\("), "B703", "MEDIUM",
+     "Potential XSS on mark_safe function."),
 ]
 NOSEC = re.compile(r"#\s*nosec\b")
 

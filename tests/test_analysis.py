@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from sosec.analysis import (
     CweMap,
     Finding,
     analyze_codes,
-    analyze_file,
     cwe_set,
     load_adapters,
     parse_bandit_json,
@@ -97,12 +97,12 @@ def _replay_adapter(name: str, fmt: str, report) -> AdapterConfig:
 def test_fixture_normalization_maps_cwes(fixtures_dir, cwe_map, tmp_path):
     source = _write_source(tmp_path, "x = 1\n")
     codeql = _replay_adapter("codeql", "sarif", fixtures_dir / "codeql_sample.sarif")
-    normalized = analyze_file(codeql, cwe_map, source)
+    normalized = run_analyzer(codeql, source, cwe_map)
     assert [f.cwe for f in normalized] == ["CWE-78", "CWE-327", None]
     assert [replace(f, cwe=None) for f in normalized] == EXPECTED_SARIF_RAW
 
     bandit = _replay_adapter("bandit", "bandit_json", fixtures_dir / "bandit_sample.json")
-    normalized = analyze_file(bandit, cwe_map, source)
+    normalized = run_analyzer(bandit, source, cwe_map)
     assert [f.cwe for f in normalized] == ["CWE-78", None]
     assert [replace(f, cwe=None) for f in normalized] == EXPECTED_BANDIT_RAW
 
@@ -273,13 +273,25 @@ def test_cwe_map_rejects_non_object(tmp_path):
         CweMap.from_file(path)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("{bandit", "cannot read CWE map"), ('{"bandit": ["B602"]}', "entry for tool 'bandit' must be an object")],
+    ids=["not-json", "tool-entry-not-an-object"],
+)
+def test_cwe_map_refuses_a_malformed_file(tmp_path, text, message):
+    path = tmp_path / "map.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        CweMap.from_file(path)
+
+
 def test_normalize_unmapped_rule_keeps_cwe_absent(cwe_map, tmp_path):
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"results": [
         {"test_id": "B000", "issue_severity": "LOW", "issue_text": "msg", "filename": "f.py", "line_number": 2}
     ]}), encoding="utf-8")
     adapter = _replay_adapter("bandit", "bandit_json", report)
-    (finding,) = analyze_file(adapter, cwe_map, _write_source(tmp_path, "x = 1\n"))
+    (finding,) = run_analyzer(adapter, _write_source(tmp_path, "x = 1\n"), cwe_map)
     assert finding == Finding("bandit", "B000", "low", "msg", "f.py", 2)
     assert finding.cwe is None
 
@@ -297,9 +309,9 @@ def _write_source(tmp_path, text: str):
     return path
 
 
-def test_run_analyzer_flags_shell_true(tmp_path, fake_bandit_adapter):
+def test_run_analyzer_flags_shell_true(tmp_path, fake_bandit_adapter, cwe_map):
     source = _write_source(tmp_path, "import subprocess\nsubprocess.call(cmd, shell=True)\n")
-    findings = run_analyzer(fake_bandit_adapter, source)
+    findings = run_analyzer(fake_bandit_adapter, source, cwe_map)
     assert findings == [
         Finding(
             tool="bandit",
@@ -308,6 +320,7 @@ def test_run_analyzer_flags_shell_true(tmp_path, fake_bandit_adapter):
             message="subprocess call with shell=True identified, security issue.",
             file=str(source),
             line=2,
+            cwe="CWE-78",
         )
     ]
 
@@ -317,20 +330,20 @@ def test_bandit_stub_reports_a_nosec_line_only_with_ignore_nosec(tmp_path, fake_
     assert "--ignore-nosec" in load_adapters(default_data_path("adapters.json"))["bandit"].command
     assert "--ignore-nosec" in fake_bandit_adapter.command
     source = _write_source(tmp_path, "import subprocess\nsubprocess.call(cmd, shell=True)  # nosec\n")
-    assert [(f.rule_id, f.line) for f in run_analyzer(fake_bandit_adapter, source)] == [("B602", 2)]
+    assert [(f.rule_id, f.line) for f in run_analyzer(fake_bandit_adapter, source, CweMap({}))] == [("B602", 2)]
     honouring = replace(fake_bandit_adapter, command=[a for a in fake_bandit_adapter.command if a != "--ignore-nosec"])
-    assert run_analyzer(honouring, source) == []
+    assert run_analyzer(honouring, source, CweMap({})) == []
 
 
 def test_run_analyzer_clean_file_has_no_findings(tmp_path, fake_codeql_adapter):
     source = _write_source(tmp_path, "print('hello')\n")
-    assert run_analyzer(fake_codeql_adapter, source) == []
+    assert run_analyzer(fake_codeql_adapter, source, CweMap({})) == []
 
 
 def test_run_analyzer_nonzero_with_findings_is_not_an_error(tmp_path, fake_bandit_adapter):
     # the bandit-style stub exits 1 whenever it reports findings
     source = _write_source(tmp_path, "x = eval(user_input)\n")
-    findings = run_analyzer(fake_bandit_adapter, source)
+    findings = run_analyzer(fake_bandit_adapter, source, CweMap({}))
     assert [f.rule_id for f in findings] == ["B307"]
 
 
@@ -340,13 +353,13 @@ def test_run_analyzer_missing_binary(tmp_path):
     )
     source = _write_source(tmp_path, "x = 1\n")
     with pytest.raises(ToolMissingError) as exc_info:
-        run_analyzer(adapter, source)
+        run_analyzer(adapter, source, CweMap({}))
     assert "definitely-not-a-real-binary-xyz" in str(exc_info.value)
 
 
 def test_run_analyzer_missing_source_file(fake_bandit_adapter, tmp_path):
     with pytest.raises(SosecError):
-        run_analyzer(fake_bandit_adapter, tmp_path / "nope.py")
+        run_analyzer(fake_bandit_adapter, tmp_path / "nope.py", CweMap({}))
 
 
 def test_run_analyzer_timeout(tmp_path):
@@ -358,7 +371,7 @@ def test_run_analyzer_timeout(tmp_path):
     )
     source = _write_source(tmp_path, "x = 1\n")
     with pytest.raises(AdapterError):
-        run_analyzer(adapter, source)
+        run_analyzer(adapter, source, CweMap({}))
 
 
 def test_run_analyzer_unexpected_exit_code(tmp_path):
@@ -369,7 +382,7 @@ def test_run_analyzer_unexpected_exit_code(tmp_path):
     )
     source = _write_source(tmp_path, "x = 1\n")
     with pytest.raises(AdapterError):
-        run_analyzer(adapter, source)
+        run_analyzer(adapter, source, CweMap({}))
 
 
 def test_run_analyzer_unparseable_output(tmp_path):
@@ -380,7 +393,7 @@ def test_run_analyzer_unparseable_output(tmp_path):
     )
     source = _write_source(tmp_path, "x = 1\n")
     with pytest.raises(AdapterError):
-        run_analyzer(adapter, source)
+        run_analyzer(adapter, source, CweMap({}))
 
 
 def test_run_analyzer_output_that_is_not_utf8(tmp_path):
@@ -392,21 +405,18 @@ def test_run_analyzer_output_that_is_not_utf8(tmp_path):
     )
     source = _write_source(tmp_path, "x = 1\n")
     with pytest.raises(AdapterError, match="adapter latin1 wrote output that is not UTF-8"):
-        run_analyzer(adapter, source)
+        run_analyzer(adapter, source, CweMap({}))
 
 
-def test_analyze_file_normalizes(tmp_path, fake_codeql_adapter, cwe_map):
+def test_run_analyzer_maps_cwes(tmp_path, fake_codeql_adapter, cwe_map):
     source = _write_source(tmp_path, "obj = pickle.loads(blob)\n")
-    findings = analyze_file(fake_codeql_adapter, cwe_map, source)
+    findings = run_analyzer(fake_codeql_adapter, source, cwe_map)
     assert [f.cwe for f in findings] == ["CWE-502"]
 
 
-def test_run_analyzer_and_analyze_file_give_none_for_a_file_the_tool_cannot_read(
-    tmp_path, fake_bandit_adapter, cwe_map
-):
+def test_run_analyzer_gives_none_for_a_file_the_tool_cannot_read(tmp_path, fake_bandit_adapter, cwe_map):
     source = _write_source(tmp_path, "def f(x:\n    subprocess.call(x, shell=True)\n")
-    assert run_analyzer(fake_bandit_adapter, source) is None
-    assert analyze_file(fake_bandit_adapter, cwe_map, source) is None
+    assert run_analyzer(fake_bandit_adapter, source, cwe_map) is None
 
 
 UNPARSEABLE = "def f(x:\n    subprocess.call(x, shell=True)\n"
@@ -489,7 +499,7 @@ def test_analyze_codes_gives_none_only_for_the_tool_that_could_not_read(tmp_path
 
 
 def test_adapter_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^adapter x: unknown output format 'csv'$"):
         AdapterConfig(name="x", command=["tool"], format="csv")
     with pytest.raises(ConfigError):
         AdapterConfig(name="x", command=[], format="sarif")

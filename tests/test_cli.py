@@ -430,6 +430,24 @@ def test_config_file_with_bad_provider_value_is_runtime_error(tmp_path, fixtures
     assert f"provider.{key} must be" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"k": ', "cannot read config file"),
+        ("[3]", "must hold a JSON object"),
+        (json.dumps({"provider": {"colour": "red"}}), "bad provider section"),
+        (json.dumps({"provider": ["mock"]}), "bad provider section"),
+    ],
+    ids=["not-json", "not-an-object", "unknown-provider-key", "provider-not-an-object"],
+)
+def test_malformed_config_file_is_runtime_error(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    assert main(["version", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sosec: error:") and f"config file {config}" in err and message in err
+
+
 def test_invalid_config_file_is_runtime_error(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"k": 0}), encoding="utf-8")
@@ -512,13 +530,17 @@ _ADAPTER_ENTRY = {"command": [sys.executable, "-c", "pass", "{file}"], "format":
         ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "timout": 0.001}}}, "adapter bandit: unknown key 'timout'"),
         ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "languages": []}}},
          "adapter bandit: languages must be a list of strings or null (not an empty list), got []"),
+        ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "command": [sys.executable, "-c", "pass"]}}},
+         "adapter bandit: command has no {file} placeholder"),
+        ({"adapters": {"bandit": {"command": _ADAPTER_ENTRY["command"]}}}, "adapter bandit: missing key 'format'"),
+        ('{"adapters": ', "cannot read adapters config"),  # written as it is, not as JSON
     ],
     ids=["list", "bare-object", "entry", "timeout", "ok_returncodes", "command", "languages",
-         "unknown-key", "empty-languages"],
+         "unknown-key", "empty-languages", "no-file-placeholder", "missing-format", "not-json"],
 )
 def test_malformed_adapters_config_is_runtime_error(tmp_path, capsys, config, message):
     adapters = tmp_path / "adapters.json"
-    adapters.write_text(json.dumps(config), encoding="utf-8")
+    adapters.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
     source = tmp_path / "app.py"
     source.write_text(SHELL_CODE, encoding="utf-8")
     assert main(["analyze", "--file", str(source), "--adapter", "bandit", "--adapters", str(adapters)]) == 2

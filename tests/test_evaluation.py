@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 import sys
 import tempfile
 import threading
@@ -76,6 +77,18 @@ def test_load_samples_reports_offending_line_numbers(tmp_path):
         load_samples(path)
     message = str(exc_info.value)
     assert "line 2" in message and "line 3" in message and "line 1" not in message
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("[1, 2]", "line 2: record is not a JSON object"),
+     (json.dumps({"code": "x = 1\n"}), "line 2: missing or empty 'sample_id'")],
+    ids=["not-an-object", "no-sample-id"],
+)
+def test_load_samples_refuses_a_malformed_record(tmp_path, line, message):
+    path = _write_dataset(tmp_path, [json.dumps({"sample_id": "a", "code": "x = 1\n"}), line])
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: invalid dataset lines: {message}")):
+        load_samples(path)
 
 
 def test_load_samples_refuses_code_with_a_lone_surrogate(tmp_path):
@@ -605,6 +618,63 @@ def test_a_revision_that_does_not_parse_is_not_a_fix(tmp_path, cwe_map):
     assert report.per_arm["revision_only"].intro_rate == 0.0
     assert report.per_arm["revision_only"].no_change_rate == 0.0
     assert report.footnotes[0] == "excluded/tallied during the run: {'unreadable_revisions': 1}"
+
+
+class _MarkSafeProvider(DeterministicMockProvider):
+    """Removes `, shell=True` and appends `html = mark_safe(name)`: Bandit B703, CWE-80, outside the supported list."""
+
+    def __init__(self):
+        super().__init__(behavior="echo")
+
+    def complete(self, prompt):
+        head, fence, tail = super().complete(prompt).replace(", shell=True", "").rpartition("```")
+        return f"{head.rstrip()}\nhtml = mark_safe(name)\n{fence}{tail}"
+
+
+@pytest.mark.parametrize(
+    "samples, intro_rate",
+    [
+        (load_samples(FIXTURES / "dataset_10.jsonl"), 100.0),
+        ([_sample("s", SHELL_CODE + "html = mark_safe(name)\n")], 0.0),  # CWE-80 before and after
+    ],
+    ids=["adds-mark-safe", "keeps-mark-safe"],
+)
+def test_introduction_rate_counts_every_mapped_cwe(
+    fake_bandit_adapter, fake_codeql_adapter, cwe_map, samples, intro_rate
+):
+    supported = load_supported_cwes(default_data_path("supported_cwes.txt"))
+    assert "CWE-80" not in supported
+    trials = run_arms(
+        samples, ["revision_only"], _MarkSafeProvider(),
+        adapters=[fake_bandit_adapter, fake_codeql_adapter], cwe_map=cwe_map, supported_cwes=supported,
+    )
+    assert [(t.before_cwes, t.fixed, t.introduced) for t in trials] == [
+        ({"CWE-78"}, {"CWE-78"}, {"CWE-80"} if intro_rate else set())
+    ] * len(samples)
+    report = compute_metrics(trials)
+    assert report.per_arm["revision_only"].fix_rate == 100.0
+    assert report.per_arm["revision_only"].intro_rate == intro_rate
+    assert report.per_cwe == {"CWE-78": {"total": len(samples), "fixed": len(samples)}}
+
+
+def test_a_sample_whose_code_exceeds_the_prompt_budget_leaves_the_run(
+    fake_bandit_adapter, fake_codeql_adapter, cwe_map
+):
+    budget = len(build_revision_prompt(SHELL_CODE, [])[0])
+    samples = [_sample("long", SHELL_CODE + "# " + "x" * budget + "\n"), _sample("short", SHELL_CODE)]
+    trials = run_arms(
+        samples, ["prompt_only", "revision_only"], DeterministicMockProvider(), budget=budget,
+        **_arm_kwargs(fake_bandit_adapter, fake_codeql_adapter, cwe_map),
+    )
+    kept, tally = split_trials(trials)
+    assert tally == {"prompt_budget_errors": 1}
+    assert trials[1] == Trial("long", "revision_only", {"CWE-78"}, set(), False, "prompt_budget_errors")
+    assert [(t.sample_id, t.arm, t.fixed) for t in kept] == [
+        ("short", "prompt_only", set()), ("short", "revision_only", {"CWE-78"})
+    ]
+    report = compute_metrics(trials)
+    assert report.footnotes[0] == "excluded/tallied during the run: {'prompt_budget_errors': 1}"
+    assert report.per_arm["revision_only"].fix_rate == 100.0
 
 
 def _codeql_unreadable_on(marker: str) -> AdapterConfig:

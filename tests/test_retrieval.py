@@ -492,6 +492,34 @@ def test_load_index_rejects_an_entry_count_the_arrays_disagree_with(tmp_path, co
         load_index(path)
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda data, at: data[: len(INDEX_MAGIC) + 10], "is truncated: it ends in the header"),
+        (lambda data, at: data.replace(b'{"', b"{", 1), "has a corrupt index header: Expecting property name"),
+        (lambda data, at: data.replace(b'"entries": 3', b'"entries": -1'),
+         "has a corrupt index header: entry count -1 is not a count"),
+        (lambda data, at: data.replace(b'"entries": 3', b'"entries": 3.0'),
+         "has a corrupt index header: entry count 3.0 is not a count"),
+        # the last of the four doc ids, past entry_offsets, answer_ids and impacts
+        (lambda data, at: data[: at + 100] + np.array([3], dtype="<i4").tobytes() + data[at + 104 :],
+         "has posting doc ids outside its 3 entries"),
+        (lambda data, at: None, "cannot read index file"),
+    ],
+    ids=["ends-in-header", "header-not-json", "negative-entry-count", "float-entry-count", "doc-id-outside",
+         "missing-file"],
+)
+def test_load_index_refuses_a_corrupt_or_missing_file(tmp_path, corrupt, message):
+    path, data, at = _saved_abc(tmp_path)
+    changed = corrupt(data, at)
+    if changed is None:
+        path.unlink()
+    else:
+        path.write_bytes(changed)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_index(path)
+
+
 def test_load_index_decodes_no_entry_and_retrieve_only_the_hits(tmp_path, monkeypatch):
     rng = random.Random(5)
     entries = [make_entry(i, [" ".join(rng.choice("abcdefgh") for _ in range(6))]) for i in range(40)]

@@ -355,6 +355,19 @@ def test_retries_exhausted_raises_with_sample_id(monkeypatch):
     assert provider.delays == [0.5, 1.0]
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"id": "x"}, {"choices": []}, {"choices": [{"message": {}}]}, {"choices": [{"message": None}]}],
+    ids=["no-choices", "empty-choices", "no-content", "message-null"],
+)
+def test_live_provider_refuses_a_reply_without_content(monkeypatch, payload):
+    provider, session = _live(monkeypatch, [_FakeResponse(200, payload)])
+    with pytest.raises(ProviderError, match="sample s1: malformed completion response"):
+        revise(provider, CODE, [], sample_id="s1")
+    assert len(session.requests) == 1
+    assert provider.delays == []
+
+
 def test_live_provider_posts_a_client_error_once(monkeypatch):
     provider, session = _live(monkeypatch, [_FakeResponse(400, {"error": "bad request"})])
     with pytest.raises(ProviderError, match="sample s1: HTTP 400"):
