@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ast
 import json
-import math
 import re
 import shutil
 import subprocess
@@ -20,9 +19,9 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .errors import AdapterError, ConfigError, SosecError, ToolMissingError, open_text
+from .errors import AdapterError, ConfigError, SosecError, ToolMissingError, is_int, is_number, is_str, list_of, read_json
 
-CWE_RE = re.compile(r"^CWE-[0-9]+$")
+CWE_RE = re.compile(r"^CWE-[0-9]+\Z")  # \Z, not $: $ also matches before a final newline
 
 DEFAULT_TIMEOUT = 120.0
 
@@ -73,11 +72,7 @@ class CweMap:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CweMap":
-        try:
-            with open_text(path) as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read CWE map {path}: {exc}") from exc
+        obj = read_json(path, "CWE map")
         if not isinstance(obj, dict):
             raise ConfigError(f"CWE map {path} must be a JSON object keyed by tool")
         entries: dict[tuple[str, str], str] = {}
@@ -85,7 +80,7 @@ class CweMap:
             if not isinstance(rules, dict):
                 raise ConfigError(f"CWE map {path}: entry for tool {tool!r} must be an object")
             for rule, cwe in rules.items():
-                if not isinstance(cwe, str) or not CWE_RE.match(cwe):
+                if not is_str(cwe) or not CWE_RE.match(cwe):
                     raise ConfigError(f"CWE map {path}: malformed CWE {cwe!r} for {tool}/{rule}")
                 entries[(tool, rule)] = cwe
         return cls(entries)
@@ -94,21 +89,17 @@ class CweMap:
         return self.entries.get((tool, rule_id))
 
 
-def _list_of(kind: type):
-    return lambda value: isinstance(value, list) and all(type(v) is kind for v in value)
-
-
 # adapters-config entry key -> (check, what the value must be)
 _ENTRY_CHECKS = {
-    "command": (_list_of(str), "a list of strings"),
-    "timeout": (lambda v: type(v) in (int, float) and 0 < v < math.inf, "a positive number"),
-    "ok_returncodes": (_list_of(int), "a list of integers"),
+    "command": (list_of(is_str), "a list of strings"),
+    "format": (is_str, "a string"),
+    "timeout": (lambda v: is_number(v) and v > 0, "a positive number"),
+    "ok_returncodes": (list_of(is_int), "a list of integers"),
     "languages": (
-        lambda v: v is None or (_list_of(str)(v) and len(v) > 0),
+        lambda v: v is None or (list_of(is_str)(v) and len(v) > 0),
         "a list of strings or null (not an empty list)",
     ),
 }
-_ENTRY_KEYS = {"format", *_ENTRY_CHECKS}
 
 
 @dataclass
@@ -134,7 +125,7 @@ class AdapterConfig:
         if not isinstance(obj, dict):
             raise ConfigError(f"adapter {name}: entry must be a JSON object, got {obj!r}")
         for key in obj:
-            if key not in _ENTRY_KEYS:
+            if key not in _ENTRY_CHECKS:
                 raise ConfigError(f"adapter {name}: unknown key {key!r}")
         for key, (ok, what) in _ENTRY_CHECKS.items():
             if key in obj and not ok(obj[key]):
@@ -159,11 +150,7 @@ class AdapterConfig:
 
 
 def load_adapters(path: str | Path) -> dict[str, AdapterConfig]:
-    try:
-        with open_text(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read adapters config {path}: {exc}") from exc
+    obj = read_json(path, "adapters config")
     adapters = obj.get("adapters") if isinstance(obj, dict) else None
     if not isinstance(adapters, dict) or not adapters:
         raise ConfigError(
@@ -177,7 +164,7 @@ def _field(obj, key: str, kind: type, default):
     if not isinstance(obj, dict):
         raise TypeError(f"expected an object, got {type(obj).__name__}")
     value = obj.get(key, default)
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if not (is_int(value) if kind is int else isinstance(value, kind)):
         raise TypeError(f"{key!r} must be {kind.__name__}, got {value!r:.80}")
     return value
 

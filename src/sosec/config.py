@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError, check_value, open_text
+from .errors import ConfigError, check_value, read_json
 from .retrieval import DEFAULT_TOP_K
 from .revision import DEFAULT_CHAR_BUDGET, ProviderConfig
 
@@ -49,11 +48,7 @@ def load_config(path: str | Path | None = None) -> GlobalConfig:
     config = GlobalConfig()
     if path is None:
         return config
-    try:
-        with open_text(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    obj = read_json(path, "config file")
     if not isinstance(obj, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis import CWE_RE, SUFFIX_BY_LANGUAGE, AdapterConfig, CweMap, Finding, analyze_codes, cwe_set
-from .errors import ConfigError, PromptBudgetError, ProviderError, open_text
+from .errors import ConfigError, PromptBudgetError, ProviderError, is_str, jsonl_lines, open_text
 from .retrieval import DEFAULT_TOP_K, RetrievalIndex, retrieve
 from .revision import DEFAULT_CHAR_BUDGET, revise
 
@@ -77,10 +77,10 @@ def _validate_sample(obj: dict) -> CodeSample:
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
     sample_id = obj.get("sample_id")
-    if not isinstance(sample_id, str) or not sample_id:
+    if not is_str(sample_id) or not sample_id:
         raise ValueError("missing or empty 'sample_id'")
     code = obj.get("code")
-    if not isinstance(code, str) or not code:
+    if not is_str(code) or not code:
         raise ValueError("missing or empty 'code'")
     try:
         code.encode("utf-8")
@@ -90,7 +90,7 @@ def _validate_sample(obj: dict) -> CodeSample:
     if dataset not in DATASETS:
         raise ValueError(f"unknown dataset {dataset!r}")
     language = obj.get("language", "python")
-    if language not in SUFFIX_BY_LANGUAGE:
+    if not is_str(language) or language not in SUFFIX_BY_LANGUAGE:
         raise ValueError(f"unknown language {language!r}")
     labeled_cwe = obj.get("labeled_cwe")
     if labeled_cwe is not None and not CWE_RE.match(str(labeled_cwe)):
@@ -109,20 +109,16 @@ def load_samples(path: str | Path) -> list[CodeSample]:
     samples = []
     problems = []
     first_line: dict[str, int] = {}
-    with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                sample = _validate_sample(json.loads(line))
-            except ValueError as exc:
-                problems.append(f"line {line_no}: {exc}")
-                continue
-            seen = first_line.setdefault(sample.sample_id, line_no)
-            if seen != line_no:
-                problems.append(f"line {line_no}: sample_id {sample.sample_id!r} repeats line {seen}")
-            samples.append(sample)
+    for line_no, line in jsonl_lines(path):
+        try:
+            sample = _validate_sample(json.loads(line))
+        except ValueError as exc:
+            problems.append(f"line {line_no}: {exc}")
+            continue
+        seen = first_line.setdefault(sample.sample_id, line_no)
+        if seen != line_no:
+            problems.append(f"line {line_no}: sample_id {sample.sample_id!r} repeats line {seen}")
+        samples.append(sample)
     if problems:
         raise ConfigError(f"{path}: invalid dataset lines: " + "; ".join(problems))
     return samples

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 from xml.parsers import expat
 
-from .errors import ConfigError, DumpParseError, SosecError, open_text
+from .errors import ConfigError, DumpParseError, SosecError, is_int, is_str, jsonl_lines, list_of, open_text
 
 # Stack Exchange encodes tags either as "<python><flask>" or "|python|flask|".
 _TAG_ANGLE_RE = re.compile(r"<([^<>]+)>")
@@ -652,34 +652,20 @@ def write_kb_jsonl(entries: Iterable[KnowledgeEntry], path: str | Path) -> None:
             fh.write(entry.to_jsonl())
 
 
-def _is_int(value) -> bool:
-    return type(value) is int  # bool is an int subclass, but no id or score
-
-
-def _is_str(value) -> bool:
-    return type(value) is str
-
-
-def _is_str_list(value) -> bool:
-    return type(value) is list and all(map(_is_str, value))
-
-
-def _is_comment_list(value) -> bool:
-    return type(value) is list and all(
-        type(c) is dict and _is_str(c.get("text")) and _is_int(c.get("score")) for c in value
-    )
+def _is_comment(value) -> bool:
+    return type(value) is dict and is_str(value.get("text")) and is_int(value.get("score"))
 
 
 # Each field of a KB record: its test and what it must be.
 _RECORD_FIELDS = {
-    "answer_id": (_is_int, "an integer"),
-    "question_id": (_is_int, "an integer"),
-    "answer_score": (_is_int, "an integer"),
-    "answer_excerpt": (_is_str, "a string"),
-    "code_blocks": (_is_str_list, "a list of strings"),
-    "comments": (_is_comment_list, 'a list of {"text": string, "score": integer}'),
-    "tags": (_is_str_list, "a list of strings"),
-    "url": (_is_str, "a string"),
+    "answer_id": (is_int, "an integer"),
+    "question_id": (is_int, "an integer"),
+    "answer_score": (is_int, "an integer"),
+    "answer_excerpt": (is_str, "a string"),
+    "code_blocks": (list_of(is_str), "a list of strings"),
+    "comments": (list_of(_is_comment), 'a list of {"text": string, "score": integer}'),
+    "tags": (list_of(is_str), "a list of strings"),
+    "url": (is_str, "a string"),
 }
 
 
@@ -692,17 +678,13 @@ def load_kb_jsonl(path: str | Path) -> list[KnowledgeEntry]:
     """
     entries = []
     first_line: dict[int, int] = {}
-    with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = KnowledgeEntry.from_jsonl(line)
-            except ValueError as exc:  # JSONDecodeError and UnicodeEncodeError too
-                raise ConfigError(f"{path}: bad knowledge-base record on line {line_no}: {exc}") from exc
-            seen = first_line.setdefault(entry.answer_id, line_no)
-            if seen != line_no:
-                raise ConfigError(f"{path}: answer_id {entry.answer_id} on line {line_no} repeats line {seen}")
-            entries.append(entry)
+    for line_no, line in jsonl_lines(path):
+        try:
+            entry = KnowledgeEntry.from_jsonl(line)
+        except ValueError as exc:  # JSONDecodeError and UnicodeEncodeError too
+            raise ConfigError(f"{path}: bad knowledge-base record on line {line_no}: {exc}") from exc
+        seen = first_line.setdefault(entry.answer_id, line_no)
+        if seen != line_no:
+            raise ConfigError(f"{path}: answer_id {entry.answer_id} on line {line_no} repeats line {seen}")
+        entries.append(entry)
     return entries

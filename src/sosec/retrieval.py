@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, is_int, is_number, is_str, list_of
 from .kb import KnowledgeEntry
 
 if TYPE_CHECKING:
@@ -204,7 +204,7 @@ def build_index(
         raise ConfigError(f"b must be within [0, 1], got {b}")
 
     answer_ids = [entry.answer_id for entry in entries]
-    if not all(type(aid) is int and -(2**63) <= aid < 2**63 for aid in answer_ids):
+    if not all(is_int(aid) and -(2**63) <= aid < 2**63 for aid in answer_ids):
         raise ConfigError("every answer id must be an integer that fits in 64 bits")
     lines = [entry.to_jsonl().encode("utf-8") for entry in entries]
     entry_offsets = np.zeros(len(lines) + 1, dtype=np.int64)
@@ -349,11 +349,16 @@ def _read_header(fh, path) -> tuple[float, float, dict[str, int], int]:
         raise ConfigError(f"{path} is truncated: it ends in the header")
     try:
         header = json.loads(line)
-        terms = {term: slot for slot, term in enumerate(header["terms"])}
-        count = header["entries"]
-        if type(count) is not int or count < 0:
+        k1, b, terms, count = header["k1"], header["b"], header["terms"], header["entries"]
+        if not (is_number(k1) and k1 > 0):
+            raise ValueError(f"k1 {k1!r} is not a positive number")
+        if not (is_number(b) and 0 <= b <= 1):
+            raise ValueError(f"b {b!r} is not a number within [0, 1]")
+        if not list_of(is_str)(terms):
+            raise ValueError("terms is not a list of strings")
+        if not is_int(count) or count < 0:
             raise ValueError(f"entry count {count!r} is not a count")
-        return header["k1"], header["b"], terms, count
+        return k1, b, dict(zip(terms, range(len(terms)))), count
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{path} has a corrupt index header: {exc}") from exc
 

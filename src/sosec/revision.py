@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import OPTIONAL_STR, ConfigError, PromptBudgetError, ProviderError, check_value, open_text
+from .errors import OPTIONAL_STR, ConfigError, PromptBudgetError, ProviderError, check_value, is_str, jsonl_lines
 from .retrieval import RetrievalHit
 
 if TYPE_CHECKING:
@@ -228,23 +228,19 @@ class RecordedTranscriptProvider:
             raise ConfigError(f"transcript file not found: {path}")
         self._responses: dict[str, str] = {}
         first_line: dict[str, int] = {}
-        # lines end at "\n" only: a response may hold a raw U+2028, U+2029 or U+0085
-        with open_text(path) as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                    key, response = record["prompt_hash"], record["response"]
-                    if not isinstance(key, str) or not isinstance(response, str):
-                        raise TypeError("'prompt_hash' and 'response' must be strings")
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise ConfigError(f"{path}: bad transcript record on line {line_no}: {exc}") from exc
-                if self._responses.setdefault(key, response) != response:
-                    raise ConfigError(
-                        f"{path}: lines {first_line[key]} and {line_no} give prompt hash {key} different responses"
-                    )
-                first_line.setdefault(key, line_no)
+        for line_no, line in jsonl_lines(path):
+            try:
+                record = json.loads(line)
+                key, response = record["prompt_hash"], record["response"]
+                if not is_str(key) or not is_str(response):
+                    raise TypeError("'prompt_hash' and 'response' must be strings")
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise ConfigError(f"{path}: bad transcript record on line {line_no}: {exc}") from exc
+            if self._responses.setdefault(key, response) != response:
+                raise ConfigError(
+                    f"{path}: lines {first_line[key]} and {line_no} give prompt hash {key} different responses"
+                )
+            first_line.setdefault(key, line_no)
 
     def complete(self, prompt: str) -> str:
         key = prompt_hash(prompt)

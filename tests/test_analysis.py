@@ -275,8 +275,9 @@ def test_cwe_map_rejects_non_object(tmp_path):
 
 @pytest.mark.parametrize(
     "text, message",
-    [("{bandit", "cannot read CWE map"), ('{"bandit": ["B602"]}', "entry for tool 'bandit' must be an object")],
-    ids=["not-json", "tool-entry-not-an-object"],
+    [("{bandit", "cannot read CWE map"), ('{"bandit": ["B602"]}', "entry for tool 'bandit' must be an object"),
+     ('{"bandit": {"B602": "CWE-78\\n"}}', "malformed CWE 'CWE-78\\n' for bandit/B602")],
+    ids=["not-json", "tool-entry-not-an-object", "cwe-ends-in-a-newline"],
 )
 def test_cwe_map_refuses_a_malformed_file(tmp_path, text, message):
     path = tmp_path / "map.json"

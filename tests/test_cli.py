@@ -533,10 +533,13 @@ _ADAPTER_ENTRY = {"command": [sys.executable, "-c", "pass", "{file}"], "format":
         ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "command": [sys.executable, "-c", "pass"]}}},
          "adapter bandit: command has no {file} placeholder"),
         ({"adapters": {"bandit": {"command": _ADAPTER_ENTRY["command"]}}}, "adapter bandit: missing key 'format'"),
+        ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "format": ["sarif"]}}},
+         "adapter bandit: format must be a string, got ['sarif']"),
         ('{"adapters": ', "cannot read adapters config"),  # written as it is, not as JSON
     ],
     ids=["list", "bare-object", "entry", "timeout", "ok_returncodes", "command", "languages",
-         "unknown-key", "empty-languages", "no-file-placeholder", "missing-format", "not-json"],
+         "unknown-key", "empty-languages", "no-file-placeholder", "missing-format", "format-not-a-string",
+         "not-json"],
 )
 def test_malformed_adapters_config_is_runtime_error(tmp_path, capsys, config, message):
     adapters = tmp_path / "adapters.json"

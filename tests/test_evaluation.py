@@ -82,8 +82,12 @@ def test_load_samples_reports_offending_line_numbers(tmp_path):
 @pytest.mark.parametrize(
     "line, message",
     [("[1, 2]", "line 2: record is not a JSON object"),
-     (json.dumps({"code": "x = 1\n"}), "line 2: missing or empty 'sample_id'")],
-    ids=["not-an-object", "no-sample-id"],
+     (json.dumps({"code": "x = 1\n"}), "line 2: missing or empty 'sample_id'"),
+     (json.dumps({"sample_id": "b", "code": "x = 1\n", "labeled_cwe": "CWE-78\n"}),
+      "line 2: labeled_cwe 'CWE-78\\n' does not match CWE-NNN"),
+     (json.dumps({"sample_id": "b", "code": "x = 1\n", "language": ["python"]}),
+      "line 2: unknown language ['python']")],
+    ids=["not-an-object", "no-sample-id", "labeled-cwe-ends-in-a-newline", "language-not-a-string"],
 )
 def test_load_samples_refuses_a_malformed_record(tmp_path, line, message):
     path = _write_dataset(tmp_path, [json.dumps({"sample_id": "a", "code": "x = 1\n"}), line])

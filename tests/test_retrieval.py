@@ -501,13 +501,25 @@ def test_load_index_rejects_an_entry_count_the_arrays_disagree_with(tmp_path, co
          "has a corrupt index header: entry count -1 is not a count"),
         (lambda data, at: data.replace(b'"entries": 3', b'"entries": 3.0'),
          "has a corrupt index header: entry count 3.0 is not a count"),
+        (lambda data, at: data.replace(b'"k1": 1.2', b'"k1": "x"'),
+         "has a corrupt index header: k1 'x' is not a positive number"),
+        (lambda data, at: data.replace(b'"k1": 1.2', b'"k1": NaN'),
+         "has a corrupt index header: k1 nan is not a positive number"),
+        (lambda data, at: data.replace(b'"k1": 1.2', b'"k1": 0.0'),
+         "has a corrupt index header: k1 0.0 is not a positive number"),
+        (lambda data, at: data.replace(b'"b": 0.75', b'"b": null'),
+         "has a corrupt index header: b None is not a number within [0, 1]"),
+        (lambda data, at: data.replace(b'"b": 0.75', b'"b": 1.01'),
+         "has a corrupt index header: b 1.01 is not a number within [0, 1]"),
+        (lambda data, at: data.replace(b'"terms": [', b'"terms": [7, '),
+         "has a corrupt index header: terms is not a list of strings"),
         # the last of the four doc ids, past entry_offsets, answer_ids and impacts
         (lambda data, at: data[: at + 100] + np.array([3], dtype="<i4").tobytes() + data[at + 104 :],
          "has posting doc ids outside its 3 entries"),
         (lambda data, at: None, "cannot read index file"),
     ],
-    ids=["ends-in-header", "header-not-json", "negative-entry-count", "float-entry-count", "doc-id-outside",
-         "missing-file"],
+    ids=["ends-in-header", "header-not-json", "negative-entry-count", "float-entry-count", "k1-a-string", "k1-nan",
+         "k1-zero", "b-null", "b-above-one", "term-not-a-string", "doc-id-outside", "missing-file"],
 )
 def test_load_index_refuses_a_corrupt_or_missing_file(tmp_path, corrupt, message):
     path, data, at = _saved_abc(tmp_path)
