@@ -14,7 +14,7 @@ import re
 import shutil
 import subprocess
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -22,8 +22,6 @@ from typing import Callable, Iterable, Sequence
 from .errors import AdapterError, ConfigError, SosecError, ToolMissingError, is_int, is_number, is_str, list_of, read_json
 
 CWE_RE = re.compile(r"^CWE-[0-9]+\Z")  # \Z, not $: $ also matches before a final newline
-
-DEFAULT_TIMEOUT = 120.0
 
 SUFFIX_BY_LANGUAGE = {"python": ".py", "c": ".c"}
 
@@ -33,15 +31,19 @@ _BANDIT_SEVERITIES = {"HIGH": "high", "MEDIUM": "medium", "LOW": "low"}
 
 @dataclass(frozen=True)
 class Finding:
-    """One analyzer result; the parsers leave `cwe` None, and `run_analyzer` maps it (None for an unmapped rule)."""
+    """One analyzer result; the parsers leave `cwe` None, and `run_analyzer` maps it (None for an unmapped rule).
+
+    Fields are declared in the key order of `to_dict`; `cwe` is keyword-only,
+    so a finding is built positionally as (tool, rule_id, severity, message, file, line).
+    """
 
     tool: str
     rule_id: str
+    cwe: str | None = field(default=None, kw_only=True)
     severity: str
     message: str
     file: str
     line: int
-    cwe: str | None = None
 
     def __post_init__(self):
         if self.cwe is not None and not CWE_RE.match(self.cwe):
@@ -50,15 +52,7 @@ class Finding:
             raise ConfigError(f"finding line must be >= 1, got {self.line}")
 
     def to_dict(self) -> dict:
-        return {
-            "tool": self.tool,
-            "rule_id": self.rule_id,
-            "cwe": self.cwe,
-            "severity": self.severity,
-            "message": self.message,
-            "file": self.file,
-            "line": self.line,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class CweMap:
@@ -66,8 +60,8 @@ class CweMap:
 
     def __init__(self, entries: dict[tuple[str, str], str]):
         for (tool, rule), cwe in entries.items():
-            if not CWE_RE.match(cwe):
-                raise ConfigError(f"malformed CWE {cwe!r} for rule {tool}/{rule}")
+            if not is_str(cwe) or not CWE_RE.match(cwe):
+                raise ConfigError(f"malformed CWE {cwe!r} for {tool}/{rule}")
         self.entries = dict(entries)
 
     @classmethod
@@ -79,11 +73,11 @@ class CweMap:
         for tool, rules in obj.items():
             if not isinstance(rules, dict):
                 raise ConfigError(f"CWE map {path}: entry for tool {tool!r} must be an object")
-            for rule, cwe in rules.items():
-                if not is_str(cwe) or not CWE_RE.match(cwe):
-                    raise ConfigError(f"CWE map {path}: malformed CWE {cwe!r} for {tool}/{rule}")
-                entries[(tool, rule)] = cwe
-        return cls(entries)
+            entries.update(((tool, rule), cwe) for rule, cwe in rules.items())
+        try:
+            return cls(entries)
+        except ConfigError as exc:
+            raise ConfigError(f"CWE map {path}: {exc}") from exc
 
     def lookup(self, tool: str, rule_id: str) -> str | None:
         return self.entries.get((tool, rule_id))
@@ -104,20 +98,31 @@ _ENTRY_CHECKS = {
 
 @dataclass
 class AdapterConfig:
-    """How to invoke one analyzer and read its report."""
+    """How to invoke one analyzer and read its report.
+
+    `languages` None means every language; the other fields take the types
+    declared here whatever sequence or number they are given as.
+    """
 
     name: str
     command: list[str]
     format: str
-    timeout: float = DEFAULT_TIMEOUT
+    timeout: float = 120.0
     ok_returncodes: tuple[int, ...] = (0, 1)
     languages: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        self.command = list(self.command)
+        self.timeout = float(self.timeout)
+        self.ok_returncodes = tuple(self.ok_returncodes)
+        self.languages = None if self.languages is None else tuple(self.languages)
         if self.format not in _PARSERS:
             raise ConfigError(f"adapter {self.name}: unknown output format {self.format!r}")
         if not self.command:
             raise ConfigError(f"adapter {self.name}: empty command")
+        for language in self.languages or ():
+            if language not in SUFFIX_BY_LANGUAGE:
+                raise ConfigError(f"adapter {self.name}: unknown language {language!r}")
 
     @classmethod
     def from_dict(cls, name: str, obj: dict) -> "AdapterConfig":
@@ -130,20 +135,12 @@ class AdapterConfig:
         for key, (ok, what) in _ENTRY_CHECKS.items():
             if key in obj and not ok(obj[key]):
                 raise ConfigError(f"adapter {name}: {key} must be {what}, got {obj[key]!r}")
-        try:
-            command, fmt = obj["command"], obj["format"]
-        except KeyError as exc:
-            raise ConfigError(f"adapter {name}: missing key {exc}") from exc
-        if not any("{file}" in part for part in command):
+        for key in ("command", "format"):
+            if key not in obj:
+                raise ConfigError(f"adapter {name}: missing key {key!r}")
+        if not any("{file}" in part for part in obj["command"]):
             raise ConfigError(f"adapter {name}: command has no {{file}} placeholder")
-        return cls(
-            name=name,
-            command=list(command),
-            format=fmt,
-            timeout=float(obj.get("timeout", DEFAULT_TIMEOUT)),
-            ok_returncodes=tuple(obj.get("ok_returncodes", (0, 1))),
-            languages=tuple(obj["languages"]) if obj.get("languages") else None,
-        )
+        return cls(name=name, **obj)
 
     def supports_language(self, language: str) -> bool:
         return self.languages is None or language in self.languages

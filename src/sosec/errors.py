@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the pipeline, the one way text, JSON and JSONL inputs
+"""Exception hierarchy shared across the pipeline, the one way text, line-list, JSON and JSONL inputs
 are read, and the tests of the values read from them."""
 
 from __future__ import annotations
@@ -55,6 +55,13 @@ def read_json(path: str | Path, what: str):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 line-list file, each stripped, less blank lines and `#` comment lines."""
+    with open_text(path) as fh:
+        lines = fh.read().splitlines()
+    return [line for line in map(str.strip, lines) if line and not line.startswith("#")]
 
 
 def jsonl_lines(path: str | Path) -> Iterator[tuple[int, str]]:

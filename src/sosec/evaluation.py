@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import partial
 from itertools import chain
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .analysis import CWE_RE, SUFFIX_BY_LANGUAGE, AdapterConfig, CweMap, Finding, analyze_codes, cwe_set
-from .errors import ConfigError, PromptBudgetError, ProviderError, is_str, jsonl_lines, open_text
+from .errors import ConfigError, PromptBudgetError, ProviderError, is_str, jsonl_lines, read_lines
 from .retrieval import DEFAULT_TOP_K, RetrievalIndex, retrieve
 from .revision import DEFAULT_CHAR_BUDGET, revise
 
@@ -73,7 +73,11 @@ class Trial:
         return self.after_cwes - self.before_cwes
 
 
+_SAMPLE_FIELDS = tuple(f.name for f in fields(CodeSample))
+
+
 def _validate_sample(obj: dict) -> CodeSample:
+    """The sample a dataset record holds, its absent optional fields at their `CodeSample` defaults."""
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
     sample_id = obj.get("sample_id")
@@ -86,22 +90,14 @@ def _validate_sample(obj: dict) -> CodeSample:
         code.encode("utf-8")
     except UnicodeEncodeError as exc:
         raise ValueError(f"'code' cannot be encoded as UTF-8: {exc}") from exc
-    dataset = obj.get("dataset", "custom")
-    if dataset not in DATASETS:
-        raise ValueError(f"unknown dataset {dataset!r}")
-    language = obj.get("language", "python")
-    if not is_str(language) or language not in SUFFIX_BY_LANGUAGE:
-        raise ValueError(f"unknown language {language!r}")
-    labeled_cwe = obj.get("labeled_cwe")
-    if labeled_cwe is not None and not CWE_RE.match(str(labeled_cwe)):
-        raise ValueError(f"labeled_cwe {labeled_cwe!r} does not match CWE-NNN")
-    return CodeSample(
-        sample_id=sample_id,
-        code=code,
-        dataset=dataset,
-        language=language,
-        labeled_cwe=labeled_cwe,
-    )
+    sample = CodeSample(**{name: obj[name] for name in _SAMPLE_FIELDS if name in obj})
+    if sample.dataset not in DATASETS:
+        raise ValueError(f"unknown dataset {sample.dataset!r}")
+    if not is_str(sample.language) or sample.language not in SUFFIX_BY_LANGUAGE:
+        raise ValueError(f"unknown language {sample.language!r}")
+    if sample.labeled_cwe is not None and not CWE_RE.match(str(sample.labeled_cwe)):
+        raise ValueError(f"labeled_cwe {sample.labeled_cwe!r} does not match CWE-NNN")
+    return sample
 
 
 def load_samples(path: str | Path) -> list[CodeSample]:
@@ -126,12 +122,7 @@ def load_samples(path: str | Path) -> list[CodeSample]:
 
 def load_supported_cwes(path: str | Path) -> set[str]:
     supported = set()
-    with open_text(path) as fh:
-        lines = fh.read().splitlines()
-    for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in read_lines(path):
         if not CWE_RE.match(line):
             raise ConfigError(f"{path}: malformed CWE {line!r}")
         supported.add(line)

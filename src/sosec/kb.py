@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 from xml.parsers import expat
 
-from .errors import ConfigError, DumpParseError, SosecError, is_int, is_str, jsonl_lines, list_of, open_text
+from .errors import ConfigError, DumpParseError, SosecError, is_int, is_str, jsonl_lines, list_of, read_lines
 
 # Stack Exchange encodes tags either as "<python><flask>" or "|python|flask|".
 _TAG_ANGLE_RE = re.compile(r"<([^<>]+)>")
@@ -60,16 +60,10 @@ class KnowledgeEntry:
     url: str
 
     def to_dict(self) -> dict:
-        return {
-            "answer_id": self.answer_id,
-            "question_id": self.question_id,
-            "answer_score": self.answer_score,
-            "answer_excerpt": self.answer_excerpt,
-            "code_blocks": list(self.code_blocks),
-            "comments": [{"text": t, "score": s} for t, s in self.comments],
-            "tags": list(self.tags),
-            "url": self.url,
-        }
+        """The entry as a JSON object, keys in field order; each comment is a {"text", "score"} object."""
+        obj = vars(self).copy()
+        obj["comments"] = [{"text": t, "score": s} for t, s in self.comments]
+        return obj
 
     @classmethod
     def from_dict(cls, obj: dict) -> "KnowledgeEntry":
@@ -81,16 +75,9 @@ class KnowledgeEntry:
                 raise ValueError(f"missing {key!r}")
             if not ok(obj[key]):
                 raise ValueError(f"{key!r} must be {shape}, got {obj[key]!r:.80}")
-        return cls(
-            answer_id=obj["answer_id"],
-            question_id=obj["question_id"],
-            answer_score=obj["answer_score"],
-            answer_excerpt=obj["answer_excerpt"],
-            code_blocks=list(obj["code_blocks"]),
-            comments=[(c["text"], c["score"]) for c in obj["comments"]],
-            tags=list(obj["tags"]),
-            url=obj["url"],
-        )
+        entry = cls(**{key: obj[key] for key in _RECORD_FIELDS})
+        entry.comments = [(c["text"], c["score"]) for c in entry.comments]
+        return entry
 
     @classmethod
     def from_jsonl(cls, line: str) -> "KnowledgeEntry":
@@ -134,10 +121,9 @@ class KeywordSet:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "KeywordSet":
-        with open_text(path) as fh:
-            lines = fh.read().splitlines()
+        phrases = read_lines(path)
         try:
-            return cls.from_iterable(line for line in lines if not line.strip().startswith("#"))
+            return cls.from_iterable(phrases)
         except ConfigError as exc:
             raise ConfigError(f"keyword file {path}: {exc}") from exc
 
@@ -656,7 +642,7 @@ def _is_comment(value) -> bool:
     return type(value) is dict and is_str(value.get("text")) and is_int(value.get("score"))
 
 
-# Each field of a KB record: its test and what it must be.
+# Each field of a KB record, in `KnowledgeEntry`'s order: its test and what it must be.
 _RECORD_FIELDS = {
     "answer_id": (is_int, "an integer"),
     "question_id": (is_int, "an integer"),

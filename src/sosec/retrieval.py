@@ -188,6 +188,18 @@ class RetrievalHit:
     rank: int
 
 
+def _bm25_fault(k1, b) -> str | None:
+    """What is wrong with a k1 and b, for `build_index` and `_read_header` alike; None if nothing.
+
+    k1 must be a finite number above 0 and b a number within [0, 1], not a bool.
+    """
+    if not (is_number(k1) and k1 > 0):
+        return f"k1 {k1!r} is not a positive number"
+    if not (is_number(b) and 0 <= b <= 1):
+        return f"b {b!r} is not a number within [0, 1]"
+    return None
+
+
 def build_index(
     entries: Sequence[KnowledgeEntry],
     k1: float = DEFAULT_K1,
@@ -198,10 +210,8 @@ def build_index(
 
     if not entries:
         raise ConfigError("cannot build an index over zero documents")
-    if k1 <= 0:
-        raise ConfigError(f"k1 must be positive, got {k1}")
-    if not 0.0 <= b <= 1.0:
-        raise ConfigError(f"b must be within [0, 1], got {b}")
+    if fault := _bm25_fault(k1, b):
+        raise ConfigError(fault)
 
     answer_ids = [entry.answer_id for entry in entries]
     if not all(is_int(aid) and -(2**63) <= aid < 2**63 for aid in answer_ids):
@@ -350,10 +360,8 @@ def _read_header(fh, path) -> tuple[float, float, dict[str, int], int]:
     try:
         header = json.loads(line)
         k1, b, terms, count = header["k1"], header["b"], header["terms"], header["entries"]
-        if not (is_number(k1) and k1 > 0):
-            raise ValueError(f"k1 {k1!r} is not a positive number")
-        if not (is_number(b) and 0 <= b <= 1):
-            raise ValueError(f"b {b!r} is not a number within [0, 1]")
+        if fault := _bm25_fault(k1, b):
+            raise ValueError(fault)
         if not list_of(is_str)(terms):
             raise ValueError("terms is not a list of strings")
         if not is_int(count) or count < 0:

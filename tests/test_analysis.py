@@ -4,12 +4,13 @@ import json
 import random
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from conftest import logged_adapter_specs
 from sosec.analysis import (
+    _ENTRY_CHECKS,
     AdapterConfig,
     CweMap,
     Finding,
@@ -286,6 +287,12 @@ def test_cwe_map_refuses_a_malformed_file(tmp_path, text, message):
         CweMap.from_file(path)
 
 
+@pytest.mark.parametrize("cwe", ["78", 78, None], ids=["no-prefix", "integer", "null"])
+def test_cwe_map_refuses_a_value_that_is_no_cwe_string(cwe):
+    with pytest.raises(ConfigError, match=f"^malformed CWE {re.escape(repr(cwe))} for t/r$"):
+        CweMap({("t", "r"): cwe})
+
+
 def test_normalize_unmapped_rule_keeps_cwe_absent(cwe_map, tmp_path):
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"results": [
@@ -504,6 +511,19 @@ def test_adapter_config_validation():
         AdapterConfig(name="x", command=["tool"], format="csv")
     with pytest.raises(ConfigError):
         AdapterConfig(name="x", command=[], format="sarif")
+
+
+def test_adapter_config_fields_are_the_entry_keys_after_the_name():
+    # from_dict passes an entry's keys, once checked, to AdapterConfig as they are
+    assert ["name", *_ENTRY_CHECKS] == [f.name for f in fields(AdapterConfig)]
+
+
+def test_adapter_config_takes_its_declared_types_and_defaults():
+    adapter = AdapterConfig("x", ("t", "{file}"), "sarif", timeout=5, ok_returncodes=[0], languages=["c"])
+    assert adapter == AdapterConfig("x", ["t", "{file}"], "sarif", 5.0, (0,), ("c",))
+    assert type(adapter.timeout) is float
+    entry = AdapterConfig.from_dict("x", {"command": ["t", "{file}"], "format": "sarif"})
+    assert entry == AdapterConfig("x", ["t", "{file}"], "sarif", 120.0, (0, 1), None)
 
 
 def _finding(cwe):

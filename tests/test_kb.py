@@ -14,6 +14,7 @@ import time
 import warnings
 import xml.etree.ElementTree as ET
 from collections import Counter
+from dataclasses import fields
 from html.parser import HTMLParser
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
@@ -1032,6 +1033,11 @@ def test_load_kb_refuses_a_missing_field_or_a_record_that_is_no_object(tmp_path)
         load_kb_jsonl(_kb_file(tmp_path, [record]))
     with pytest.raises(ConfigError, match="on line 1: a record must be a JSON object"):
         load_kb_jsonl(_kb_file(tmp_path, [[1, 2]]))
+
+
+def test_record_checks_are_the_entry_fields_in_order():
+    # from_dict builds an entry from these keys, and to_dict writes its fields in their order
+    assert list(kb._RECORD_FIELDS) == [f.name for f in fields(kb.KnowledgeEntry)]
 
 
 def test_load_kb_refuses_a_repeated_answer_id_naming_both_lines(tmp_path):

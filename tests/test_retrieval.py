@@ -227,7 +227,9 @@ def test_build_index_empty_corpus_rejected():
         build_index([])
 
 
-@pytest.mark.parametrize("k1,b", [(0.0, 0.75), (-1.0, 0.5), (1.2, 1.5), (1.2, -0.1)])
+@pytest.mark.parametrize(
+    "k1,b", [(0.0, 0.75), (-1.0, 0.5), (1.2, 1.5), (1.2, -0.1), (math.nan, 0.75), (math.inf, 0.75)]
+)
 def test_build_index_parameter_validation(k1, b):
     with pytest.raises(ConfigError):
         build_index([make_entry(1, ["a"])], k1=k1, b=b)
