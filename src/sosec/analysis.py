@@ -83,6 +83,10 @@ class CweMap:
         return self.entries.get((tool, rule_id))
 
 
+# subprocess waits for an analyzer with poll(), which takes a C int of
+# milliseconds, so no adapter timeout may be longer than this many seconds.
+_MAX_TIMEOUT = 2_147_483
+
 # adapters-config entry key -> (check, what the value must be)
 _ENTRY_CHECKS = {
     "command": (list_of(is_str), "a list of strings"),
@@ -120,6 +124,8 @@ class AdapterConfig:
             raise ConfigError(f"adapter {self.name}: unknown output format {self.format!r}")
         if not self.command:
             raise ConfigError(f"adapter {self.name}: empty command")
+        if not self.timeout <= _MAX_TIMEOUT:
+            raise ConfigError(f"adapter {self.name}: timeout {self.timeout!r} is longer than {_MAX_TIMEOUT} seconds")
         for language in self.languages or ():
             if language not in SUFFIX_BY_LANGUAGE:
                 raise ConfigError(f"adapter {self.name}: unknown language {language!r}")

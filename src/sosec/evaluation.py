@@ -11,7 +11,6 @@ import json
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from decimal import ROUND_HALF_EVEN, Decimal
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -272,8 +271,8 @@ def split_trials(trials: Sequence[Trial]) -> tuple[list[Trial], Counter]:
 
 
 def round_rate(value: float) -> float:
-    """Round a percentage to one decimal (half-to-even on the float value)."""
-    return float(Decimal(value).quantize(Decimal("0.1"), rounding=ROUND_HALF_EVEN))
+    """Round a percentage to one decimal, half to even on the float's exact binary value."""
+    return round(value, 1)
 
 
 @dataclass

@@ -33,13 +33,11 @@ MIN_INLINE_CODE_CHARS = 10
 
 DEFAULT_MIN_UPVOTE = 1
 
-_CHUNK_SIZE = 64 * 1024
-
-# build_knowledge_base cuts a dump larger than this into slices of about
-# this many bytes, each of which a worker process parses.
+# build_knowledge_base cuts a dump into slices of about this many bytes,
+# each of which a worker process parses; parse_dump_rows reads this many
+# bytes at a time.
 _SLICE_BYTES = 1 << 20
-# Upvoted answers per task sent to a worker process. Unless the dump slices
-# have started the pool, it starts only once this many have been seen.
+# Upvoted answers per task sent to a worker process.
 _JUDGE_CHUNK = 256
 _MAX_WORKERS = 4
 # Slices, and as many judge chunks, each worker may have queued or running.
@@ -194,7 +192,7 @@ def parse_dump_rows(stream: IO[bytes], kind: str) -> Iterator[tuple | None]:
     another post type are skipped: each gives None in its place.
     Malformed XML raises DumpParseError with the failing byte offset.
     """
-    yield from _parse_rows(iter(partial(stream.read, _CHUNK_SIZE), b""), kind)
+    yield from _parse_rows(iter(partial(stream.read, _SLICE_BYTES), b""), kind)
 
 
 def is_security_relevant(
@@ -393,23 +391,21 @@ def _dump_body(stream: IO[bytes]) -> tuple[int, int, int] | None:
     """Where a dump to be sliced starts, and where the content of its root element starts and ends.
 
     None, with the stream where it was, when the dump is to be read
-    serially: the stream cannot seek; the dump fits in one slice; its head
-    is not `_DUMP_HEAD` (a DOCTYPE, a comment, another encoding) or names a
-    `row` root; or it does not end with the root's end tag and optional
-    whitespace.
+    serially: the stream cannot seek; its head is not `_DUMP_HEAD` (a
+    DOCTYPE, a comment, another encoding) or names a `row` root; or it does
+    not end with the root's end tag and optional whitespace.
     """
     if not stream.seekable():
         return None
     start = stream.tell()
     end = stream.seek(0, os.SEEK_END)
+    tail_at = stream.seek(max(start, end - 1024))
+    tail = stream.read().rstrip(b" \t\r\n")
+    stream.seek(start)
+    head = re.match(_DUMP_HEAD, stream.read(1024))
     body = None
-    if end - start > _SLICE_BYTES:
-        tail_at = stream.seek(max(start, end - 1024))
-        tail = stream.read().rstrip(b" \t\r\n")
-        stream.seek(start)
-        head = re.match(_DUMP_HEAD, stream.read(1024))
-        if head and head[4] != b"row" and tail.endswith(b"</" + head[4] + b">"):
-            body = start, start + head.end(), tail_at + len(tail) - len(head[4]) - 3
+    if head and head[4] != b"row" and tail.endswith(b"</" + head[4] + b">"):
+        body = start, start + head.end(), tail_at + len(tail) - len(head[4]) - 3
     stream.seek(start)
     return body
 
@@ -441,19 +437,24 @@ def _cpu_count() -> int:
 
 
 class _Pool:
-    """The worker processes of one build, started by the first task submitted."""
+    """Runs the tasks of one build: in this process for one worker, else in processes started by the first task."""
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
         self.executor = None
 
     def in_order(self, tasks: Iterable[tuple]) -> Iterator[tuple]:
-        """Run each `(tag, function, args)` of `tasks` in a worker; yield each `(tag, result)` in task order.
+        """Run each `(tag, function, args)` of `tasks`; yield each `(tag, result)` in task order.
 
-        At most _IN_FLIGHT_PER_WORKER tasks per worker are queued or
-        running; `tasks` is drawn from as results are taken. Tasks whose
-        result is not taken are cancelled when the caller stops early.
+        With one worker each task runs in this process as it is drawn.
+        Otherwise the tasks run in the worker processes, at most
+        _IN_FLIGHT_PER_WORKER per worker queued or running; `tasks` is drawn
+        from as results are taken. Tasks whose result is not taken are
+        cancelled when the caller stops early.
         """
+        if self.workers == 1:
+            yield from ((tag, function(*args)) for tag, function, args in tasks)
+            return
         in_flight: deque = deque()
         try:
             for tag, function, args in tasks:
@@ -479,18 +480,18 @@ class _Pool:
             self.executor.shutdown(wait=True, cancel_futures=True)
 
 
-def _dump_rows(stream: IO[bytes], kind: str, pool: _Pool | None) -> Iterator[tuple | None]:
+def _dump_rows(stream: IO[bytes], kind: str, pool: _Pool) -> Iterator[tuple | None]:
     """One dump's rows as `parse_dump_rows` gives them, in dump order.
 
-    With a pool, a dump that `_dump_body` lets be sliced is parsed slice by
-    slice in the workers. Otherwise, and from the first slice that expat
-    rejects, `parse_dump_rows` reads the dump from its start and the rows
-    already given are passed over. A slice that parses inside a dummy
-    element cannot end inside a tag, comment, CDATA section or processing
+    A dump that `_dump_body` lets be sliced is parsed slice by slice in
+    `pool`. Otherwise, and from the first slice that expat rejects,
+    `parse_dump_rows` reads the dump from its start and the rows already
+    given are passed over. A slice that parses inside a dummy element
+    cannot end inside a tag, comment, CDATA section or processing
     instruction, so the rows given before it are the serial reader's first
     rows; the rows and any DumpParseError are the serial reader's.
     """
-    body = None if pool is None else _dump_body(stream)
+    body = _dump_body(stream)
     given = 0
     if body is not None:
         start, begin, end = body
@@ -505,25 +506,6 @@ def _dump_rows(stream: IO[bytes], kind: str, pool: _Pool | None) -> Iterator[tup
                 return
         stream.seek(start)
     yield from islice(parse_dump_rows(stream, kind), given, None)
-
-
-def _judged(batches: Iterable[list], keywords: KeywordSet, pool: _Pool | None) -> Iterator[tuple[list, list]]:
-    """Yield each batch of `(answer row, comments, tags)` with its `_judge_chunk` verdicts, in batch order.
-
-    Once the pool has started, or a batch is full, the batches go to the
-    pool; until then, and always without a pool, they are judged in this
-    process.
-    """
-
-    def chunk(batch: list) -> list[tuple[str, list[str]]]:
-        return [(row[3], [text for text, _ in attached]) for row, attached, _ in batch]
-
-    batches = iter(batches)
-    for batch in batches:
-        if pool is not None and (pool.executor is not None or len(batch) == _JUDGE_CHUNK):
-            yield from pool.in_order((b, _judge_chunk, (chunk(b), keywords)) for b in chain([batch], batches))
-            return
-        yield batch, _judge_chunk(chunk(batch), keywords)
 
 
 class KnowledgeBase(list):
@@ -551,18 +533,17 @@ def build_knowledge_base(
     An answer is kept when it passes the upvote gate, contains at least one
     code block, and matches a keyword (in its text or a comment). The gates
     run cheapest first, so a body is parsed only once its upvote gate passes.
-    On more than one CPU, up to _MAX_WORKERS worker processes, started by
-    the first task that needs them, parse the dumps in slices (see
-    `_dump_rows`) and judge the upvoted answers in chunks (see `_judged`).
-    This process reads the dump bytes, joins the comments, applies the
-    upvote gate and applies the results in dump order, so the output does
-    not depend on the workers. Comments referencing unknown posts are
-    ignored; on duplicate answer ids the later occurrence wins. The entries
-    are returned in ascending answer id order, with the build's counts.
+    The dumps are parsed in slices (see `_dump_rows`) and the upvoted
+    answers judged in chunks of _JUDGE_CHUNK by a `_Pool`: in this process
+    on one CPU, else in up to _MAX_WORKERS worker processes. This process
+    reads the dump bytes, joins the comments, applies the upvote gate and
+    applies the results in dump order, so the output does not depend on
+    the workers. Comments referencing unknown posts are ignored; on
+    duplicate answer ids the later occurrence wins. The entries are
+    returned in ascending answer id order, with the build's counts.
     """
     tally = Counter()
-    workers = min(_cpu_count(), _MAX_WORKERS)
-    pool = _Pool(workers) if workers > 1 else None
+    pool = _Pool(min(_cpu_count(), _MAX_WORKERS))
     try:
         # Comments are grouped up front so the (much larger) posts dump can
         # be consumed one row at a time.
@@ -594,7 +575,11 @@ def build_knowledge_base(
                 yield batch
 
         entries: dict[int, KnowledgeEntry] = {}
-        with closing(_judged(upvoted_batches(), keywords, pool)) as judged:
+        tasks = (
+            (batch, _judge_chunk, ([(row[3], [text for text, _ in attached]) for row, attached, _ in batch], keywords))
+            for batch in upvoted_batches()
+        )
+        with closing(pool.in_order(tasks)) as judged:
             for batch, verdicts in judged:
                 for ((answer_id, question_id, score, _), attached, tags), verdict in zip(batch, verdicts):
                     if verdict is None:
@@ -625,8 +610,7 @@ def build_knowledge_base(
         )
         raise SosecError(f"a build-kb worker process died: {exc}{cause}") from exc
     finally:
-        if pool is not None:
-            pool.shutdown()
+        pool.shutdown()
 
     return KnowledgeBase((entries[answer_id] for answer_id in sorted(entries)), tally)
 

@@ -200,6 +200,11 @@ def _bm25_fault(k1, b) -> str | None:
     return None
 
 
+def _impacts_ok(impacts) -> bool:
+    """True iff every posting impact is finite and positive, as `retrieve` relies on; a NaN fails."""
+    return not len(impacts) or bool(impacts.min() > 0.0 and impacts.max() < math.inf)
+
+
 def build_index(
     entries: Sequence[KnowledgeEntry],
     k1: float = DEFAULT_K1,
@@ -247,15 +252,19 @@ def build_index(
     avgdl = sum(doc_len) / n
     dl = np.array(doc_len, dtype=np.int64)[doc_ids]
     # Elementwise IEEE operations in the order scalar code would apply them,
-    # so every impact is bit-identical to scoring the posting on its own.
-    weight = tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
+    # so every impact is bit-identical to scoring the posting on its own. An
+    # overflow is not printed: the impacts it spoils are refused below.
+    with np.errstate(all="ignore"):
+        impacts = np.repeat(idf, df) * (tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl)))
+    if not _impacts_ok(impacts):
+        raise ConfigError(f"k1 {k1!r} and b {b!r} give posting impacts that are not finite and positive")
     return RetrievalIndex(
         k1=k1,
         b=b,
         terms=terms,
         offsets=offsets,
         doc_ids=doc_ids.astype(np.intp, copy=False),
-        impacts=np.repeat(idf, df) * weight,
+        impacts=impacts,
         answer_ids=np.array(answer_ids, dtype=np.int64),
         entry_offsets=entry_offsets,
         blob=b"".join(lines),
@@ -425,11 +434,9 @@ def load_index(path: str | Path) -> RetrievalIndex:
     except OSError as exc:
         raise ConfigError(f"cannot read index file {path}: {exc}") from exc
 
-    doc_ids, impacts = arrays["doc_ids"], arrays["impacts"]
+    doc_ids = arrays["doc_ids"]
     if len(doc_ids) and not 0 <= int(doc_ids.min()) <= int(doc_ids.max()) < count:
         raise ConfigError(f"{path} has posting doc ids outside its {count} entries")
-    # `retrieve` relies on every score being a sum of positive impacts; a NaN
-    # minimum fails the test too.
-    if len(impacts) and not (impacts.min() > 0.0 and impacts.max() < math.inf):
+    if not _impacts_ok(arrays["impacts"]):
         raise ConfigError(f"{path} has posting impacts that are not finite and positive")
     return RetrievalIndex(k1=k1, b=b, terms=terms, blob=blob, **arrays)

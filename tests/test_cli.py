@@ -521,6 +521,8 @@ _ADAPTER_ENTRY = {"command": [sys.executable, "-c", "pass", "{file}"], "format":
         ({"adapters": {"bandit": "nope"}}, "adapter bandit: entry must be a JSON object"),
         ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "timeout": "soon"}}},
          "adapter bandit: timeout must be a positive number, got 'soon'"),
+        ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "timeout": 2147484}}},
+         "adapter bandit: timeout 2147484.0 is longer than 2147483 seconds"),
         ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "ok_returncodes": 0}}},
          "adapter bandit: ok_returncodes must be a list of integers, got 0"),
         ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "command": "echo {file}"}}},
@@ -539,7 +541,7 @@ _ADAPTER_ENTRY = {"command": [sys.executable, "-c", "pass", "{file}"], "format":
          "adapter bandit: unknown language 'pyhton'"),
         ('{"adapters": ', "cannot read adapters config"),  # written as it is, not as JSON
     ],
-    ids=["list", "bare-object", "entry", "timeout", "ok_returncodes", "command", "languages",
+    ids=["list", "bare-object", "entry", "timeout", "timeout-too-long", "ok_returncodes", "command", "languages",
          "unknown-key", "empty-languages", "no-file-placeholder", "missing-format", "format-not-a-string",
          "unknown-language", "not-json"],
 )

@@ -8,6 +8,7 @@ import re
 import sys
 import tempfile
 import threading
+from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
 import pytest
@@ -932,6 +933,18 @@ def _count_outcomes(arm, total, fixed, unchanged_count=0):
 def test_round_rate_half_even_on_exact_quarter():
     assert round_rate(100.0 * 99 / 240) == 41.2
     assert round_rate(100.0 * 232 / 240) == 96.7
+
+
+def test_round_rate_is_the_decimal_half_even_rounding_of_every_small_rate():
+    def reference(value: float) -> float:
+        return float(Decimal(value).quantize(Decimal("0.1"), rounding=ROUND_HALF_EVEN))
+
+    # every rate of at most 200 samples and its negation, then seeded differences of two rounded
+    # rates, as a delta against the baseline is; repr keeps the sign of -0.0
+    values = [sign * 100.0 * a / b for b in range(1, 201) for a in range(b + 1) for sign in (1, -1)]
+    rng = random.Random(34)
+    values += [reference(rng.choice(values)) - reference(rng.choice(values)) for _ in range(20000)]
+    assert [repr(round_rate(v)) for v in values] == [repr(reference(v)) for v in values]
 
 
 def test_compute_metrics_fix_rates_and_delta():

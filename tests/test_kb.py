@@ -639,8 +639,9 @@ def _build_from_bytes(posts_xml: bytes, keywords=KW):
 
 
 def test_malformed_posts_after_the_pool_started_raise_at_the_same_offset(monkeypatch):
-    monkeypatch.setattr(kb, "_CHUNK_SIZE", 512)  # hand the rows over a few at a time
+    monkeypatch.setattr(kb, "_SLICE_BYTES", 512)  # hand the rows over a few at a time
     posts_xml = _answers_dump(40, tail="<row Id=oops/>")
+    monkeypatch.setattr(kb, "_cpu_count", lambda: 1)
     with pytest.raises(DumpParseError) as serial:
         _build_from_bytes(posts_xml)
     started = _judge_in_pool(monkeypatch)
@@ -668,7 +669,7 @@ class _InterruptedRead(io.BytesIO):
 
 def test_an_interrupt_while_the_pool_runs_leaves_no_child(monkeypatch):
     started = _judge_in_pool(monkeypatch)
-    monkeypatch.setattr(kb, "_CHUNK_SIZE", 512)  # about three rows a read: the interrupt comes near row 20
+    monkeypatch.setattr(kb, "_SLICE_BYTES", 512)  # about three rows a read: the interrupt comes near row 20
     posts = _InterruptedRead(_answers_dump(40), reads=6)
     with pytest.raises(KeyboardInterrupt):
         build_knowledge_base(posts, io.BytesIO(b"<comments/>"), KW)
@@ -685,6 +686,7 @@ class _KillsItsUnpickler(KeywordSet):
 
 def test_a_dead_worker_is_a_sosec_error(monkeypatch):
     keywords = _KillsItsUnpickler(frozenset({"sql injection"}))
+    monkeypatch.setattr(kb, "_cpu_count", lambda: 1)
     assert [e.answer_id for e in _build_from_bytes(_answers_dump(1), keywords)] == [2]
     started = _judge_in_pool(monkeypatch)
     with pytest.raises(SosecError, match="worker process died"):
@@ -819,8 +821,6 @@ _ROWS_IN_MARKUP = "".join(f'<row Id="{i}" PostTypeId="1" Score="1" Body="hidden"
         pytest.param(_posts(tail="</posts>\n<!-- <row Id='99'/> -->\n"), False, id="comment-after-the-root"),
         pytest.param(_posts(tail="</posts>\njunk\n"), False, id="junk-after-the-root"),
         pytest.param(_posts(head="<row>", tail="</row>"), False, id="root-named-row"),
-        pytest.param(b'<posts><row Id="2" PostTypeId="2" ParentId="1" Score="1" Body="x" /></posts>', False,
-                     id="one-slice"),
     ],
 )
 def test_a_dump_that_cannot_be_sliced_safely_gives_the_serial_result(monkeypatch, data, slices_tried):
@@ -828,6 +828,13 @@ def test_a_dump_that_cannot_be_sliced_safely_gives_the_serial_result(monkeypatch
     assert sliced == serial
     assert serial_reads == 1
     assert ("_parse_slice" in tasks) is slices_tried
+
+
+def test_a_dump_smaller_than_a_slice_is_sliced(monkeypatch):
+    data = b'<posts><row Id="2" PostTypeId="2" ParentId="1" Score="1" Body="x" /></posts>'
+    serial, sliced, tasks, serial_reads = _serial_and_sliced(monkeypatch, data)
+    assert sliced == serial == [(2, 1, 1, "x")]
+    assert tasks == ["_parse_slice"] and serial_reads == 0
 
 
 def test_an_unseekable_dump_is_read_serially(monkeypatch):
@@ -898,12 +905,14 @@ def test_an_interrupt_while_slices_are_parsed_leaves_no_child(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_one_cpu_reads_the_dumps_serially(fixtures_dir, monkeypatch):
+def test_one_cpu_starts_no_worker(fixtures_dir, monkeypatch):
     started = _judge_in_pool(monkeypatch)
     monkeypatch.setattr(kb, "_cpu_count", lambda: 1)
     monkeypatch.setattr(kb, "_SLICE_BYTES", 300)
+    serial_reads = []
+    monkeypatch.setattr(kb, "parse_dump_rows", lambda *args, **kwargs: serial_reads.append(args) or parse_dump_rows(*args, **kwargs))
     assert [e.answer_id for e in _kb_from_fixture(fixtures_dir)] == [101, 102, 105, 107, 109, 112, 114]
-    assert started == []
+    assert started == [] and serial_reads == []
 
 
 # A script that runs build-kb on the fixture dump with two workers, in chunks of

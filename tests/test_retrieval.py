@@ -9,6 +9,7 @@ import string
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +234,14 @@ def test_build_index_empty_corpus_rejected():
 def test_build_index_parameter_validation(k1, b):
     with pytest.raises(ConfigError):
         build_index([make_entry(1, ["a"])], k1=k1, b=b)
+
+
+def test_build_index_refuses_a_k1_whose_impacts_overflow_and_prints_nothing():
+    # tf 2 makes tf * (k1 + 1) overflow; a lone "a" would give a weight of exactly 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="give posting impacts that are not finite and positive"):
+            build_index([make_entry(1, ["a a"])], k1=1e308)
 
 
 def test_bm25_score_worked_example():
