@@ -87,22 +87,10 @@ class CweMap:
 # milliseconds, so no adapter timeout may be longer than this many seconds.
 _MAX_TIMEOUT = 2_147_483
 
-# adapters-config entry key -> (check, what the value must be)
-_ENTRY_CHECKS = {
-    "command": (list_of(is_str), "a list of strings"),
-    "format": (is_str, "a string"),
-    "timeout": (lambda v: is_number(v) and v > 0, "a positive number"),
-    "ok_returncodes": (list_of(is_int), "a list of integers"),
-    "languages": (
-        lambda v: v is None or (list_of(is_str)(v) and len(v) > 0),
-        "a list of strings or null (not an empty list)",
-    ),
-}
-
 
 @dataclass
 class AdapterConfig:
-    """How to invoke one analyzer and read its report.
+    """How to invoke one analyzer and read its report; a bad value raises ConfigError naming the adapter.
 
     `languages` None means every language; the other fields take the types
     declared here whatever sequence or number they are given as.
@@ -116,36 +104,49 @@ class AdapterConfig:
     languages: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        def fault(message: str) -> ConfigError:
+            return ConfigError(f"adapter {self.name}: {message}")
+
+        for key, ok, what in (
+            ("command", list_of(is_str)(self.command), "a list of strings"),
+            ("format", is_str(self.format), "a string"),
+            ("timeout", is_number(self.timeout) and self.timeout > 0, "a positive number"),
+            ("ok_returncodes", list_of(is_int)(self.ok_returncodes), "a list of integers"),
+            ("languages", self.languages is None or (list_of(is_str)(self.languages) and len(self.languages) > 0),
+             "a list of strings or null (not an empty list)"),
+        ):
+            if not ok:
+                raise fault(f"{key} must be {what}, got {getattr(self, key)!r}")
+        if self.format not in _PARSERS:
+            raise fault(f"unknown output format {self.format!r}")
+        if self.timeout > _MAX_TIMEOUT:
+            raise fault(f"timeout {float(self.timeout)!r} is longer than {_MAX_TIMEOUT} seconds")
+        if not self.command:
+            raise fault("empty command")
+        if not any("{file}" in part for part in self.command):
+            raise fault("command has no {file} placeholder")
+        if not self.ok_returncodes:
+            raise fault("ok_returncodes is empty, so every run would fail")
+        for language in self.languages or ():
+            if language not in SUFFIX_BY_LANGUAGE:
+                raise fault(f"unknown language {language!r}")
         self.command = list(self.command)
         self.timeout = float(self.timeout)
         self.ok_returncodes = tuple(self.ok_returncodes)
         self.languages = None if self.languages is None else tuple(self.languages)
-        if self.format not in _PARSERS:
-            raise ConfigError(f"adapter {self.name}: unknown output format {self.format!r}")
-        if not self.command:
-            raise ConfigError(f"adapter {self.name}: empty command")
-        if not self.timeout <= _MAX_TIMEOUT:
-            raise ConfigError(f"adapter {self.name}: timeout {self.timeout!r} is longer than {_MAX_TIMEOUT} seconds")
-        for language in self.languages or ():
-            if language not in SUFFIX_BY_LANGUAGE:
-                raise ConfigError(f"adapter {self.name}: unknown language {language!r}")
 
     @classmethod
     def from_dict(cls, name: str, obj: dict) -> "AdapterConfig":
-        """Read one adapters-config entry; a bad key or value, or a command with no `{file}`, raises ConfigError."""
+        """Read one adapters-config entry: the fields after `name`, by key; a bad one raises ConfigError."""
         if not isinstance(obj, dict):
             raise ConfigError(f"adapter {name}: entry must be a JSON object, got {obj!r}")
+        keys = [f.name for f in fields(cls)][1:]
         for key in obj:
-            if key not in _ENTRY_CHECKS:
+            if key not in keys:
                 raise ConfigError(f"adapter {name}: unknown key {key!r}")
-        for key, (ok, what) in _ENTRY_CHECKS.items():
-            if key in obj and not ok(obj[key]):
-                raise ConfigError(f"adapter {name}: {key} must be {what}, got {obj[key]!r}")
         for key in ("command", "format"):
             if key not in obj:
                 raise ConfigError(f"adapter {name}: missing key {key!r}")
-        if not any("{file}" in part for part in obj["command"]):
-            raise ConfigError(f"adapter {name}: command has no {{file}} placeholder")
         return cls(name=name, **obj)
 
     def supports_language(self, language: str) -> bool:

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -27,7 +26,7 @@ from .evaluation import (
 )
 from .kb import DEFAULT_MIN_UPVOTE, KeywordSet, build_knowledge_base, load_kb_jsonl, write_kb_jsonl
 from .retrieval import DEFAULT_B, DEFAULT_K1, build_index, load_index, retrieve, save_index
-from .revision import PROVIDER_KINDS, ProviderConfig, make_provider, revise
+from .revision import PROVIDER_KINDS, make_provider, revise
 
 
 class UsageError(Exception):
@@ -105,22 +104,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--workers", type=int)
 
     return parser
-
-
-def _layer_flags(config: GlobalConfig, flags: dict) -> GlobalConfig:
-    """Set each given flag over the config field its dest names, then validate.
-
-    The config file's provider section applies unless --provider names another kind.
-    """
-    for f in fields(config):
-        if f.name != "provider" and flags.get(f.name) is not None:
-            setattr(config, f.name, flags[f.name])
-    kind = flags.get("provider")
-    if kind is not None and kind != config.provider.kind:
-        config.provider = ProviderConfig(kind=kind)
-    if flags.get("transcript"):
-        config.provider.transcript_path = flags["transcript"]
-    return config.validate()
 
 
 def _emit(args, payload, text: str) -> None:
@@ -315,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError(parser.format_usage() + "sosec: error: a subcommand is required")
-        config = _layer_flags(load_config(args.config), vars(args))
+        config = load_config(args.config, vars(args))
         code = _COMMANDS[args.command](args, config)
         sys.stdout.flush()  # a reader that closed the pipe shows here, not at exit
         return code

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import inspect
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -20,6 +21,8 @@ def default_data_path(name: str) -> Path:
 
 @dataclass
 class GlobalConfig:
+    """The settings of one run; a bad value raises ConfigError naming its key."""
+
     keyword_path: str = str(default_data_path("keywords.txt"))
     cwe_map_path: str = str(default_data_path("cwe_map.json"))
     supported_cwes_path: str = str(default_data_path("supported_cwes.txt"))
@@ -29,38 +32,42 @@ class GlobalConfig:
     budget: int = DEFAULT_CHAR_BUDGET
     workers: int = 1
 
-    def validate(self) -> "GlobalConfig":
+    def __post_init__(self):
         for f in fields(self):
             if f.name.endswith("_path"):
                 check_value(f.name, getattr(self, f.name), str)
         check_value("k", self.k, int, 1)
         check_value("budget", self.budget, int, MIN_BUDGET)
         check_value("workers", self.workers, int, 1)
-        self.provider.validate()
-        return self
 
 
-def load_config(path: str | Path | None = None) -> GlobalConfig:
-    """Read a JSON config file on top of packaged defaults.
+def load_config(path: str | Path | None = None, flags: dict | None = None) -> GlobalConfig:
+    """The packaged defaults, then the JSON config file at `path`, then each of `flags` that is not None.
 
-    The result is not validated yet: call `validate()` once any flags are set over it.
+    `flags` maps argparse dests to values: those that name a config key, and
+    `provider`, a provider kind, and `transcript`. The file's provider section
+    applies unless the `provider` flag names another kind; its keys are
+    checked even then.
     """
-    config = GlobalConfig()
-    if path is None:
-        return config
-    obj = read_json(path, "config file")
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-
-    provider_obj = obj.pop("provider", None)
-    if provider_obj is not None:
-        try:
-            config.provider = ProviderConfig(**provider_obj)
-        except TypeError as exc:
-            raise ConfigError(f"config file {path}: bad provider section: {exc}") from exc
-    names = {f.name for f in fields(config)}
-    for key, value in obj.items():
-        if key not in names:
-            raise ConfigError(f"config file {path}: unknown key {key!r}")
-        setattr(config, key, value)
-    return config
+    merged = asdict(GlobalConfig())
+    if path is not None:
+        obj = read_json(path, "config file")
+        if not isinstance(obj, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        for key in obj:
+            if key not in merged:
+                raise ConfigError(f"config file {path}: unknown key {key!r}")
+        if "provider" in obj:
+            try:  # the keys that ProviderConfig(**section) takes, not yet its value rules
+                inspect.signature(ProviderConfig).bind(**obj["provider"])
+            except TypeError as exc:
+                raise ConfigError(f"config file {path}: bad provider section: {exc}") from exc
+        merged.update(obj)
+    flags = {key: value for key, value in (flags or {}).items() if value is not None}
+    provider = merged.pop("provider")
+    if flags.get("provider", provider["kind"]) != provider["kind"]:
+        provider = {"kind": flags["provider"]}
+    if "transcript" in flags:
+        provider["transcript_path"] = flags["transcript"]
+    merged.update((key, flags[key]) for key in merged.keys() & flags.keys())
+    return GlobalConfig(**merged, provider=ProviderConfig(**provider))

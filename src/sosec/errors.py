@@ -92,8 +92,8 @@ def is_str(value) -> bool:
 
 
 def list_of(test: Callable[[object], bool]) -> Callable[[object], bool]:
-    """The test that a value is a list whose every item passes `test`."""
-    return lambda value: type(value) is list and all(map(test, value))
+    """The test that a value is a list or a tuple (JSON gives lists only) whose every item passes `test`."""
+    return lambda value: type(value) in (list, tuple) and all(map(test, value))
 
 
 OPTIONAL_STR = (str, type(None))

@@ -32,11 +32,28 @@ ARMS = (ARM_PROMPT_ONLY, ARM_REVISION_ONLY, ARM_CWE_LABEL, ARM_SOSECURE)
 
 @dataclass
 class CodeSample:
+    """One dataset record; a bad value raises ConfigError."""
+
     sample_id: str
     code: str
     dataset: str = "custom"
     language: str = "python"
     labeled_cwe: str | None = None
+
+    def __post_init__(self):
+        for name in ("sample_id", "code"):
+            if not is_str(value := getattr(self, name)) or not value:
+                raise ConfigError(f"missing or empty {name!r}")
+        try:
+            self.code.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"'code' cannot be encoded as UTF-8: {exc}") from exc
+        if self.dataset not in DATASETS:
+            raise ConfigError(f"unknown dataset {self.dataset!r}")
+        if not is_str(self.language) or self.language not in SUFFIX_BY_LANGUAGE:
+            raise ConfigError(f"unknown language {self.language!r}")
+        if self.labeled_cwe is not None and not (is_str(self.labeled_cwe) and CWE_RE.match(self.labeled_cwe)):
+            raise ConfigError(f"labeled_cwe {self.labeled_cwe!r} does not match CWE-NNN")
 
 
 @dataclass
@@ -72,42 +89,26 @@ class Trial:
         return self.after_cwes - self.before_cwes
 
 
-_SAMPLE_FIELDS = tuple(f.name for f in fields(CodeSample))
-
-
-def _validate_sample(obj: dict) -> CodeSample:
-    """The sample a dataset record holds, its absent optional fields at their `CodeSample` defaults."""
-    if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
-    sample_id = obj.get("sample_id")
-    if not is_str(sample_id) or not sample_id:
-        raise ValueError("missing or empty 'sample_id'")
-    code = obj.get("code")
-    if not is_str(code) or not code:
-        raise ValueError("missing or empty 'code'")
-    try:
-        code.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ValueError(f"'code' cannot be encoded as UTF-8: {exc}") from exc
-    sample = CodeSample(**{name: obj[name] for name in _SAMPLE_FIELDS if name in obj})
-    if sample.dataset not in DATASETS:
-        raise ValueError(f"unknown dataset {sample.dataset!r}")
-    if not is_str(sample.language) or sample.language not in SUFFIX_BY_LANGUAGE:
-        raise ValueError(f"unknown language {sample.language!r}")
-    if sample.labeled_cwe is not None and not CWE_RE.match(str(sample.labeled_cwe)):
-        raise ValueError(f"labeled_cwe {sample.labeled_cwe!r} does not match CWE-NNN")
-    return sample
+_OPTIONAL_SAMPLE_FIELDS = [f.name for f in fields(CodeSample)][2:]  # those after sample_id and code
 
 
 def load_samples(path: str | Path) -> list[CodeSample]:
-    """Load a JSONL dataset, rejecting malformed lines and repeated sample ids by line number."""
+    """Load a JSONL dataset, rejecting malformed lines and repeated sample ids by line number.
+
+    A record's keys that are not `CodeSample` fields are ignored, and an
+    absent optional field takes its default.
+    """
     samples = []
     problems = []
     first_line: dict[str, int] = {}
     for line_no, line in jsonl_lines(path):
         try:
-            sample = _validate_sample(json.loads(line))
-        except ValueError as exc:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise ConfigError("record is not a JSON object")
+            optional = {name: obj[name] for name in _OPTIONAL_SAMPLE_FIELDS if name in obj}
+            sample = CodeSample(obj.get("sample_id"), obj.get("code"), **optional)
+        except (ValueError, ConfigError) as exc:  # ValueError: not JSON
             problems.append(f"line {line_no}: {exc}")
             continue
         seen = first_line.setdefault(sample.sample_id, line_no)
@@ -170,9 +171,9 @@ def run_arms(
     """Filter the samples and run the experimental arms, phase by phase.
 
     A sample's filter tools are the adapters that support its language;
-    every language in `samples` needs two of them, and an unknown language
-    or a short one raises ConfigError before any analyzer runs. First every
-    distinct original code is analyzed with its filter tools. A sample
+    every language in `samples` needs two of them, or ConfigError is raised
+    before any analyzer runs. First every distinct original code is analyzed
+    with its filter tools. A sample
     leaves the run at the filter (`arm` None) as `not_dual_flagged` unless
     each of them flags it, or as `analyzer_errors` if an analyzer fails or
     cannot read it; it gets no trial at all if none of its CWEs is in
@@ -203,9 +204,6 @@ def run_arms(
                 "cwe_label arm requires labeled_cwe on every sample; missing on: "
                 + ", ".join(sorted(unlabeled))
             )
-    for sample in samples:
-        if sample.language not in SUFFIX_BY_LANGUAGE:
-            raise ConfigError(f"sample {sample.sample_id!r} has unknown language {sample.language!r}")
     for language in sorted({s.language for s in samples}):
         tools = [a.name for a in adapters if a.supports_language(language)]
         if len(tools) < 2:

@@ -64,6 +64,10 @@ CWE_NAMES = {
 
 @dataclass
 class ProviderConfig:
+    """Which provider to make and how it behaves; a bad value raises ConfigError naming the first
+    field that is of the wrong type, below its least value, not among its choices, missing for
+    this kind of provider, or given to a kind that does not use it."""
+
     kind: str
     endpoint: str | None = None
     model_name: str | None = None
@@ -75,9 +79,7 @@ class ProviderConfig:
     max_in_flight: int = 4
     min_request_interval: float = 0.0
 
-    def validate(self) -> None:
-        """Raise ConfigError naming the first field that is of the wrong type, below its least
-        value, not among its choices, or missing for this kind of provider."""
+    def __post_init__(self):
         for name, choices in (("kind", PROVIDER_KINDS), ("mock_behavior", MOCK_BEHAVIORS)):
             if (value := getattr(self, name)) not in choices:
                 raise ConfigError(f"provider.{name} must be one of {', '.join(choices)}, got {value!r}")
@@ -90,6 +92,8 @@ class ProviderConfig:
         required = {"recorded": "transcript_path", "live": "endpoint"}.get(self.kind)
         if required and not getattr(self, required):
             raise ConfigError(f"provider.{required} is required when provider.kind is {self.kind!r}")
+        if self.transcript_path is not None and self.kind != "recorded":
+            raise ConfigError(f"provider.transcript_path needs provider.kind 'recorded', got {self.kind!r}")
 
 
 @dataclass
@@ -256,7 +260,7 @@ class LiveHttpProvider:
     ``min_request_interval`` so batch runs stay inside endpoint rate limits.
     A connection error, a timeout, HTTP 429 or a 5xx reply is retried up to
     ``max_retries`` times; retry n (from 0) first waits ``retry_base_delay *
-    2**n`` seconds, holding no in-flight slot. `make_provider` checks the config.
+    2**n`` seconds, holding no in-flight slot.
     """
 
     sleep = staticmethod(time.sleep)  # the backoff wait; tests set a fake on the instance
@@ -319,8 +323,7 @@ class LiveHttpProvider:
 
 
 def make_provider(config: ProviderConfig):
-    """The provider that ``config.kind`` names; ConfigError if ``config`` fails its checks."""
-    config.validate()
+    """The provider that ``config.kind`` names."""
     if config.kind == "mock":
         return DeterministicMockProvider(config.mock_behavior)
     if config.kind == "recorded":

@@ -10,7 +10,6 @@ import pytest
 
 from conftest import logged_adapter_specs
 from sosec.analysis import (
-    _ENTRY_CHECKS,
     AdapterConfig,
     CweMap,
     Finding,
@@ -373,7 +372,7 @@ def test_run_analyzer_missing_source_file(fake_bandit_adapter, tmp_path):
 def test_run_analyzer_timeout(tmp_path):
     adapter = AdapterConfig(
         name="sleepy",
-        command=[sys.executable, "-c", "import time; time.sleep(10)"],
+        command=[sys.executable, "-c", "import time; time.sleep(10)", "{file}"],
         format="bandit_json",
         timeout=0.3,
     )
@@ -385,7 +384,7 @@ def test_run_analyzer_timeout(tmp_path):
 def test_run_analyzer_unexpected_exit_code(tmp_path):
     adapter = AdapterConfig(
         name="crashy",
-        command=[sys.executable, "-c", "import sys; sys.exit(3)"],
+        command=[sys.executable, "-c", "import sys; sys.exit(3)", "{file}"],
         format="bandit_json",
     )
     source = _write_source(tmp_path, "x = 1\n")
@@ -396,7 +395,7 @@ def test_run_analyzer_unexpected_exit_code(tmp_path):
 def test_run_analyzer_unparseable_output(tmp_path):
     adapter = AdapterConfig(
         name="noisy",
-        command=[sys.executable, "-c", "print('garbage')"],
+        command=[sys.executable, "-c", "print('garbage')", "{file}"],
         format="bandit_json",
     )
     source = _write_source(tmp_path, "x = 1\n")
@@ -408,7 +407,7 @@ def test_run_analyzer_output_that_is_not_utf8(tmp_path):
     # an AdapterError costs one sample in eval; a bare UnicodeDecodeError would end the run
     adapter = AdapterConfig(
         name="latin1",
-        command=[sys.executable, "-c", "import sys; sys.stdout.buffer.write(b'{\"results\": []}\\xe9')"],
+        command=[sys.executable, "-c", "import sys; sys.stdout.buffer.write(b'{\"results\": []}\\xe9')", "{file}"],
         format="bandit_json",
     )
     source = _write_source(tmp_path, "x = 1\n")
@@ -514,8 +513,35 @@ def test_adapter_config_validation():
 
 
 def test_adapter_config_fields_are_the_entry_keys_after_the_name():
-    # from_dict passes an entry's keys, once checked, to AdapterConfig as they are
-    assert ["name", *_ENTRY_CHECKS] == [f.name for f in fields(AdapterConfig)]
+    # from_dict passes an entry's keys to AdapterConfig as they are
+    names = [f.name for f in fields(AdapterConfig)]
+    values = ["x", ["t", "{file}"], "sarif", 5, [0], ["c"]]
+    assert names[0] == "name"
+    assert AdapterConfig.from_dict("x", dict(zip(names[1:], values[1:]))) == AdapterConfig(*values)
+    with pytest.raises(ConfigError, match="^adapter x: unknown key 'name'$"):
+        AdapterConfig.from_dict("x", {"name": "y", "command": ["t", "{file}"], "format": "sarif"})
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [({"timeout": -5}, "timeout must be a positive number, got -5"),
+     ({"timeout": 0}, "timeout must be a positive number, got 0"),
+     ({"command": ["t", 5, "{file}"]}, "command must be a list of strings, got ['t', 5, '{file}']"),
+     ({"command": ["t", "-"]}, "command has no {file} placeholder"),
+     ({"ok_returncodes": []}, "ok_returncodes is empty, so every run would fail"),
+     ({"languages": []}, "languages must be a list of strings or null (not an empty list), got []")],
+    ids=["negative-timeout", "zero-timeout", "non-string-command", "no-file-placeholder", "no-ok-returncodes",
+         "no-languages"],
+)
+def test_adapter_config_built_in_code_is_checked_as_an_entry_is(tmp_path, changes, message):
+    entry = {"command": ["t", "{file}"], "format": "sarif", **changes}
+    with pytest.raises(ConfigError) as in_code:
+        AdapterConfig("x", **entry)
+    config = tmp_path / "adapters.json"
+    config.write_text(json.dumps({"adapters": {"x": entry}}), encoding="utf-8")
+    with pytest.raises(ConfigError) as from_file:
+        load_adapters(config)
+    assert str(in_code.value) == str(from_file.value) == f"adapter x: {message}"
 
 
 def test_adapter_config_takes_its_declared_types_and_defaults():

@@ -16,10 +16,11 @@ from sosec import __version__
 from sosec.analysis import Finding
 from sosec.cli import main
 from sosec.config import default_data_path, load_config
+from sosec.errors import ConfigError
 from sosec.evaluation import load_samples
 from sosec.kb import KeywordSet, KnowledgeEntry
 from sosec.retrieval import RetrievalHit
-from sosec.revision import RevisionRecord, build_revision_prompt, prompt_hash
+from sosec.revision import ProviderConfig, RevisionRecord, build_revision_prompt, prompt_hash
 
 SHELL_CODE = "import subprocess\n\ndef run(cmd):\n    return subprocess.call(cmd, shell=True)\n"
 
@@ -86,6 +87,48 @@ def test_config_file_mock_kind_revises_as_the_provider_flag_does(tmp_path, capsy
     assert main(argv + ["--config", str(config)]) == 0
     assert capsys.readouterr().out == from_flag
     assert json.loads(from_flag)["changed"] is True
+    # a flag of another kind replaces the file's section, which is then not checked
+    config.write_text(json.dumps({"provider": {"kind": "recorded"}}), encoding="utf-8")
+    assert main(argv + ["--config", str(config), "--provider", "mock"]) == 0
+    assert capsys.readouterr().out == from_flag
+
+
+def _revise_argv(tmp_path, fixtures_dir, capsys):
+    kb_index = tmp_path / "kb.idx"
+    _build_index_fixture(tmp_path, fixtures_dir, kb_index, capsys)
+    code = tmp_path / "snippet.py"
+    code.write_text(SHELL_CODE, encoding="utf-8")
+    return ["revise", "--index", str(kb_index), "--code", str(code)]
+
+
+def test_revise_transcript_flag_without_a_recorded_provider_is_runtime_error(tmp_path, fixtures_dir, capsys):
+    argv = _revise_argv(tmp_path, fixtures_dir, capsys)
+    assert main(argv + ["--transcript", str(tmp_path / "nope.jsonl")]) == 2
+    assert capsys.readouterr() == ("", "sosec: error: provider.transcript_path needs provider.kind 'recorded', "
+                                       "got 'mock'\n")
+
+
+def test_config_file_recorded_kind_replays_the_transcript_flag(tmp_path, fixtures_dir, capsys):
+    argv = _revise_argv(tmp_path, fixtures_dir, capsys)
+    assert main(argv) == 0
+    prompt = json.loads(capsys.readouterr().out)["prompt_text"]
+    transcript = tmp_path / "transcript.jsonl"
+    reply = "```python\nreplayed = True\n```"
+    transcript.write_text(json.dumps({"prompt_hash": prompt_hash(prompt), "response": reply}) + "\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": {"kind": "recorded"}}), encoding="utf-8")
+    assert main(argv + ["--config", str(config), "--transcript", str(transcript)]) == 0
+    assert json.loads(capsys.readouterr().out)["revised_code"] == "replayed = True"
+
+
+def test_a_provider_built_in_code_is_checked_as_a_config_file_section_is(tmp_path):
+    with pytest.raises(ConfigError) as in_code:
+        ProviderConfig(kind="live")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": {"kind": "live"}}), encoding="utf-8")
+    with pytest.raises(ConfigError) as from_file:
+        load_config(config)
+    assert str(in_code.value) == str(from_file.value) == "provider.endpoint is required when provider.kind is 'live'"
 
 
 _EVERY_COMMAND = [
@@ -443,9 +486,11 @@ def test_config_file_with_bad_provider_value_is_runtime_error(tmp_path, fixtures
 def test_malformed_config_file_is_runtime_error(tmp_path, capsys, text, message):
     config = tmp_path / "config.json"
     config.write_text(text, encoding="utf-8")
-    assert main(["version", "--config", str(config)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("sosec: error:") and f"config file {config}" in err and message in err
+    # refused also where --provider names another kind than the file's section
+    for argv in (["version"], ["revise", "--index", "kb.idx", "--code", "snippet.py", "--provider", "mock"]):
+        assert main(argv + ["--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sosec: error:") and f"config file {config}" in err and message in err
 
 
 def test_invalid_config_file_is_runtime_error(tmp_path, capsys):
@@ -525,6 +570,8 @@ _ADAPTER_ENTRY = {"command": [sys.executable, "-c", "pass", "{file}"], "format":
          "adapter bandit: timeout 2147484.0 is longer than 2147483 seconds"),
         ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "ok_returncodes": 0}}},
          "adapter bandit: ok_returncodes must be a list of integers, got 0"),
+        ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "ok_returncodes": []}}},
+         "adapter bandit: ok_returncodes is empty, so every run would fail"),
         ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "command": "echo {file}"}}},
          "adapter bandit: command must be a list of strings"),
         ({"adapters": {"bandit": {**_ADAPTER_ENTRY, "languages": "python"}}},
@@ -541,7 +588,8 @@ _ADAPTER_ENTRY = {"command": [sys.executable, "-c", "pass", "{file}"], "format":
          "adapter bandit: unknown language 'pyhton'"),
         ('{"adapters": ', "cannot read adapters config"),  # written as it is, not as JSON
     ],
-    ids=["list", "bare-object", "entry", "timeout", "timeout-too-long", "ok_returncodes", "command", "languages",
+    ids=["list", "bare-object", "entry", "timeout", "timeout-too-long", "ok_returncodes", "empty-ok_returncodes",
+         "command", "languages",
          "unknown-key", "empty-languages", "no-file-placeholder", "missing-format", "format-not-a-string",
          "unknown-language", "not-json"],
 )

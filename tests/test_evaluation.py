@@ -120,6 +120,26 @@ def test_load_samples_rejects_unknown_enum_values(tmp_path):
         load_samples(path)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [({"sample_id": ""}, "missing or empty 'sample_id'"),
+     ({"dataset": "wild"}, "unknown dataset 'wild'"),
+     ({"labeled_cwe": "nonsense"}, "labeled_cwe 'nonsense' does not match CWE-NNN"),
+     ({"code": "x = '\ud800'\n"}, "'code' cannot be encoded as UTF-8: 'utf-8' codec can't encode character "
+                                    "'\\ud800' in position 5: surrogates not allowed")],
+    ids=["empty-sample-id", "unknown-dataset", "malformed-labeled-cwe", "lone-surrogate"],
+)
+def test_code_sample_built_in_code_is_checked_as_a_dataset_line_is(tmp_path, changes, message):
+    record = {"sample_id": "a", "code": SHELL_CODE, **changes}
+    with pytest.raises(ConfigError) as in_code:
+        CodeSample(**record)
+    path = _write_dataset(tmp_path, [json.dumps(record)])
+    with pytest.raises(ConfigError) as from_file:
+        load_samples(path)
+    assert str(in_code.value) == message
+    assert str(from_file.value) == f"{path}: invalid dataset lines: line 1: {message}"
+
+
 def test_load_supported_cwes(tmp_path):
     path = tmp_path / "supported.txt"
     path.write_text("# header\nCWE-78\nCWE-89\n", encoding="utf-8")
@@ -483,7 +503,7 @@ def test_run_arms_refuses_an_unknown_language_before_any_analyzer_runs(cwe_map):
     # adapters with no `languages` support every language, so two of them
     # pass the count check
     anywhere = [AdapterConfig(name=n, command=["no-such-binary-qq", "{file}"], format="sarif") for n in "ab"]
-    with pytest.raises(ConfigError, match=r"sample 'a' has unknown language 'rust'"):
+    with pytest.raises(ConfigError, match=r"^unknown language 'rust'$"):
         run_arms([_sample("a", "x = 1\n", language="rust")], ["prompt_only"], None,
                  adapters=anywhere, cwe_map=cwe_map, supported_cwes={"CWE-78"})
 

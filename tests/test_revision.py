@@ -541,16 +541,14 @@ def test_live_provider_paces_requests(monkeypatch):
 
 def test_live_provider_rejects_bad_max_in_flight(monkeypatch):
     monkeypatch.setenv("SOSEC_API_KEY", "test-key")
-    config = ProviderConfig(kind="live", endpoint="https://api.example/v1", max_in_flight=0)
     with pytest.raises(ConfigError, match=r"provider.max_in_flight must be >= 1, got 0"):
-        make_provider(config)
+        make_provider(ProviderConfig(kind="live", endpoint="https://api.example/v1", max_in_flight=0))
 
 
 def test_live_provider_checks_its_config_as_the_cli_does(monkeypatch):
     monkeypatch.setenv("SOSEC_API_KEY", "test-key")
-    config = ProviderConfig(kind="live", endpoint="https://api.example/v1", max_retries=-1)
     with pytest.raises(ConfigError, match=r"provider.max_retries must be >= 0, got -1"):
-        make_provider(config)
+        make_provider(ProviderConfig(kind="live", endpoint="https://api.example/v1", max_retries=-1))
 
 
 def test_record_invariant_parse_failure_implies_unchanged():
