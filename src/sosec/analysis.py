@@ -229,7 +229,7 @@ def parse_sarif(text: str, tool: str) -> list[Finding] | None:
         runs = _field(json.loads(text), "runs", list, None)
         results = [result for run in runs for result in _field(run, "results", list, [])]
         failed = any(_sarif_failed(inv) for run in runs for inv in _field(run, "invocations", list, []))
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, TypeError, RecursionError) as exc:
         raise AdapterError(f"not a SARIF log: {exc}") from exc
     return None if failed else _findings(results, tool, _sarif_finding)
 
@@ -243,7 +243,7 @@ def parse_bandit_json(text: str, tool: str) -> list[Finding] | None:
         report = json.loads(text)
         results = _field(report, "results", list, None)
         errors = _field(report, "errors", list, [])
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, TypeError, RecursionError) as exc:
         raise AdapterError(f"not a JSON report: {exc}") from exc
     return None if errors else _findings(results, tool, _bandit_finding)
 

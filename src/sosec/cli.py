@@ -116,7 +116,7 @@ def _emit(args, payload, text: str) -> None:
 
 def _check_out_dir(out: str, inputs: dict[str, str | None]) -> None:
     """Refuse an --out path that no file can be written to, or that is one of the
-    command's `inputs` (flag: path), before the work that fills it."""
+    command's `inputs` (flag: path), before the work that fills it; a missing file is created empty."""
     path = Path(out)
     if path.is_dir():
         raise SosecError(f"--out {out} is a directory")
@@ -126,6 +126,7 @@ def _check_out_dir(out: str, inputs: dict[str, str | None]) -> None:
         for flag, value in inputs.items():
             if value and os.path.exists(value) and os.path.samefile(out, value):
                 raise SosecError(f"--out {out} is the file that {flag} {value} names")
+    open(out, "a", encoding="utf-8").close()
 
 
 def _cmd_version(args, config) -> int:
@@ -232,21 +233,18 @@ def _cmd_analyze(args, config: GlobalConfig) -> int:
 
 
 def _cmd_eval(args, config: GlobalConfig) -> int:
-    samples = load_samples(args.dataset)
     arms = [a.strip() for a in args.arm.split(",") if a.strip()]
     if not arms:
         raise UsageError("--arm names no arms")
     if args.baseline_arm and args.baseline_arm not in arms:
         raise SosecError(f"--baseline-arm {args.baseline_arm!r} is not among --arm {','.join(arms)}")
     if args.out:
-        # refused now, not after every analyzer and provider call has run;
-        # a missing file is created empty, an existing one is left as it is
         _check_out_dir(args.out, {
             "--dataset": args.dataset, "--index": args.index, "--transcript": args.transcript,
             "--adapters": args.adapters_path, "--cwe-map": args.cwe_map_path,
             "--supported-cwes": args.supported_cwes_path, "--config": args.config,
         })
-        open(args.out, "a", encoding="utf-8").close()
+    samples = load_samples(args.dataset)
 
     adapters = load_adapters(config.adapters_path)
     cwe_map = CweMap.from_file(config.cwe_map_path)

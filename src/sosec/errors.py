@@ -53,7 +53,7 @@ def read_json(path: str | Path, what: str):
     try:
         with open_text(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -108,7 +108,7 @@ def load_samples(path: str | Path) -> list[CodeSample]:
                 raise ConfigError("record is not a JSON object")
             optional = {name: obj[name] for name in _OPTIONAL_SAMPLE_FIELDS if name in obj}
             sample = CodeSample(obj.get("sample_id"), obj.get("code"), **optional)
-        except (ValueError, ConfigError) as exc:  # ValueError: not JSON
+        except (ValueError, RecursionError, ConfigError) as exc:  # not JSON, or nested too deep
             problems.append(f"line {line_no}: {exc}")
             continue
         seen = first_line.setdefault(sample.sample_id, line_no)

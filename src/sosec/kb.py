@@ -416,7 +416,8 @@ def _slices(stream: IO[bytes], begin: int, end: int) -> Iterator[bytes]:
     left, data = end - begin, b""
     while left:
         more = stream.read(min(_SLICE_BYTES, left))
-        if not more:
+        if not more:  # the dump ends before `end`: a last slice that cannot parse sends it to the serial reader
+            data += b"<"
             break
         left -= len(more)
         data += more
@@ -437,7 +438,7 @@ def _cpu_count() -> int:
 
 
 class _Pool:
-    """Runs the tasks of one build: in this process for one worker, else in processes started by the first task."""
+    """Runs the tasks of one build: in this process for one worker or a stream of one task, else in worker processes."""
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
@@ -446,13 +447,16 @@ class _Pool:
     def in_order(self, tasks: Iterable[tuple]) -> Iterator[tuple]:
         """Run each `(tag, function, args)` of `tasks`; yield each `(tag, result)` in task order.
 
-        With one worker each task runs in this process as it is drawn.
-        Otherwise the tasks run in the worker processes, at most
-        _IN_FLIGHT_PER_WORKER per worker queued or running; `tasks` is drawn
-        from as results are taken. Tasks whose result is not taken are
-        cancelled when the caller stops early.
+        With one worker, or when `tasks` holds only one task, each task runs
+        in this process as it is drawn. Otherwise the tasks run in the worker
+        processes, at most _IN_FLIGHT_PER_WORKER per worker queued or running;
+        `tasks` is drawn from as results are taken. Tasks whose result is not
+        taken are cancelled when the caller stops early.
         """
-        if self.workers == 1:
+        tasks = iter(tasks)
+        head = [] if self.workers == 1 else list(islice(tasks, 2))
+        tasks = chain(head, tasks)
+        if len(head) < 2:
             yield from ((tag, function(*args)) for tag, function, args in tasks)
             return
         in_flight: deque = deque()
@@ -651,7 +655,7 @@ def load_kb_jsonl(path: str | Path) -> list[KnowledgeEntry]:
     for line_no, line in jsonl_lines(path):
         try:
             entry = KnowledgeEntry.from_jsonl(line)
-        except ValueError as exc:  # JSONDecodeError and UnicodeEncodeError too
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeEncodeError too
             raise ConfigError(f"{path}: bad knowledge-base record on line {line_no}: {exc}") from exc
         seen = first_line.setdefault(entry.answer_id, line_no)
         if seen != line_no:

@@ -175,7 +175,7 @@ class RetrievalIndex:
             entry = KnowledgeEntry.from_jsonl(line.decode("utf-8"))
             if entry.answer_id != self.answer_ids[doc_id]:
                 raise ValueError(f"its answer_id {entry.answer_id} is not the indexed {self.answer_ids[doc_id]}")
-        except ValueError as exc:  # JSONDecodeError and the Unicode errors too
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError and the Unicode errors too
             where = getattr(self.blob, "path", "the index")
             raise ConfigError(f"{where} has a corrupt entry line for document {doc_id}: {exc}") from exc
         return entry
@@ -376,7 +376,7 @@ def _read_header(fh, path) -> tuple[float, float, dict[str, int], int]:
         if not is_int(count) or count < 0:
             raise ValueError(f"entry count {count!r} is not a count")
         return k1, b, dict(zip(terms, range(len(terms)))), count
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ConfigError(f"{path} has a corrupt index header: {exc}") from exc
 
 

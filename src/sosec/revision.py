@@ -238,7 +238,7 @@ class RecordedTranscriptProvider:
                 key, response = record["prompt_hash"], record["response"]
                 if not is_str(key) or not is_str(response):
                     raise TypeError("'prompt_hash' and 'response' must be strings")
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
                 raise ConfigError(f"{path}: bad transcript record on line {line_no}: {exc}") from exc
             if self._responses.setdefault(key, response) != response:
                 raise ConfigError(
@@ -317,7 +317,7 @@ class LiveHttpProvider:
                 raise ProviderError(f"HTTP {response.status_code}: {response.text[:500]}")
             try:
                 return response.json()["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
+            except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
                 raise ProviderError(f"malformed completion response: {exc}") from exc
         raise ProviderError(f"gave up after {attempts} attempts, the last with {failure}")
 

@@ -16,6 +16,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # sha256 of the knowledge base that build-kb writes for the 20-row fixture dump
 FIXTURE_KB_SHA256 = "f8968af3e5aef8f29083b548598cc4cbd1854be7bc0ca0aef5c3c392e29d53eb"
 
+# A JSON document nested deeper than any parser's recursion limit.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
 
 @pytest.fixture
 def fixtures_dir() -> Path:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import FIXTURE_KB_SHA256, logged_adapter_specs, raise_in_body_parser_on, stub_adapter_specs
+from conftest import DEEP_JSON, FIXTURE_KB_SHA256, logged_adapter_specs, raise_in_body_parser_on, stub_adapter_specs
 import sosec
 from sosec import __version__
 from sosec.analysis import Finding
@@ -747,6 +747,38 @@ def test_eval_live_reply_without_text_costs_one_sample(tmp_path, fixtures_dir, s
     assert "'provider_errors': 1" in report["footnotes"][0]
 
 
+def test_eval_analyzer_report_nested_too_deep_costs_one_sample(tmp_path, fixtures_dir, capsys):
+    dataset = _first_samples(fixtures_dir, tmp_path, 4)
+    deep = json.loads(dataset.read_text(encoding="utf-8").splitlines()[2])["code"]
+    specs = stub_adapter_specs()
+    fake_bandit = specs["bandit"]["command"][1]
+    script = tmp_path / "deep_bandit.py"
+    script.write_text(
+        "import runpy, sys\n"
+        f"if open(sys.argv[-1], encoding='utf-8').read() == {deep!r}:\n"
+        f"    print({DEEP_JSON!r})\n"
+        "else:\n"
+        f"    sys.argv[0] = {fake_bandit!r}\n"
+        "    runpy.run_path(sys.argv[0], run_name='__main__')\n",
+        encoding="utf-8",
+    )
+    specs["bandit"]["command"][1] = str(script)
+    adapters = tmp_path / "adapters.json"
+    adapters.write_text(json.dumps({"adapters": specs}), encoding="utf-8")
+    argv = ["eval", "--dataset", str(dataset), "--arm", "prompt_only", "--adapters", str(adapters), "--format", "json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["per_arm"]["prompt_only"]["samples"] == 3
+    assert "'analyzer_errors': 1" in report["footnotes"][0]
+
+
+def test_version_with_a_config_nested_too_deep_exits_2(tmp_path, capsys):
+    config = tmp_path / "deep.json"
+    config.write_text(DEEP_JSON, encoding="utf-8")
+    assert main(["version", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"sosec: error: cannot read config file {config}: maximum recursion")
+
+
 def test_eval_with_repeated_arm_is_rejected(fixtures_dir, stub_adapters_file, capsys):
     rc = main([
         "eval", "--dataset", str(fixtures_dir / "dataset_10.jsonl"),
@@ -812,9 +844,17 @@ def test_eval_with_a_missing_analyzer_binary_exits_2_naming_it(tmp_path, fixture
     assert captured.out == ""
 
 
-# an --out that is an input would be overwritten with the output
-_BAD_OUTS = ["no/such/dir/out", ".", "input"]
-_BAD_OUT_IDS = ["missing-directory", "a-directory", "an-input"]
+# an --out that is an input would be overwritten with the output; "link" is
+# made a symlink to a path in a missing directory
+_BAD_OUTS = ["no/such/dir/out", ".", "input", "link"]
+_BAD_OUT_IDS = ["missing-directory", "a-directory", "an-input", "a-link-into-a-missing-directory"]
+
+
+def _bad_out(tmp_path, out: str):
+    out = tmp_path / out
+    if out.name == "link":
+        out.symlink_to(tmp_path / "no/such/dir/out")
+    return out
 
 
 def _refusal(out, tmp_path, input_flag: str) -> str:
@@ -824,19 +864,24 @@ def _refusal(out, tmp_path, input_flag: str) -> str:
 
 
 @pytest.mark.parametrize("out", _BAD_OUTS, ids=_BAD_OUT_IDS)
-def test_eval_refuses_an_out_path_it_cannot_write_before_any_analyzer_runs(tmp_path, fixtures_dir, capsys, out):
-    out = tmp_path / out
+def test_eval_refuses_an_out_path_it_cannot_write_before_the_dataset_is_read(
+    tmp_path, fixtures_dir, capsys, monkeypatch, out
+):
+    out = _bad_out(tmp_path, out)
     dataset = tmp_path / "input"
     dataset.write_bytes((fixtures_dir / "dataset_10.jsonl").read_bytes())
     log = tmp_path / "calls.log"
     adapters = tmp_path / "adapters.json"
     adapters.write_text(json.dumps({"adapters": logged_adapter_specs(log)}), encoding="utf-8")
+    calls = []
+    monkeypatch.setattr("sosec.cli.load_samples", lambda path: calls.append(path))
     rc = main([
         "eval", "--dataset", str(dataset), "--arm", "prompt_only,revision_only",
         "--adapters", str(adapters), "--out", str(out),
     ])
     assert rc == 2
     assert _refusal(out, tmp_path, "--dataset") in capsys.readouterr().err
+    assert calls == []
     assert not log.exists()
     assert dataset.read_bytes() == (fixtures_dir / "dataset_10.jsonl").read_bytes()
 
@@ -845,7 +890,7 @@ def test_eval_refuses_an_out_path_it_cannot_write_before_any_analyzer_runs(tmp_p
 def test_build_kb_refuses_an_out_path_it_cannot_write_before_any_dump_is_read(
     tmp_path, fixtures_dir, capsys, monkeypatch, out
 ):
-    out = tmp_path / out
+    out = _bad_out(tmp_path, out)
     comments = tmp_path / "input"
     comments.write_bytes((fixtures_dir / "comments_20.xml").read_bytes())
     calls = []
@@ -861,7 +906,7 @@ def test_build_kb_refuses_an_out_path_it_cannot_write_before_any_dump_is_read(
 
 @pytest.mark.parametrize("out", _BAD_OUTS, ids=_BAD_OUT_IDS)
 def test_index_refuses_an_out_path_it_cannot_write_before_the_kb_is_read(tmp_path, capsys, monkeypatch, out):
-    out = tmp_path / out
+    out = _bad_out(tmp_path, out)
     kb_path = tmp_path / "input"
     kb_path.write_text(KnowledgeEntry(1, 0, 1, "ok", ["x = 1"], [], [], "https://stackoverflow.com/a/1").to_jsonl())
     kb_bytes = kb_path.read_bytes()
@@ -872,7 +917,7 @@ def test_index_refuses_an_out_path_it_cannot_write_before_the_kb_is_read(tmp_pat
     err = capsys.readouterr().err
     assert _refusal(out, tmp_path, "--kb") in err and ".tmp" not in err
     assert calls == []
-    assert list(tmp_path.iterdir()) == [kb_path]
+    assert [path for path in tmp_path.iterdir() if not path.is_symlink()] == [kb_path]
     assert kb_path.read_bytes() == kb_bytes
 
 

@@ -1,5 +1,6 @@
 """The rules every JSONL input shares: UTF-8 with an optional byte-order mark, blank
-lines skipped, and a malformed line refused by its file and line number."""
+lines skipped, and a malformed line refused by its file and line number. And the
+one every JSON reader shares: a document nested too deep is malformed."""
 
 from __future__ import annotations
 
@@ -8,12 +9,14 @@ import re
 
 import pytest
 
-from sosec.errors import ConfigError
+from sosec.analysis import CweMap, load_adapters, parse_bandit_json, parse_sarif
+from sosec.config import load_config
+from sosec.errors import AdapterError, ConfigError
 from sosec.evaluation import load_samples
 from sosec.kb import load_kb_jsonl
 from sosec.revision import RecordedTranscriptProvider, prompt_hash
 
-from conftest import make_entry
+from conftest import DEEP_JSON, make_entry
 
 
 def _transcript_responses(provider) -> list[str]:
@@ -56,3 +59,26 @@ def test_jsonl_input_takes_a_bom_skips_blank_lines_and_names_a_bad_line(tmp_path
     path.write_text(text + "{not json\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
         load(path)
+
+
+# reader -> (what it is called with for a file that holds DEEP_JSON, its error, the start of its message)
+DEEP_READERS = {
+    "config": (load_config, ConfigError, "cannot read config file {path}: maximum recursion depth"),
+    "adapters": (load_adapters, ConfigError, "cannot read adapters config {path}: maximum recursion depth"),
+    "cwe-map": (CweMap.from_file, ConfigError, "cannot read CWE map {path}: maximum recursion depth"),
+    "kb": (load_kb_jsonl, ConfigError, "{path}: bad knowledge-base record on line 1: maximum recursion depth"),
+    "dataset": (load_samples, ConfigError, "invalid dataset lines: line 1: maximum recursion depth"),
+    "transcript": (RecordedTranscriptProvider, ConfigError, "{path}: bad transcript record on line 1: maximum"),
+    "sarif": (lambda path: parse_sarif(path.read_text(), "codeql"), AdapterError, "not a SARIF log: maximum"),
+    "bandit": (lambda path: parse_bandit_json(path.read_text(), "bandit"), AdapterError, "not a JSON report: maximum"),
+}
+
+
+@pytest.mark.parametrize("kind", DEEP_READERS)
+def test_a_document_nested_too_deep_is_refused_as_malformed(tmp_path, kind):
+    read, error, message = DEEP_READERS[kind]
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON + "\n", encoding="utf-8")
+    with pytest.raises(error) as caught:
+        read(path)
+    assert message.format(path=path) in str(caught.value)

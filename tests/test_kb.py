@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import fields
 from html.parser import HTMLParser
 from pathlib import Path
+from typing import Iterator
 from xml.sax.saxutils import quoteattr
 
 import pytest
@@ -704,6 +705,14 @@ def test_pool_path_raises_no_warning(fixtures_dir, monkeypatch):
     assert [e.answer_id for e in entries] == [101, 102, 105, 107, 109, 112, 114]
 
 
+def test_a_build_whose_every_stream_is_one_task_starts_no_worker(fixtures_dir, monkeypatch):
+    chunk = kb._JUDGE_CHUNK  # the fixture's answers in one chunk, as its dumps are one slice each
+    started = _judge_in_pool(monkeypatch)
+    monkeypatch.setattr(kb, "_JUDGE_CHUNK", chunk)
+    assert [e.answer_id for e in _kb_from_fixture(fixtures_dir)] == [101, 102, 105, 107, 109, 112, 114]
+    assert started == []
+
+
 def test_one_cpu_judges_in_process(fixtures_dir, monkeypatch):
     started = _judge_in_pool(monkeypatch)
     monkeypatch.setattr(kb, "_cpu_count", lambda: 1)
@@ -834,7 +843,7 @@ def test_a_dump_smaller_than_a_slice_is_sliced(monkeypatch):
     data = b'<posts><row Id="2" PostTypeId="2" ParentId="1" Score="1" Body="x" /></posts>'
     serial, sliced, tasks, serial_reads = _serial_and_sliced(monkeypatch, data)
     assert sliced == serial == [(2, 1, 1, "x")]
-    assert tasks == ["_parse_slice"] and serial_reads == 0
+    assert tasks == [] and serial_reads == 0  # its one slice is parsed in this process
 
 
 def test_an_unseekable_dump_is_read_serially(monkeypatch):
@@ -862,6 +871,42 @@ def test_a_malformed_byte_in_the_third_slice_raises_the_serial_error(monkeypatch
     assert sliced == serial
     assert serial.startswith("malformed posts XML at byte ")
     assert tasks.count("_parse_slice") >= 3 and serial_reads == 1
+
+
+class _EndsEarly(io.BytesIO):
+    """A dump whose reads, after the two with which `_dump_body` measures it, end at byte `cut`, as a file
+    cut while it is read would."""
+
+    def __init__(self, data: bytes, cut: int):
+        super().__init__(data)
+        self.cut, self.reads = cut, 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        if self.reads > 2:
+            left = max(0, self.cut - self.tell())
+            size = left if size < 0 else min(size, left)
+        return super().read(size)
+
+
+def _rows_then_error(rows: Iterator) -> tuple[list, str]:
+    given = []
+    with pytest.raises(DumpParseError) as caught:
+        for row in rows:
+            given.append(row)
+    return given, str(caught.value)
+
+
+@pytest.mark.parametrize("into_the_row, reason", [(0, "no element found"), (10, "unclosed token")],
+                         ids=["at-a-row-boundary", "mid-row"])
+def test_a_dump_that_ends_early_while_sliced_raises_the_serial_error(monkeypatch, into_the_row, reason):
+    rows = "".join(f'<row Id="{i}" PostId="1" Score="0" Text="comment {i}" />\n' for i in range(1, 200))
+    data = f"<comments>\n{rows}</comments>\n".encode()
+    cut = data.index(b'<row Id="101"') + into_the_row
+    monkeypatch.setattr(kb, "_SLICE_BYTES", 1024)
+    serial = _rows_then_error(parse_dump_rows(io.BytesIO(data[:cut]), "comments"))
+    assert len(serial[0]) == 100 and reason in serial[1]
+    assert _rows_then_error(kb._dump_rows(_EndsEarly(data, cut), "comments", kb._Pool(1))) == serial
 
 
 def test_sliced_build_kb_writes_the_in_process_bytes(fixtures_dir, tmp_path, capsys, monkeypatch):

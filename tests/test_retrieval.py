@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bm25_brute_force, make_entry
+from conftest import DEEP_JSON, bm25_brute_force, make_entry
 from sosec import retrieval
 from sosec.config import default_data_path
 from sosec.errors import ConfigError
@@ -524,13 +524,16 @@ def test_load_index_rejects_an_entry_count_the_arrays_disagree_with(tmp_path, co
          "has a corrupt index header: b 1.01 is not a number within [0, 1]"),
         (lambda data, at: data.replace(b'"terms": [', b'"terms": [7, '),
          "has a corrupt index header: terms is not a list of strings"),
+        (lambda data, at: f"{INDEX_MAGIC}\n{DEEP_JSON}\n".encode(),
+         "has a corrupt index header: maximum recursion depth"),
         # the last of the four doc ids, past entry_offsets, answer_ids and impacts
         (lambda data, at: data[: at + 100] + np.array([3], dtype="<i4").tobytes() + data[at + 104 :],
          "has posting doc ids outside its 3 entries"),
         (lambda data, at: None, "cannot read index file"),
     ],
     ids=["ends-in-header", "header-not-json", "negative-entry-count", "float-entry-count", "k1-a-string", "k1-nan",
-         "k1-zero", "b-null", "b-above-one", "term-not-a-string", "doc-id-outside", "missing-file"],
+         "k1-zero", "b-null", "b-above-one", "term-not-a-string", "header-nested-too-deep", "doc-id-outside",
+         "missing-file"],
 )
 def test_load_index_refuses_a_corrupt_or_missing_file(tmp_path, corrupt, message):
     path, data, at = _saved_abc(tmp_path)
@@ -593,6 +596,20 @@ def test_retrieve_refuses_an_index_entry_line_of_the_wrong_shape(tmp_path, edite
     with pytest.raises(ConfigError) as caught:
         retrieve(index, "needle", k=1)
     assert str(caught.value).startswith(f"{path} has a corrupt entry line for document 0: {reason}")
+
+
+def test_retrieve_refuses_an_index_entry_line_nested_too_deep(tmp_path):
+    path = tmp_path / "kb.idx"
+    entry = make_entry(3, ["needle = 1", "x" * len(DEEP_JSON)])
+    save_index(build_index([entry]), path)
+    data, line = path.read_bytes(), entry.to_jsonl().encode()
+    assert data.count(line) == 1
+    # the same byte length, so the entry offsets still hold
+    path.write_bytes(data.replace(line, DEEP_JSON.encode().ljust(len(line) - 1) + b"\n"))
+    index = load_index(path)
+    with pytest.raises(ConfigError) as caught:
+        retrieve(index, "needle", k=1)
+    assert str(caught.value).startswith(f"{path} has a corrupt entry line for document 0: maximum recursion depth")
 
 
 def test_retrieve_refuses_an_index_entry_line_whose_answer_id_was_edited(tmp_path):

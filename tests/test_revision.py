@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from conftest import make_entry
+from conftest import DEEP_JSON, make_entry
 from sosec.errors import ConfigError, PromptBudgetError, ProviderError
 from sosec.kb import KnowledgeEntry
 from sosec.retrieval import RetrievalHit
@@ -305,7 +305,7 @@ class _FakeResponse:
         self.text = json.dumps(self._payload)
 
     def json(self):
-        return self._payload
+        return json.loads(self.text)
 
 
 def _reply(content: str) -> _FakeResponse:
@@ -374,6 +374,15 @@ def test_live_provider_posts_a_client_error_once(monkeypatch):
         revise(provider, CODE, [], sample_id="s1")
     assert len(session.requests) == 1
     assert provider.delays == []
+
+
+def test_live_provider_refuses_a_reply_nested_too_deep(monkeypatch):
+    reply = _FakeResponse(200)
+    reply.text = DEEP_JSON
+    provider, session = _live(monkeypatch, [reply])
+    with pytest.raises(ProviderError, match="sample s1: malformed completion response: maximum recursion depth"):
+        revise(provider, CODE, [], sample_id="s1")
+    assert len(session.requests) == 1
 
 
 def test_live_provider_backs_off_outside_its_in_flight_slot(monkeypatch):
