@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -57,11 +56,14 @@ def load_config(path: str | Path | None = None, flags: dict | None = None) -> Gl
         for key in obj:
             if key not in merged:
                 raise ConfigError(f"config file {path}: unknown key {key!r}")
-        if "provider" in obj:
-            try:  # the keys that ProviderConfig(**section) takes, not yet its value rules
-                inspect.signature(ProviderConfig).bind(**obj["provider"])
-            except TypeError as exc:
-                raise ConfigError(f"config file {path}: bad provider section: {exc}") from exc
+        section = obj.get("provider", merged["provider"])  # its keys here, its values in ProviderConfig
+        if not isinstance(section, dict):
+            raise ConfigError(f"config file {path}: bad provider section: not a JSON object")
+        for key in section:
+            if key not in merged["provider"]:
+                raise ConfigError(f"config file {path}: bad provider section: unknown key {key!r}")
+        if "kind" not in section:
+            raise ConfigError(f"config file {path}: bad provider section: missing key 'kind'")
         merged.update(obj)
     flags = {key: value for key, value in (flags or {}).items() if value is not None}
     provider = merged.pop("provider")

@@ -60,16 +60,17 @@ class CodeSample:
 class Trial:
     """One sample in one arm, or the point where the sample left the run.
 
-    `arm` is None for the dual-tool filter, which runs before any arm.
-    `before_cwes` holds the supported classes flagged before. `after_cwes`
-    holds the supported classes flagged after, and every other mapped class
-    that was not flagged before. So `fixed` counts only supported classes,
-    and `introduced` every mapped class that is new after the revision.
+    `arm` is None for the filter, which runs before any arm. `before_cwes`
+    holds the supported classes flagged before. `after_cwes` holds the
+    supported classes flagged after, and every other mapped class that was
+    not flagged before. So `fixed` counts only supported classes, and
+    `introduced` every mapped class that is new after the revision.
     `dropped` is the tally reason when the sample left the run here; its
-    after-state is then empty. `readable` is False for a revision that a
-    filter tool could not read; it is scored as not fixed, so its after-set
-    is its before-set. CWE sets are compared as sets of distinct classes,
-    since line-level matching across a rewritten file is ill-defined.
+    after-state is then empty, and at the filter its before-state too.
+    `readable` is False for a revision that a filter tool could not read; it
+    is scored as not fixed, so its after-set is its before-set. CWE sets are
+    compared as sets of distinct classes, since line-level matching across
+    a rewritten file is ill-defined.
     """
 
     sample_id: str
@@ -173,26 +174,26 @@ def run_arms(
     A sample's filter tools are the adapters that support its language;
     every language in `samples` needs two of them, or ConfigError is raised
     before any analyzer runs. First every distinct original code is analyzed
-    with its filter tools. A sample
-    leaves the run at the filter (`arm` None) as `not_dual_flagged` unless
-    each of them flags it, or as `analyzer_errors` if an analyzer fails or
-    cannot read it; it gets no trial at all if none of its CWEs is in
-    `supported_cwes`. Only those classes count as flagged or fixed; a
-    revision introduces every mapped class that the original code did not
-    have, supported or not (see `Trial`). Then the arms run
-    in order: prompt_only reuses the before findings unchanged; each other
-    arm revises every sample still in the run (with retrieved context only
-    under sosecure), then analyzes the revised codes not analyzed yet. A
-    revision that one of the filter tools cannot read keeps its trial,
-    scored as not fixed (`readable` False). A sample on which an arm fails
-    (the provider, the prompt budget or an analyzer) leaves the run at that
-    arm, under that arm's reason, and is not sent to later arms.
+    with its filter tools. A sample leaves the run at the filter (`arm`
+    None) as `analyzer_errors` if an analyzer fails or cannot read it, as
+    `not_dual_flagged` unless each of them flags it, and as
+    `unsupported_cwes` if none of its flagged CWEs is in `supported_cwes`.
+    Only those classes count as flagged or fixed; a revision introduces
+    every mapped class that the original code did not have, supported or
+    not (see `Trial`). Then the arms run in order: prompt_only reuses the
+    before findings unchanged; each other arm revises every sample still in
+    the run (with retrieved context only under sosecure), then analyzes the
+    revised codes not analyzed yet. A revision that one of the filter tools
+    cannot read keeps its trial, scored as not fixed (`readable` False). A
+    sample on which an arm fails (the provider, the prompt budget or an
+    analyzer) leaves the run at that arm, under that arm's reason, and is
+    not sent to later arms.
 
     Analysis and revision run on a pool of `workers` threads. Only the
     calling thread reads or writes the results, so each distinct
     (language, code) is analyzed once per call. Trials come in dataset
-    order, and each sample's trials in arm order; a sample that left the
-    run has exactly one trial with `dropped` set, its last.
+    order, and each sample's trials in arm order. A sample has a trial in
+    every arm, or exactly one trial with `dropped` set, its last.
     """
     _validate_arms(arms, index is not None)
     if not supported_cwes:
@@ -230,7 +231,8 @@ def run_arms(
                 drop(i, None, "not_dual_flagged")
             elif cwes := cwe_set(chain.from_iterable(per_adapter)) & supported_cwes:
                 before[i] = cwes
-            # else outside the supported CWE set: no trial, not tallied
+            else:
+                drop(i, None, "unsupported_cwes")
 
         for arm in arms:
             if arm == ARM_PROMPT_ONLY:

@@ -325,8 +325,9 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
     """Write the magic line, one JSON header line, the arrays, then the entry lines.
 
     The header holds k1, b, the terms in slot order and the entry count. The
-    file is written under a temporary name in the same directory and then
-    renamed over `path`, so a reader never sees it half written, and an index
+    file is written under a temporary name beside the file that `path`
+    resolves to and then renamed over that file, so a symlink stays a link
+    to the new index, a reader never sees it half written, and an index
     loaded from the old file keeps reading the old file.
     """
     import numpy as np
@@ -339,7 +340,7 @@ def save_index(index: RetrievalIndex, path: str | Path) -> None:
     }
     head = f"{INDEX_MAGIC}\n".encode() + json.dumps(header, ensure_ascii=False).encode("utf-8")
     head += b" " * (-(len(head) + 1) % 8) + b"\n"
-    path = Path(path)
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.urandom(16).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:

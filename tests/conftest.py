@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import math
 import sys
@@ -100,6 +101,16 @@ def logged_adapter_specs(log_path: Path, fail_on: str = "", delay: float = 0.0) 
             str(log_path), name, stub, str(delay), fail_on, *stub_args,
         ]
     return specs
+
+
+def accounted_samples(report: dict) -> int:
+    """An eval report's kept samples plus the samples its footnote tallies as dropped.
+
+    Each sample is kept in every arm or dropped once, so this is the dataset size.
+    """
+    prefix = "excluded/tallied during the run: "
+    tally = next((ast.literal_eval(n[len(prefix):]) for n in report["footnotes"] if n.startswith(prefix)), {})
+    return report["counts"]["samples"] + sum(n for reason, n in tally.items() if reason != "unreadable_revisions")
 
 
 @pytest.fixture

@@ -10,7 +10,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import DEEP_JSON, FIXTURE_KB_SHA256, logged_adapter_specs, raise_in_body_parser_on, stub_adapter_specs
+from conftest import (
+    DEEP_JSON, FIXTURE_KB_SHA256, accounted_samples, logged_adapter_specs, raise_in_body_parser_on, stub_adapter_specs,
+)
 import sosec
 from sosec import __version__
 from sosec.analysis import Finding
@@ -478,10 +480,11 @@ def test_config_file_with_bad_provider_value_is_runtime_error(tmp_path, fixtures
     [
         ('{"k": ', "cannot read config file"),
         ("[3]", "must hold a JSON object"),
-        (json.dumps({"provider": {"colour": "red"}}), "bad provider section"),
-        (json.dumps({"provider": ["mock"]}), "bad provider section"),
+        (json.dumps({"provider": {"colour": "red"}}), "bad provider section: unknown key 'colour'"),
+        (json.dumps({"provider": ["mock"]}), "bad provider section: not a JSON object"),
+        (json.dumps({"provider": {"model_name": "m"}}), "bad provider section: missing key 'kind'"),
     ],
-    ids=["not-json", "not-an-object", "unknown-provider-key", "provider-not-an-object"],
+    ids=["not-json", "not-an-object", "unknown-provider-key", "provider-not-an-object", "provider-without-kind"],
 )
 def test_malformed_config_file_is_runtime_error(tmp_path, capsys, text, message):
     config = tmp_path / "config.json"
@@ -716,6 +719,7 @@ def test_eval_transcript_miss_costs_one_sample_in_every_arm(tmp_path, fixtures_d
     }
     assert report["counts"] == {"samples": 3, "vulns_before": 3}
     assert "'provider_errors': 1" in report["footnotes"][0]
+    assert accounted_samples(report) == len(records)
 
     # when no sample survives, the error names why
     transcript.write_text("", encoding="utf-8")
@@ -919,6 +923,40 @@ def test_index_refuses_an_out_path_it_cannot_write_before_the_kb_is_read(tmp_pat
     assert calls == []
     assert [path for path in tmp_path.iterdir() if not path.is_symlink()] == [kb_path]
     assert kb_path.read_bytes() == kb_bytes
+
+
+def _out_argv(command, tmp_path, fixtures_dir, stub_adapters_file) -> list[str]:
+    """argv for `command`, less --out, over fixture inputs written into `tmp_path`."""
+    if command == "build-kb":
+        return ["build-kb", "--posts", str(fixtures_dir / "posts_20.xml"),
+                "--comments", str(fixtures_dir / "comments_20.xml")]
+    if command == "index":
+        kb_path = tmp_path / "kb.jsonl"
+        kb_path.write_text(KnowledgeEntry(1, 0, 1, "ok", ["x = 1"], [], [], "https://stackoverflow.com/a/1").to_jsonl())
+        return ["index", "--kb", str(kb_path)]
+    return ["eval", "--dataset", str(_first_samples(fixtures_dir, tmp_path, 4)), "--arm", "prompt_only",
+            "--adapters", str(stub_adapters_file)]
+
+
+@pytest.mark.parametrize("target_exists", [True, False], ids=["to-an-existing-file", "dangling"])
+@pytest.mark.parametrize("command", ["build-kb", "index", "eval"])
+def test_out_through_a_symlink_writes_the_link_target(
+    tmp_path, fixtures_dir, stub_adapters_file, command, target_exists
+):
+    argv = _out_argv(command, tmp_path, fixtures_dir, stub_adapters_file)
+    plain = tmp_path / "plain.out"
+    assert main(argv + ["--out", str(plain)]) == 0
+    target = tmp_path / "target" / "out"
+    target.parent.mkdir()
+    if target_exists:
+        target.write_text("an earlier output\n", encoding="utf-8")
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    files = sorted({*tmp_path.rglob("*"), target})
+    assert main(argv + ["--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == plain.read_bytes()
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, logged_adapter_specs, make_entry, stub_adapter_specs
+from conftest import FIXTURES, accounted_samples, logged_adapter_specs, make_entry, stub_adapter_specs
 from sosec.analysis import AdapterConfig, CweMap
 from sosec.cli import main
 from sosec.config import GlobalConfig, default_data_path
@@ -177,6 +177,7 @@ def test_dual_tool_filter_keeps_only_dual_flagged(
     assert [o.sample_id for o in kept] == ["both"]
     assert kept[0].before_cwes == {"CWE-78"}
     assert tally == {"not_dual_flagged": 3}
+    assert len(kept) + sum(tally.values()) == len(samples)
 
 
 def test_dual_tool_filter_tallies_analyzer_errors(fake_codeql_adapter, cwe_map):
@@ -198,7 +199,8 @@ def test_filter_supported(fake_bandit_adapter, fake_codeql_adapter, cwe_map):
         samples, ["prompt_only"], None, **{**kwargs, "supported_cwes": {"CWE-78", "CWE-89"}}
     ))
     assert [o.sample_id for o in kept] == ["keep"]
-    assert not tally  # dropped silently
+    assert tally == {"unsupported_cwes": 1}
+    assert len(kept) + sum(tally.values()) == len(samples)
     with pytest.raises(ConfigError):
         run_arms(samples, ["prompt_only"], None, **{**kwargs, "supported_cwes": set()})
 
@@ -829,6 +831,7 @@ def test_each_drop_is_one_trial_at_the_arm_that_failed(tmp_path, cwe_map):
     kept, tally = split_trials(trials)
     assert kept == trials[:4]
     assert list(tally.items()) == [("provider_errors", 1), ("not_dual_flagged", 1), ("analyzer_errors", 1)]
+    assert len({t.sample_id for t in kept}) + sum(tally.values()) == 4  # the samples of _trial_run
 
 
 def test_metrics_recomputed_from_trials_equal_the_eval_report(tmp_path, capsys):
@@ -875,6 +878,7 @@ def test_eval_malformed_analyzer_result_costs_one_sample(tmp_path, capsys):
     assert report["counts"] == {"samples": 1, "vulns_before": 1}
     assert report["per_cwe"] == {"CWE-78": {"total": 1, "fixed": 0}}
     assert "'analyzer_errors': 1" in report["footnotes"][0]
+    assert accounted_samples(report) == len(records)
 
 
 def test_eval_adapter_error_excludes_the_sample_from_every_arm(tmp_path, capsys):

@@ -647,6 +647,16 @@ def test_save_index_replaces_the_file_and_leaves_a_loaded_index_working(tmp_path
     assert path.read_bytes() == saved
     assert [p.name for p in tmp_path.iterdir()] == ["kb.idx"]
 
+    # through a symlink, the link's target is replaced and the link stays
+    link = tmp_path / "link.idx"
+    link.symlink_to(path)
+    loaded = load_index(link)
+    save_index(_index_abc(), link)
+    assert link.is_symlink()
+    assert [h.entry.answer_id for h in retrieve(loaded, "a b c", k=3)] == [60, 50]
+    assert [(h.entry.answer_id, h.score) for h in retrieve(load_index(path), "a b c", k=3)] == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kb.idx", "link.idx"]
+
 
 @pytest.mark.parametrize("answer_id", ["5", 5.0, True, 2**63])
 def test_build_index_rejects_answer_ids_that_are_not_int64(answer_id):
