@@ -18,6 +18,7 @@ from .config import GlobalConfig, load_config
 from .errors import SosecError, open_text
 from .evaluation import (
     ARM_PROMPT_ONLY,
+    REVISING_ARMS,
     compute_metrics,
     load_samples,
     load_supported_cwes,
@@ -251,9 +252,8 @@ def _cmd_eval(args, config: GlobalConfig) -> int:
     supported = load_supported_cwes(config.supported_cwes_path)
 
     index = load_index(args.index) if args.index else None
-    # one provider for the whole run, so its rate limits hold across workers;
-    # prompt_only makes no provider calls
-    provider = make_provider(config.provider) if set(arms) - {ARM_PROMPT_ONLY} else None
+    # one provider for the whole run, so its rate limits hold across workers
+    provider = make_provider(config.provider) if set(arms) & set(REVISING_ARMS) else None
 
     trials = run_arms(
         samples,

@@ -28,6 +28,7 @@ ARM_REVISION_ONLY = "revision_only"
 ARM_CWE_LABEL = "cwe_label"
 ARM_SOSECURE = "sosecure"
 ARMS = (ARM_PROMPT_ONLY, ARM_REVISION_ONLY, ARM_CWE_LABEL, ARM_SOSECURE)
+REVISING_ARMS = (ARM_REVISION_ONLY, ARM_CWE_LABEL, ARM_SOSECURE)  # the arms that call the provider
 
 
 @dataclass
@@ -132,20 +133,25 @@ def load_supported_cwes(path: str | Path) -> set[str]:
     return supported
 
 
-def _validate_arms(arms: Sequence[str], has_index: bool) -> None:
-    """Reject unknown or repeated arm names, and sosecure without an index."""
+def _validate_arms(arms: Sequence[str], has_provider: bool, has_index: bool) -> None:
+    """Reject unknown or repeated arm names, revising arms without a provider, and sosecure without an index."""
     for arm in arms:
         if arm not in ARMS:
             raise ConfigError(f"unknown arm {arm!r}")
     repeated = sorted({arm for arm in arms if arms.count(arm) > 1})
     if repeated:
         raise ConfigError(f"arm named more than once: {', '.join(repeated)}")
+    revising = [arm for arm in arms if arm in REVISING_ARMS]
+    if revising and not has_provider:
+        raise ConfigError(f"a revision provider is required by the arms {', '.join(revising)}")
     if ARM_SOSECURE in arms and not has_index:
         raise ConfigError("sosecure arm requires a retrieval index")
 
 
 def _revise_for_arm(provider, index, k: int, budget: int, arm: str, sample: CodeSample):
-    """The arm's RevisionRecord for `sample`, or the tally reason it could not be revised."""
+    """The arm's RevisionRecord for `sample`, None for the code as it is, or the tally reason it failed."""
+    if arm not in REVISING_ARMS:
+        return None
     hits = retrieve(index, sample.code, k=k) if arm == ARM_SOSECURE else []
     labeled_cwe = sample.labeled_cwe if arm == ARM_CWE_LABEL else None
     try:
@@ -172,7 +178,8 @@ def run_arms(
     """Filter the samples and run the experimental arms, phase by phase.
 
     A sample's filter tools are the adapters that support its language;
-    every language in `samples` needs two of them, or ConfigError is raised
+    every language in `samples` needs two of them, and `provider` may be
+    None only if no arm is in `REVISING_ARMS`, or ConfigError is raised
     before any analyzer runs. First every distinct original code is analyzed
     with its filter tools. A sample leaves the run at the filter (`arm`
     None) as `analyzer_errors` if an analyzer fails or cannot read it, as
@@ -180,11 +187,11 @@ def run_arms(
     `unsupported_cwes` if none of its flagged CWEs is in `supported_cwes`.
     Only those classes count as flagged or fixed; a revision introduces
     every mapped class that the original code did not have, supported or
-    not (see `Trial`). Then the arms run in order: prompt_only reuses the
-    before findings unchanged; each other arm revises every sample still in
-    the run (with retrieved context only under sosecure), then analyzes the
-    revised codes not analyzed yet. A revision that one of the filter tools
-    cannot read keeps its trial, scored as not fixed (`readable` False). A
+    not (see `Trial`). Then each arm in turn revises every sample still in
+    the run (prompt_only keeps the code as it is and calls no provider; only
+    sosecure retrieves context), analyzes the codes not analyzed yet, and
+    scores every trial by one rule. A revision that a filter tool cannot
+    read keeps its trial, scored as the original (`readable` False). A
     sample on which an arm fails (the provider, the prompt budget or an
     analyzer) leaves the run at that arm, under that arm's reason, and is
     not sent to later arms.
@@ -195,7 +202,7 @@ def run_arms(
     order, and each sample's trials in arm order. A sample has a trial in
     every arm, or exactly one trial with `dropped` set, its last.
     """
-    _validate_arms(arms, index is not None)
+    _validate_arms(arms, provider is not None, index is not None)
     if not supported_cwes:
         raise ConfigError("supported CWE set is empty")
     if ARM_CWE_LABEL in arms:
@@ -235,27 +242,24 @@ def run_arms(
                 drop(i, None, "unsupported_cwes")
 
         for arm in arms:
-            if arm == ARM_PROMPT_ONLY:
-                for i, cwes in before.items():
-                    trials[i].append(Trial(samples[i].sample_id, arm, cwes, set(cwes), True))
-                continue
             live = list(before)
             revise_arm = partial(_revise_for_arm, provider, index, k, budget, arm)
             records = list(zip(live, pool.map(revise_arm, [samples[i] for i in live])))
-            analyze([(samples[i].language, r.revised_code) for i, r in records if not isinstance(r, str)])
+            codes = {i: samples[i].code if r is None else r.revised_code for i, r in records if not isinstance(r, str)}
+            analyze([(samples[i].language, code) for i, code in codes.items()])
             for i, record in records:
                 if isinstance(record, str):
                     drop(i, arm, record)
-                elif (per_adapter := results[(samples[i].language, record.revised_code)]) is None:
+                elif (per_adapter := results[(samples[i].language, codes[i])]) is None:
                     drop(i, arm, "analyzer_errors")
-                elif None in per_adapter:
-                    trials[i].append(Trial(samples[i].sample_id, arm, before[i], set(before[i]), False, readable=False))
                 else:
-                    after = cwe_set(chain.from_iterable(per_adapter))
+                    readable = None not in per_adapter
                     original = cwe_set(chain.from_iterable(results[(samples[i].language, samples[i].code)]))
+                    after = cwe_set(chain.from_iterable(per_adapter)) if readable else original
                     # an unsupported class that the original had is neither fixed nor introduced
                     scored = after - (original - before[i])
-                    trials[i].append(Trial(samples[i].sample_id, arm, before[i], scored, not record.changed))
+                    unchanged = readable and (record is None or not record.changed)
+                    trials[i].append(Trial(samples[i].sample_id, arm, before[i], scored, unchanged, readable=readable))
 
     return [trial for per_sample in trials for trial in per_sample]
 

@@ -92,8 +92,9 @@ class ProviderConfig:
         required = {"recorded": "transcript_path", "live": "endpoint"}.get(self.kind)
         if required and not getattr(self, required):
             raise ConfigError(f"provider.{required} is required when provider.kind is {self.kind!r}")
-        if self.transcript_path is not None and self.kind != "recorded":
-            raise ConfigError(f"provider.transcript_path needs provider.kind 'recorded', got {self.kind!r}")
+        for name, kind in (("endpoint", "live"), ("model_name", "live"), ("transcript_path", "recorded")):
+            if getattr(self, name) is not None and self.kind != kind:
+                raise ConfigError(f"provider.{name} needs provider.kind {kind!r}, got {self.kind!r}")
 
 
 @dataclass
@@ -143,7 +144,8 @@ def build_revision_prompt(
         name = CWE_NAMES.get(labeled_cwe)
         note = PROMPT_TEMPLATE["cwe_label_note"].format(cwe=labeled_cwe, name=f" ({name})" if name else "")
         system = f"{system}\n\n{note}"
-    code_section = f"{PROMPT_TEMPLATE['code_intro']}\n```\n{code}\n```"
+    fence = _code_fence(code)
+    code_section = f"{PROMPT_TEMPLATE['code_intro']}\n{fence}\n{code}\n{fence}"
     contract = PROMPT_TEMPLATE["output_contract"]
 
     sections = [render_hit_section(h) for h in hits]
@@ -159,7 +161,13 @@ def build_revision_prompt(
     raise PromptBudgetError(f"budget {budget} cannot fit the mandatory prompt sections ({len(text)} chars)")
 
 
-_FENCE_RE = re.compile(r"```[ \t]*[\w+-]*[ \t]*\r?\n(.*?)(?:\r?\n)?```", re.DOTALL)
+def _code_fence(code: str) -> str:
+    """A run of backticks one longer than the longest in `code`, and never shorter than three."""
+    return "`" * max(3, 1 + max(map(len, re.findall("`+", code)), default=0))
+
+
+# A block opens with three backticks or more and closes at the first run at least as long.
+_FENCE_RE = re.compile(r"(?<!`)(`{3,})[ \t]*[\w+-]*[ \t]*\r?\n(.*?)(?:\r?\n)?\1", re.DOTALL)
 
 
 def extract_revised_code(raw_response: str) -> str | None:
@@ -167,7 +175,7 @@ def extract_revised_code(raw_response: str) -> str | None:
     blocks = _FENCE_RE.findall(raw_response)
     if not blocks:
         return None
-    code = blocks[-1]
+    code = blocks[-1][1]
     if not code.strip():
         return None
     return code
@@ -210,7 +218,8 @@ class DeterministicMockProvider:
             code = ""
         if self.behavior == MOCK_FIX_SHELL:
             code = self._fix_shell_true(code)
-        return f"Reviewed the snippet against the provided context.\n\n```python\n{code}\n```"
+        fence = _code_fence(code)
+        return f"Reviewed the snippet against the provided context.\n\n{fence}python\n{code}\n{fence}"
 
     @staticmethod
     def _fix_shell_true(code: str) -> str:

@@ -90,9 +90,10 @@ def test_config_file_mock_kind_revises_as_the_provider_flag_does(tmp_path, capsy
     assert capsys.readouterr().out == from_flag
     assert json.loads(from_flag)["changed"] is True
     # a flag of another kind replaces the file's section, which is then not checked
-    config.write_text(json.dumps({"provider": {"kind": "recorded"}}), encoding="utf-8")
-    assert main(argv + ["--config", str(config), "--provider", "mock"]) == 0
-    assert capsys.readouterr().out == from_flag
+    for section in ({"kind": "recorded"}, {"kind": "live", "endpoint": "http://x", "model_name": "m"}):
+        config.write_text(json.dumps({"provider": section}), encoding="utf-8")
+        assert main(argv + ["--config", str(config), "--provider", "mock"]) == 0
+        assert capsys.readouterr().out == from_flag
 
 
 def _revise_argv(tmp_path, fixtures_dir, capsys):
@@ -123,14 +124,30 @@ def test_config_file_recorded_kind_replays_the_transcript_flag(tmp_path, fixture
     assert json.loads(capsys.readouterr().out)["revised_code"] == "replayed = True"
 
 
-def test_a_provider_built_in_code_is_checked_as_a_config_file_section_is(tmp_path):
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"kind": "live"}, "provider.endpoint is required when provider.kind is 'live'"),
+        # a field given to a kind that does not use it
+        ({"kind": "mock", "endpoint": "http://x", "model_name": "m"},
+         "provider.endpoint needs provider.kind 'live', got 'mock'"),
+        ({"kind": "mock", "model_name": "m"}, "provider.model_name needs provider.kind 'live', got 'mock'"),
+        ({"kind": "recorded", "transcript_path": "t.jsonl", "endpoint": "http://x"},
+         "provider.endpoint needs provider.kind 'live', got 'recorded'"),
+        ({"kind": "live", "endpoint": "http://x", "transcript_path": "t.jsonl"},
+         "provider.transcript_path needs provider.kind 'recorded', got 'live'"),
+    ],
+    ids=["live-without-endpoint", "mock-with-endpoint", "mock-with-model-name", "recorded-with-endpoint",
+         "live-with-transcript"],
+)
+def test_a_provider_built_in_code_is_checked_as_a_config_file_section_is(tmp_path, section, message):
     with pytest.raises(ConfigError) as in_code:
-        ProviderConfig(kind="live")
+        ProviderConfig(**section)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"provider": {"kind": "live"}}), encoding="utf-8")
+    config.write_text(json.dumps({"provider": section}), encoding="utf-8")
     with pytest.raises(ConfigError) as from_file:
         load_config(config)
-    assert str(in_code.value) == str(from_file.value) == "provider.endpoint is required when provider.kind is 'live'"
+    assert str(in_code.value) == str(from_file.value) == message
 
 
 _EVERY_COMMAND = [

@@ -495,6 +495,15 @@ def test_run_arms_analyzes_a_shared_failing_code_once(tmp_path, cwe_map):
     assert len(_log_lines(log)) == 1  # bandit fails first, so codeql never starts
 
 
+def test_run_arms_refuses_a_missing_provider_before_any_analyzer_runs(tmp_path, cwe_map):
+    log = tmp_path / "calls.log"
+    adapters = [AdapterConfig.from_dict(name, spec) for name, spec in logged_adapter_specs(log).items()]
+    with pytest.raises(ConfigError, match=r"^a revision provider is required by the arms revision_only, sosecure$"):
+        run_arms([_sample("a", SHELL_CODE)], ["prompt_only", "revision_only", "sosecure"], None, _stub_index(),
+                 adapters=adapters, cwe_map=cwe_map, supported_cwes={"CWE-78"})
+    assert not log.exists()
+
+
 def test_run_arms_needs_two_adapters_for_each_language(cwe_map):
     with pytest.raises(ConfigError, match=r"two adapters for language 'python'; found \[\]"):
         run_arms([_sample("a", SHELL_CODE)], ["prompt_only"], None,

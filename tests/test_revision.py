@@ -220,6 +220,27 @@ def test_extract_handles_crlf():
     assert extract_revised_code("```python\r\nx=1\r\n```") == "x=1"
 
 
+def test_extract_reads_a_longer_fence_whole():
+    raw = "Revised:\n````python\n\"\"\"Usage:\n```\nrun()\n```\n\"\"\"\nx = 1\n````\n"
+    assert extract_revised_code(raw) == '"""Usage:\n```\nrun()\n```\n"""\nx = 1'
+
+
+# A docstring that holds a fenced Markdown example: three backticks on a line of the code.
+FENCED_DOCSTRING_CODE = (
+    'import subprocess\n\ndef run(cmd):\n    """Run a command.\n\n    ```example\n    run("ls")\n    ```\n    """\n'
+    "    subprocess.call(cmd, shell=True)\n"
+)
+
+
+def test_code_with_a_fence_line_is_revised_whole():
+    record = revise(DeterministicMockProvider(), FENCED_DOCSTRING_CODE, [])
+    fixed = FENCED_DOCSTRING_CODE.replace("subprocess.call(cmd, shell=True)", "subprocess.call(shlex.split(cmd))")
+    assert record.revised_code == "import shlex\n" + fixed
+    assert record.changed and record.parse_ok
+    # the prompt fences the code with one backtick more than its longest run
+    assert f"\n````\n{FENCED_DOCSTRING_CODE}\n````\n" in record.prompt_text
+
+
 @pytest.mark.parametrize(
     "original,revised,expected",
     [
